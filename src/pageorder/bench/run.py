@@ -9,8 +9,7 @@ comparison between short and long specialists.
 from __future__ import annotations
 
 import zlib
-from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -20,11 +19,12 @@ from ..heuristics import order_greedy_nn, order_random, order_tsp_nn
 from ..metrics import LocalityStats, attention_locality, mean_tau
 from ..models import Arch, Model, PeVariant, build_model, desk_config
 from ..numcore import RngStream
-from ..training import SpecialistEnsemble, Strategy, TrainConfig, fit, route
+from ..training import SpecialistEnsemble, Strategy, TrainConfig, evaluate, fit
 from .report import EvalReport, ReportRow
 
 __all__ = [
     "MENU",
+    "ARCH_ROWS",
     "BenchResult",
     "TransferResult",
     "LocalityComparison",
@@ -98,16 +98,9 @@ def _heuristic_predict(name: str, inst: ShuffledInstance, eval_seed: int) -> np.
     raise ConfigError(f"unknown heuristic {name}")
 
 
-def _predict_all(predict, instances: list[ShuffledInstance], jobs: int) -> list[np.ndarray]:
-    if jobs <= 1:
-        return [predict(inst) for inst in instances]
-    with ThreadPoolExecutor(max_workers=jobs) as pool:
-        return list(pool.map(predict, instances))
-
-
-def _train_single(arch: Arch, pe: PeVariant | None, splits, train_cfg: TrainConfig, input_dim: int, seed: int):
-    cfg = desk_config(arch, input_dim, seed=seed, pe_variant=pe or PeVariant.LEARNED)
-    model = build_model(cfg)
+def _train_single(row: tuple[Arch, PeVariant], splits, train_cfg: TrainConfig, input_dim: int, seed: int):
+    arch, pe = row
+    model = build_model(desk_config(arch, input_dim, seed=seed, pe_variant=pe))
     result = fit(model, splits[0], splits[1], train_cfg)
     return model, result.history
 
@@ -116,18 +109,7 @@ def _train_specialists(splits, train_cfg: TrainConfig, strategy: Strategy, input
     models = {}
     logs = {}
     for bucket in LengthBucket:
-        cfg = TrainConfig(
-            epochs=train_cfg.epochs,
-            batch_size=train_cfg.batch_size,
-            lr=train_cfg.lr,
-            lr_final_stage=train_cfg.lr_final_stage,
-            clip_norm=train_cfg.clip_norm,
-            strategy=strategy,
-            target_bucket=bucket,
-            weight_factor=train_cfg.weight_factor,
-            seed=train_cfg.seed,
-            reshuffle_per_epoch=train_cfg.reshuffle_per_epoch,
-        )
+        cfg = replace(train_cfg, strategy=strategy, target_bucket=bucket)
         seed = _config_seed(f"{strategy.value}.{bucket.label}", base_seed)
         model = build_model(desk_config(Arch.PAIRWISE_RANK, input_dim, seed=seed))
         result = fit(model, splits[0], splits[1], cfg)
@@ -136,14 +118,15 @@ def _train_specialists(splits, train_cfg: TrainConfig, strategy: Strategy, input
     return SpecialistEnsemble(models=models), logs
 
 
+# Row name -> (architecture, positional encoding); the encoding matters only for seq2seq.
 ARCH_ROWS = {
-    "bilstm_pos": (Arch.BILSTM_POS, None),
-    "pointer_mlp": (Arch.POINTER_MLP, None),
-    "pointer_lstm": (Arch.POINTER_LSTM, None),
+    "bilstm_pos": (Arch.BILSTM_POS, PeVariant.LEARNED),
+    "pointer_mlp": (Arch.POINTER_MLP, PeVariant.LEARNED),
+    "pointer_lstm": (Arch.POINTER_LSTM, PeVariant.LEARNED),
     "seq2seq_learned": (Arch.SEQ2SEQ, PeVariant.LEARNED),
     "seq2seq_sinusoidal": (Arch.SEQ2SEQ, PeVariant.SINUSOIDAL),
     "seq2seq_none": (Arch.SEQ2SEQ, PeVariant.NONE),
-    "pairwise": (Arch.PAIRWISE_RANK, None),
+    "pairwise": (Arch.PAIRWISE_RANK, PeVariant.LEARNED),
 }
 
 
@@ -156,7 +139,6 @@ def run_benchmark(
     input_dim: int,
     eval_seed: int,
     model_seed: int = 1,
-    jobs: int = 1,
     progress=None,
 ) -> BenchResult:
     """Train and evaluate every configuration named in ``menu``.
@@ -181,43 +163,24 @@ def run_benchmark(
         if progress:
             progress(f"configuration {name}")
         if name in HEURISTIC_ROWS:
-            predictions = _predict_all(lambda i: _heuristic_predict(name, i, eval_seed), test_instances, jobs)
-            param_count = 0
-            models[name] = None
-        elif name in ARCH_ROWS:
-            arch, pe = ARCH_ROWS[name]
-            model, history = _train_single(
-                arch, pe, splits, train_cfg, input_dim, _config_seed(name, model_seed)
-            )
-            logs[name] = history
-            models[name] = model
-            predictions = _predict_all(lambda i: model.order(i.pages), test_instances, jobs)
-            param_count = model.param_count()
-        elif name == "specialized_direct":
-            ensemble, spec_logs = _train_specialists(
-                splits, train_cfg, Strategy.SPECIALIZED_DIRECT, input_dim, model_seed
-            )
-            models[name] = ensemble
-            logs.update({f"{name}.{k}": v for k, v in spec_logs.items()})
-            predictions = _predict_all(lambda i: route(ensemble, i).order(i.pages), test_instances, jobs)
-            param_count = ensemble.param_count()
-        elif name == "specialized_curriculum":
-            ensemble, spec_logs = _train_specialists(
-                splits, train_cfg, Strategy.SPECIALIZED_CURRICULUM, input_dim, model_seed
-            )
-            models[name] = ensemble
-            logs.update({f"{name}.{k}": v for k, v in spec_logs.items()})
-            predictions = _predict_all(lambda i: route(ensemble, i).order(i.pages), test_instances, jobs)
-            param_count = ensemble.param_count()
-        else:  # pragma: no cover - guarded above
-            raise ConfigError(name)
-        result = mean_tau(test_instances, predictions)
+            model = None
+            result = mean_tau(test_instances, [_heuristic_predict(name, i, eval_seed) for i in test_instances])
+        else:
+            if name in ARCH_ROWS:
+                model, logs[name] = _train_single(
+                    ARCH_ROWS[name], splits, train_cfg, input_dim, _config_seed(name, model_seed)
+                )
+            else:
+                model, spec_logs = _train_specialists(splits, train_cfg, Strategy(name), input_dim, model_seed)
+                logs.update({f"{name}.{k}": v for k, v in spec_logs.items()})
+            result = evaluate(model, test_instances)
+        models[name] = model
         rows.append(
             ReportRow(
                 name=name,
                 tau_by_bucket=dict(result.per_bucket),
                 tau_overall=result.overall,
-                param_count=param_count,
+                param_count=0 if model is None else model.param_count(),
                 docs_by_bucket=dict(docs_by_bucket),
             )
         )
@@ -252,8 +215,8 @@ def transfer_experiment(
         desk_config(Arch.PAIRWISE_RANK, input_dim, seed=_config_seed("transfer", model_seed))
     )
     fit(model, short_train, short_val, train_cfg)
-    tau_in = mean_tau(test_short, [model.order(i.pages) for i in test_short]).overall
-    tau_out = mean_tau(test_long, [model.order(i.pages) for i in test_long]).overall
+    tau_in = evaluate(model, test_short).overall
+    tau_out = evaluate(model, test_long).overall
     return TransferResult(tau_in_domain=tau_in, tau_transfer=tau_out, n_train_docs=len(short_train))
 
 

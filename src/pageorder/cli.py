@@ -24,6 +24,7 @@ from .bench import (
     write_report_csv,
 )
 from .bench.report import atomic_write_text
+from .bench.run import ARCH_ROWS
 from .corpus import (
     CorpusConfig,
     EmbedServiceError,
@@ -37,7 +38,7 @@ from .corpus import (
 )
 from .errors import ConfigError, DomainError
 from .gradgate import run_gradient_gate
-from .models import Arch, PeVariant, build_model, desk_config, load_checkpoint, save_checkpoint
+from .models import ArchMismatchError, build_model, desk_config, load_checkpoint, save_checkpoint
 from .training import (
     Strategy,
     TrainConfig,
@@ -154,17 +155,6 @@ def cmd_gen(args: argparse.Namespace) -> int:
     return 0
 
 
-ARCH_CHOICES = {
-    "bilstm_pos": (Arch.BILSTM_POS, None),
-    "pointer_mlp": (Arch.POINTER_MLP, None),
-    "pointer_lstm": (Arch.POINTER_LSTM, None),
-    "seq2seq_learned": (Arch.SEQ2SEQ, PeVariant.LEARNED),
-    "seq2seq_sinusoidal": (Arch.SEQ2SEQ, PeVariant.SINUSOIDAL),
-    "seq2seq_none": (Arch.SEQ2SEQ, PeVariant.NONE),
-    "pairwise": (Arch.PAIRWISE_RANK, None),
-}
-
-
 def cmd_train(args: argparse.Namespace) -> int:
     config = load_config(args.config)
     docs = load_corpus(args.corpus)
@@ -172,18 +162,23 @@ def cmd_train(args: argparse.Namespace) -> int:
     strategy = Strategy(args.strategy)
     target = _bucket_from_label(args.target_bucket) if args.target_bucket else None
     train_cfg = _train_config(config, strategy, target, args.seed)
-    arch, pe = ARCH_CHOICES[args.arch]
+    arch, pe = ARCH_ROWS[args.arch]
 
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     prior_history: list[dict] = []
     if args.resume:
-        model = load_checkpoint(args.resume, expected_arch=arch)
+        model = load_checkpoint(args.resume)
+        held = (model.config.arch, model.config.pe_variant)
+        if held != (arch, pe):
+            raise ArchMismatchError(
+                f"checkpoint holds {held[0].value}/{held[1].value}, requested {args.arch} ({arch.value}/{pe.value})"
+            )
         log_path = Path(args.resume).with_name("log.csv")
         if log_path.exists():
             prior_history = read_training_log(log_path)
     else:
-        model_cfg = desk_config(arch, input_dim=docs[0].dim, seed=config["model"]["seed"], pe_variant=pe or PeVariant.LEARNED)
+        model_cfg = desk_config(arch, input_dim=docs[0].dim, seed=config["model"]["seed"], pe_variant=pe)
         model = build_model(model_cfg)
 
     result = fit(model, splits[0], splits[1], train_cfg)
@@ -220,7 +215,6 @@ def cmd_bench(args: argparse.Namespace) -> int:
         input_dim=docs[0].dim,
         eval_seed=config["bench"]["eval_seed"],
         model_seed=config["model"]["seed"],
-        jobs=args.jobs,
         progress=lambda msg: print(msg, file=sys.stderr),
     )
     write_report_csv(result.report, out / "report.csv")
@@ -231,9 +225,8 @@ def cmd_bench(args: argparse.Namespace) -> int:
         write_training_log(history, logs_dir / f"{name}.csv")
     emit_figures(result.report, result.logs, out / "figures")
 
-    short_name, long_name = "specialized_direct", "specialized_direct"
-    if short_name in result.models and result.models[short_name] is not None:
-        ensemble = result.models[short_name]
+    ensemble = result.models.get("specialized_direct")
+    if ensemble is not None:
         comparison = locality_experiment(
             ensemble.models[LengthBucket.B2_5],
             ensemble.models[LengthBucket.B21_25],
@@ -348,7 +341,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_train = sub.add_parser("train", help="train one configuration")
     common(p_train)
     p_train.add_argument("--corpus", required=True)
-    p_train.add_argument("--arch", required=True, choices=sorted(ARCH_CHOICES))
+    p_train.add_argument("--arch", required=True, choices=sorted(ARCH_ROWS))
     p_train.add_argument("--strategy", default="universal", choices=[s.value for s in Strategy])
     p_train.add_argument("--target-bucket", default=None, help="bucket label, e.g. 6-10")
     p_train.add_argument("--resume", default=None, help="checkpoint to continue from")
@@ -359,7 +352,7 @@ def build_parser() -> argparse.ArgumentParser:
     common(p_bench)
     p_bench.add_argument("--corpus", required=True)
     p_bench.add_argument("--models", default=None, help="comma-separated row names or 'all'")
-    p_bench.add_argument("--jobs", type=int, default=1)
+    p_bench.add_argument("--jobs", type=int, default=1, help="accepted for compatibility; ignored")
     p_bench.add_argument("--out", required=True)
     p_bench.set_defaults(fn=cmd_bench)
 

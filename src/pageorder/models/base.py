@@ -8,7 +8,7 @@ from enum import Enum
 import numpy as np
 
 from ..errors import ConfigError
-from ..numcore import RngStream, Tensor, glorot_uniform
+from ..numcore import LstmParams, RngStream, Tensor, glorot_uniform
 
 __all__ = ["Arch", "PeVariant", "ModelConfig", "Model", "LengthError", "desk_config"]
 
@@ -126,6 +126,12 @@ class Model:
 
     def _normal(self, name: str, shape, std: float = 0.02) -> Tensor:
         return self._add(name, self._rng.split(name).normal(shape, std=std, dtype=self.dtype))
+
+    def _lstm(self, prefix: str, in_dim: int, hidden: int) -> LstmParams:
+        params = LstmParams.create(self._rng.split(prefix), in_dim, hidden, dtype=self.dtype)
+        for name, tensor in params.tensors().items():
+            self.params[f"{prefix}.{name}"] = tensor
+        return params
 
     def named_parameters(self) -> list[tuple[str, Tensor]]:
         return list(self.params.items())

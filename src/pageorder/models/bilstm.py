@@ -33,12 +33,6 @@ class BilstmPositionModel(Model):
         self._glorot("head.w", (2 * h, 1))
         self._zeros("head.b", 1)
 
-    def _lstm(self, prefix: str, in_dim: int, hidden: int) -> LstmParams:
-        params = LstmParams.create(self._rng.split(prefix), in_dim, hidden, dtype=self.dtype)
-        for name, tensor in params.tensors().items():
-            self.params[f"{prefix}.{name}"] = tensor
-        return params
-
     def position_scores(self, pages: Tensor) -> Tensor:
         """(batch, n) scalar scores; low score means early page."""
         x = pages

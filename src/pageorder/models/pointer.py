@@ -4,19 +4,41 @@ Both variants emit, at every step, a score for each not-yet-chosen slot
 and pick the argmax (ties to the lowest slot), so the output is a valid
 permutation by construction. The feedforward variant conditions only on
 the most recent selection; the recurrent variant carries a hidden state
-across all previous selections.
+across all previous selections. ``greedy_decode`` is that selection loop,
+shared with the seq2seq pointer head.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from ..numcore import LstmParams, Tensor, bidirectional_encode, no_grad, stack
+from ..numcore import Tensor, bidirectional_encode, lstm_cell, no_grad, stack
 from .base import Model, ModelConfig
 
-__all__ = ["PointerMlpModel", "PointerLstmModel"]
+__all__ = ["PointerMlpModel", "PointerLstmModel", "greedy_decode"]
 
 NEG_INF = -1e30
+
+
+def greedy_decode(n: int, step) -> tuple[np.ndarray, np.ndarray]:
+    """Pick each of ``n`` slots once, greedily.
+
+    ``step(prev)`` returns the logits over all ``n`` slots for the next
+    pick, given the slot picked last (``None`` at the first step). Used
+    slots are masked out and the argmax taken, ties to the lowest slot.
+    Returns the ordering and the (n, n) per-step logits before masking.
+    """
+    chosen = np.empty(n, dtype=np.int64)
+    raw_logits = np.zeros((n, n), dtype=np.float64)
+    available = np.ones(n, dtype=bool)
+    pick = None
+    for t in range(n):
+        logits = step(pick)
+        raw_logits[t] = logits
+        pick = int(np.argmax(np.where(available, logits, NEG_INF)))
+        chosen[t] = pick
+        available[pick] = False
+    return chosen, raw_logits
 
 
 def _batch_select(encoded: Tensor, sel: np.ndarray) -> Tensor:
@@ -92,17 +114,13 @@ class PointerMlpModel(Model):
         n = pages.shape[0]
         with no_grad():
             encoded = self.encode(Tensor(pages.reshape(1, n, -1)))
-            state = encoded.mean(axis=1)
-            chosen: list[int] = []
-            available = np.ones(n, dtype=bool)
-            for _ in range(n):
-                logits = self._logits_from_state(state, encoded).data[0].copy()
-                logits[~available] = NEG_INF
-                pick = int(np.argmax(logits))
-                chosen.append(pick)
-                available[pick] = False
-                state = self._next_state(encoded[:, pick, :])
-        return np.asarray(chosen, dtype=np.int64)
+
+            def step(prev):
+                state = encoded.mean(axis=1) if prev is None else self._next_state(encoded[:, prev, :])
+                return self._logits_from_state(state, encoded).data[0]
+
+            ordering, _ = greedy_decode(n, step)
+        return ordering
 
 
 class PointerLstmModel(Model):
@@ -120,12 +138,6 @@ class PointerLstmModel(Model):
         self._glorot("attn.w_dec", (enc_out, h))
         self._zeros("attn.b", h)
         self._glorot("attn.v", (h, 1))
-
-    def _lstm(self, prefix: str, in_dim: int, hidden: int) -> LstmParams:
-        params = LstmParams.create(self._rng.split(prefix), in_dim, hidden, dtype=self.dtype)
-        for name, tensor in params.tensors().items():
-            self.params[f"{prefix}.{name}"] = tensor
-        return params
 
     def encode(self, pages: Tensor) -> Tensor:
         return bidirectional_encode(pages, self._enc_fwd, self._enc_bwd)
@@ -154,8 +166,6 @@ class PointerLstmModel(Model):
             prev_pages = _batch_select(encoded, sel[:, :-1])
             inputs.extend(prev_pages[:, t, :] for t in range(n - 1))
         step_logits = []
-        from ..numcore import lstm_cell
-
         for t in range(n):
             h, c = lstm_cell(inputs[t], h, c, self._dec)
             step_logits.append(self._attention_logits(encoded_proj, encoded, h))
@@ -165,23 +175,17 @@ class PointerLstmModel(Model):
     def order(self, pages: np.ndarray) -> np.ndarray:
         pages = self._as_input(pages)
         n = pages.shape[0]
-        from ..numcore import lstm_cell
-
         with no_grad():
             encoded = self.encode(Tensor(pages.reshape(1, n, -1)))
             encoded_proj = encoded @ self.params["attn.w_enc"]
             enc_out = 2 * self.config.hidden_dim
-            x = self.params["dec.start"].reshape(1, enc_out)
-            h = Tensor(np.zeros((1, enc_out), dtype=self.dtype))
-            c = Tensor(np.zeros((1, enc_out), dtype=self.dtype))
-            chosen: list[int] = []
-            available = np.ones(n, dtype=bool)
-            for _ in range(n):
+            h = c = Tensor(np.zeros((1, enc_out), dtype=self.dtype))
+
+            def step(prev):
+                nonlocal h, c
+                x = self.params["dec.start"].reshape(1, enc_out) if prev is None else encoded[:, prev, :]
                 h, c = lstm_cell(x, h, c, self._dec)
-                logits = self._attention_logits(encoded_proj, encoded, h).data[0].copy()
-                logits[~available] = NEG_INF
-                pick = int(np.argmax(logits))
-                chosen.append(pick)
-                available[pick] = False
-                x = encoded[:, pick, :]
-        return np.asarray(chosen, dtype=np.int64)
+                return self._attention_logits(encoded_proj, encoded, h).data[0]
+
+            ordering, _ = greedy_decode(n, step)
+        return ordering

@@ -11,9 +11,9 @@ from __future__ import annotations
 
 import numpy as np
 
-from ..numcore import Tensor, embedding_lookup, no_grad, sinusoidal_positions
+from ..numcore import Tensor, concat, embedding_lookup, no_grad, sinusoidal_positions
 from .base import LengthError, Model, ModelConfig, PeVariant
-from .pointer import NEG_INF, _batch_select, _used_slot_mask
+from .pointer import _batch_select, _used_slot_mask, greedy_decode
 from .transformer import build_decoder, build_encoder, causal_mask, run_decoder, run_encoder
 
 __all__ = ["Seq2SeqModel"]
@@ -77,8 +77,6 @@ class Seq2SeqModel(Model):
             np.zeros((b, 1, self.config.hidden_dim), dtype=self.dtype)
         )
         if n > 1:
-            from ..numcore import concat
-
             prev = _batch_select(memory, sel[:, :-1])
             dec_inputs = concat([start, prev], axis=1)
         else:
@@ -91,31 +89,19 @@ class Seq2SeqModel(Model):
         """Greedy decode; returns (ordering, encoder attention stack, per-step pre-mask logits)."""
         pages = self._as_input(pages)
         n = pages.shape[0]
-        self._check_len(n)
-        h = self.config.hidden_dim
         with no_grad():
             memory, enc_attns = self.encode(Tensor(pages.reshape(1, n, -1)))
-            chosen: list[int] = []
-            available = np.ones(n, dtype=bool)
-            raw_logits = np.zeros((n, n), dtype=np.float64)
-            inputs = [self.params["dec.start"].reshape(1, 1, h)]
-            for t in range(n):
-                if len(inputs) == 1:
-                    dec_inputs = inputs[0]
-                else:
-                    from ..numcore import concat
+            inputs = [self.params["dec.start"].reshape(1, 1, self.config.hidden_dim)]
 
-                    dec_inputs = concat(inputs, axis=1)
-                dec_states = self._decode_states(memory, dec_inputs)
-                logits = self._pointer_logits(dec_states, memory).data[0, -1].copy()
-                raw_logits[t] = logits
-                logits[~available] = NEG_INF
-                pick = int(np.argmax(logits))
-                chosen.append(pick)
-                available[pick] = False
-                inputs.append(memory[:, pick : pick + 1, :])
+            def step(prev):
+                if prev is not None:
+                    inputs.append(memory[:, prev : prev + 1, :])
+                dec_states = self._decode_states(memory, concat(inputs, axis=1))
+                return self._pointer_logits(dec_states, memory).data[0, -1]
+
+            ordering, raw_logits = greedy_decode(n, step)
         attn_stack = np.stack([a.data[0] for a in enc_attns])
-        return np.asarray(chosen, dtype=np.int64), attn_stack, raw_logits
+        return ordering, attn_stack, raw_logits
 
     def encoder_attention(self, pages: np.ndarray) -> np.ndarray:
         pages = self._as_input(pages)

@@ -208,6 +208,8 @@ def fit(model: Model, train_docs: list[Document], val_docs: list[Document], cfg:
                 if not np.isfinite(loss_value):
                     raise TrainingDivergedError(f"non-finite loss at epoch {epoch}")
                 batch_loss.backward()
+                if all(p.grad is None for p in params):
+                    raise TrainingDivergedError(f"no parameter received a gradient at epoch {epoch}")
                 grads = [p.grad if p.grad is not None else np.zeros_like(p.data) for p in params]
                 clip_global_norm(grads, cfg.clip_norm)
                 adam_step(params, grads, state)

@@ -87,16 +87,6 @@ class TestRunBenchmark:
             assert a.tau_by_bucket == b.tau_by_bucket
             assert a.tau_overall == b.tau_overall
 
-    def test_parallel_evaluation_matches_serial(self, tiny_splits):
-        splits, digest = tiny_splits
-        serial = run_benchmark(
-            splits, ("tsp_nn",), TrainConfig(epochs=1), corpus_digest=digest, input_dim=DIM, eval_seed=42, jobs=1
-        )
-        parallel = run_benchmark(
-            splits, ("tsp_nn",), TrainConfig(epochs=1), corpus_digest=digest, input_dim=DIM, eval_seed=42, jobs=4
-        )
-        assert serial.report.rows[0].tau_by_bucket == parallel.report.rows[0].tau_by_bucket
-
 
 class TestReportSerialization:
     def test_csv_round_trip(self, small_bench, tmp_path):

@@ -95,6 +95,17 @@ class TestTrain:
         assert [r["epoch"] for r in merged] == [0, 1, 2, 3]
         assert merged[:2] == original
 
+    def test_resume_rejects_other_positional_encoding(self, workdir, corpus_path, tmp_path, capsys):
+        cfg = workdir / "cfg.json"
+        first = tmp_path / "learned"
+        args = ("train", "--config", str(cfg), "--corpus", str(corpus_path))
+        assert run_cli(*args, "--arch", "seq2seq_learned", "--out", str(first)) == 0
+        code = run_cli(*args, "--arch", "seq2seq_none", "--resume", str(first / "model.ckpt"), "--out", str(tmp_path / "r"))
+        assert code != 0
+        err = capsys.readouterr().err
+        assert "learned" in err and "seq2seq_none" in err
+        assert not (tmp_path / "r" / "effective_config.json").exists()
+
     def test_wrong_arch_flag_exits_2(self, workdir, corpus_path, tmp_path):
         with pytest.raises(SystemExit) as exc:
             run_cli("train", "--config", str(workdir / "cfg.json"), "--corpus", str(corpus_path),
@@ -139,6 +150,21 @@ class TestBench:
         assert run_cli("figures", "--report", str(bench_out), "--out", str(out)) == 0
         for p in out.iterdir():
             assert (bench_out / "figures" / p.name).read_bytes() == p.read_bytes()
+
+    def test_jobs_flag_does_not_change_outputs(self, workdir, corpus_path, tmp_path):
+        outs = []
+        for jobs in ("2", "1"):
+            out = tmp_path / f"jobs{jobs}"
+            code = run_cli(
+                "bench", "--config", str(workdir / "cfg.json"), "--corpus", str(corpus_path),
+                "--models", "pointer_mlp,pairwise", "--jobs", jobs, "--out", str(out),
+            )
+            assert code == 0
+            outs.append(out)
+        logs = sorted(p.name for p in (outs[0] / "logs").iterdir())
+        assert logs == ["pairwise.csv", "pointer_mlp.csv"]
+        for rel in ["report.csv"] + [f"logs/{name}" for name in logs]:
+            assert (outs[0] / rel).read_bytes() == (outs[1] / rel).read_bytes(), rel
 
     def test_unknown_model_name_exits_2(self, workdir, corpus_path, tmp_path):
         code = run_cli(

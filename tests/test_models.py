@@ -20,6 +20,7 @@ from pageorder.models import (
     load_checkpoint,
     save_checkpoint,
 )
+from pageorder.models.pointer import greedy_decode
 from pageorder.numcore import Tensor
 
 DIM = 16
@@ -77,7 +78,7 @@ class TestOrderingContracts:
         pages = np.tile(np.random.default_rng(3).normal(size=(1, DIM)).astype(np.float32), (5, 1))
         assert model.order(pages).tolist() == [0, 1, 2, 3, 4]
 
-    @pytest.mark.parametrize("arch", [Arch.POINTER_MLP, Arch.POINTER_LSTM])
+    @pytest.mark.parametrize("arch", [Arch.POINTER_MLP, Arch.POINTER_LSTM, Arch.SEQ2SEQ])
     def test_no_slot_selected_twice(self, arch):
         model = build_model(tiny_config(arch))
         rng = np.random.default_rng(4)
@@ -98,6 +99,31 @@ class TestOrderingContracts:
             model.order(pages)
             timings.append(time.perf_counter() - t0)
         assert min(timings) < 0.050, f"decode took {min(timings) * 1000:.1f}ms"
+
+
+class TestGreedyDecode:
+    def test_constant_logits_pick_slots_in_order(self):
+        order, _ = greedy_decode(6, lambda prev: np.zeros(6, dtype=np.float32))
+        assert order.tolist() == [0, 1, 2, 3, 4, 5]
+
+    def test_chosen_slot_is_never_picked_again(self):
+        # slot 2 keeps the highest score; the last pick outranks every other slot
+        def step(prev):
+            logits = np.arange(5, dtype=np.float64)
+            logits[2] = 100.0
+            if prev is not None:
+                logits[prev] = 50.0
+            return logits
+
+        order, _ = greedy_decode(5, step)
+        assert order.tolist() == [2, 4, 3, 1, 0]
+
+    def test_returns_unmasked_logits(self):
+        rows = np.random.default_rng(7).normal(size=(4, 4))
+        steps = iter(rows)
+        order, logits = greedy_decode(4, lambda prev: next(steps))
+        assert np.array_equal(logits, rows)
+        require_permutation(order, 4)
 
 
 class TestSeq2Seq:

@@ -4,7 +4,7 @@ import pytest
 from pageorder.corpus import CorpusConfig, Document, LengthBucket, generate_corpus, split_corpus
 from pageorder.errors import ConfigError, DomainError
 from pageorder.models import Arch, ModelConfig, build_model
-from pageorder.numcore import Tensor, grad_check
+from pageorder.numcore import Tensor, TrainingDivergedError, grad_check, no_grad
 from pageorder.training import (
     ConsistencyError,
     CurriculumStage,
@@ -274,6 +274,12 @@ class TestFit:
         model = tiny(Arch.PAIRWISE_RANK, seed=10)
         result = fit(model, train, val, TrainConfig(epochs=3, batch_size=8, seed=7))
         assert result.best_epoch == int(np.argmax(result.val_tau_series))
+
+    def test_no_gradient_is_an_error(self, small_corpus):
+        train, val, _ = small_corpus
+        model = tiny(Arch.POINTER_MLP, seed=12)
+        with no_grad(), pytest.raises(TrainingDivergedError, match="epoch 0"):
+            fit(model, train, val, TrainConfig(epochs=1, batch_size=8, seed=7))
 
     def test_training_log_round_trip(self, small_corpus, tmp_path):
         train, val, _ = small_corpus
