@@ -46,17 +46,12 @@ class ReportRow:
     param_count: int
     docs_by_bucket: dict
 
-    def reference_taus(self) -> tuple[float, ...] | None:
-        entry = REFERENCE_TABLE.get(self.name)
-        return entry[0] if entry else None
-
 
 @dataclass
 class EvalReport:
     rows: list[ReportRow]
     corpus_digest: str
     seeds: dict
-    created_at: str = ""  # annotation only; never serialized into report files
 
     def row(self, name: str) -> ReportRow:
         for r in self.rows:

@@ -12,6 +12,7 @@ import argparse
 import json
 import os
 import sys
+from dataclasses import asdict, fields
 from pathlib import Path
 
 from .bench import (
@@ -47,50 +48,48 @@ from .training import (
     write_training_log,
 )
 
+# Config keys and defaults are the dataclass fields; strategy and target
+# bucket come from flags. The CLI trains from seed 7, not TrainConfig's 0.
 DEFAULT_CONFIG: dict = {
     "seed": 0,
-    "corpus": {
-        "n_docs": 2000,
-        "dim": 64,
-        "length_weights": [22.8, 30.8, 22.0, 14.4, 9.9],
-        "n_page_types": 12,
-        "chrono_dim": 8,
-        "chrono_strength": 0.6,
-        "type_noise": 1.0,
-        "page_noise": 0.15,
-        "seed": 0,
-    },
+    "corpus": asdict(CorpusConfig()),
     "model": {"seed": 1},
     "train": {
-        "epochs": 30,
-        "batch_size": 16,
-        "lr": 1e-3,
-        "lr_final_stage": None,
-        "clip_norm": 1.0,
-        "weight_factor": 5.0,
+        **{f.name: f.default for f in fields(TrainConfig) if f.name not in ("strategy", "target_bucket")},
         "seed": 7,
-        "reshuffle_per_epoch": False,
     },
     "bench": {"models": ["all"], "eval_seed": 99},
     "embed": {"endpoint": "", "batch_size": 64, "expected_dim": None},
 }
 
+_JSON_TYPES = {
+    bool: "boolean", int: "integer", float: "number", str: "string", list: "array", dict: "object", type(None): "null"
+}
+
 
 def _merge_section(defaults: dict, overrides: dict, path: str) -> dict:
+    """Override ``defaults`` key by key; each value keeps its default's JSON type.
+
+    An integer fits where the default is a number, and a key whose default
+    is null takes any value.
+    """
     merged = dict(defaults)
     for key, value in overrides.items():
         if key not in defaults:
             raise ConfigError(f"unknown config key {path}{key}")
-        if isinstance(defaults[key], dict) and isinstance(value, dict):
-            merged[key] = _merge_section(defaults[key], value, f"{path}{key}.")
-        else:
-            merged[key] = value
+        default = defaults[key]
+        expected, got = _JSON_TYPES[type(default)], _JSON_TYPES[type(value)]
+        if default is not None and got != expected and (expected, got) != ("number", "integer"):
+            raise ConfigError(f"config key {path}{key} must be a JSON {expected}, got {got}")
+        merged[key] = _merge_section(default, value, f"{path}{key}.") if isinstance(default, dict) else value
     return merged
 
 
 def load_config(path: str | None) -> dict:
+    # the JSON form: asdict leaves length_weights a tuple, which JSON reads back as an array
+    defaults = json.loads(json.dumps(DEFAULT_CONFIG))
     if path is None:
-        return json.loads(json.dumps(DEFAULT_CONFIG))
+        return defaults
     try:
         raw = json.loads(Path(path).read_text(encoding="utf-8"))
     except FileNotFoundError as exc:
@@ -99,7 +98,7 @@ def load_config(path: str | None) -> dict:
         raise ConfigError(f"config file is not valid JSON: {exc}") from exc
     if not isinstance(raw, dict):
         raise ConfigError("config file must hold a JSON object")
-    return _merge_section(DEFAULT_CONFIG, raw, "")
+    return _merge_section(defaults, raw, "")
 
 
 def _echo_config(config: dict, out_dir: Path, extras: dict | None = None) -> None:

@@ -14,7 +14,6 @@ from .numcore import (
     LstmParams,
     RngStream,
     Tensor,
-    embedding_lookup,
     grad_check,
     layer_norm,
     lstm_cell,
@@ -109,12 +108,12 @@ def run_gradient_gate(tolerance: float = 1e-3, epsilon: float = 1e-5) -> GateRes
         grad_check(lambda: (layer_norm(xn, gain, bias) ** 2.0).sum(), [("x", xn), ("g", gain), ("b", bias)], epsilon, tolerance),
     )
 
-    # embedding lookup
+    # embedding lookup: integer-array indexing gathers table rows
     table = _t64(rng.split("emb.table"), (6, 5))
     idx = np.array([0, 3, 3, 5])
     result.add(
         "embedding_lookup",
-        grad_check(lambda: (embedding_lookup(table, idx) ** 2.0).sum(), [("table", table)], epsilon, tolerance),
+        grad_check(lambda: (table[idx] ** 2.0).sum(), [("table", table)], epsilon, tolerance),
     )
 
     # pairwise ranking loss on a 3-page toy document

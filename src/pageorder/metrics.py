@@ -50,33 +50,6 @@ def require_permutation(values, n: int | None = None) -> np.ndarray:
     return arr.astype(np.int64)
 
 
-def _count_inversions(seq: np.ndarray) -> int:
-    """Merge-sort inversion count, O(n log n)."""
-
-    def rec(a: list[int]) -> tuple[list[int], int]:
-        if len(a) <= 1:
-            return a, 0
-        mid = len(a) // 2
-        left, inv_l = rec(a[:mid])
-        right, inv_r = rec(a[mid:])
-        merged: list[int] = []
-        inv = inv_l + inv_r
-        i = j = 0
-        while i < len(left) and j < len(right):
-            if left[i] <= right[j]:
-                merged.append(left[i])
-                i += 1
-            else:
-                merged.append(right[j])
-                inv += len(left) - i
-                j += 1
-        merged.extend(left[i:])
-        merged.extend(right[j:])
-        return merged, inv
-
-    return rec(list(seq))[1]
-
-
 def kendall_tau(pred: np.ndarray, truth_rank: np.ndarray) -> float:
     """Rank correlation between a predicted ordering and the truth.
 
@@ -92,7 +65,7 @@ def kendall_tau(pred: np.ndarray, truth_rank: np.ndarray) -> float:
     # true ranks visited in predicted order; inversions = discordant pairs
     visited = truth_rank[pred]
     total = n * (n - 1) // 2
-    discordant = _count_inversions(visited)
+    discordant = int(np.count_nonzero(np.triu(visited[:, None] > visited[None, :], k=1)))
     concordant = total - discordant
     return (concordant - discordant) / total
 
@@ -104,7 +77,6 @@ class BucketMeans:
     per_bucket: dict
     counts: dict
     overall: float
-    n_instances: int
 
 
 def mean_tau(instances, predictions) -> BucketMeans:
@@ -127,7 +99,7 @@ def mean_tau(instances, predictions) -> BucketMeans:
     per_bucket = {b: float(np.mean(v)) for b, v in taus.items()}
     counts = {b: len(v) for b, v in taus.items()}
     overall = float(np.mean(all_taus)) if all_taus else float("nan")
-    return BucketMeans(per_bucket=per_bucket, counts=counts, overall=overall, n_instances=len(all_taus))
+    return BucketMeans(per_bucket=per_bucket, counts=counts, overall=overall)
 
 
 def attention_locality(attn, window: int = 2) -> LocalityStats:

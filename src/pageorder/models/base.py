@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import asdict, dataclass
 from enum import Enum
 
 import numpy as np
@@ -50,51 +50,30 @@ class ModelConfig:
         if self.layers < 1 or self.input_dim < 1:
             raise ConfigError("layers and input_dim must be positive")
 
-    def with_seed(self, seed: int) -> "ModelConfig":
-        return replace(self, seed=seed)
-
     def to_dict(self) -> dict:
-        d = {
-            "arch": self.arch.value,
-            "input_dim": self.input_dim,
-            "hidden_dim": self.hidden_dim,
-            "layers": self.layers,
-            "heads": self.heads,
-            "pe_variant": self.pe_variant.value,
-            "max_len": self.max_len,
-            "seed": self.seed,
-        }
-        return d
+        return {**asdict(self), "arch": self.arch.value, "pe_variant": self.pe_variant.value}
 
     @staticmethod
     def from_dict(d: dict) -> "ModelConfig":
-        return ModelConfig(
-            arch=Arch(d["arch"]),
-            input_dim=int(d["input_dim"]),
-            hidden_dim=int(d["hidden_dim"]),
-            layers=int(d["layers"]),
-            heads=int(d["heads"]),
-            pe_variant=PeVariant(d["pe_variant"]),
-            max_len=int(d["max_len"]),
-            seed=int(d["seed"]),
-        )
+        return ModelConfig(**{**d, "arch": Arch(d["arch"]), "pe_variant": PeVariant(d["pe_variant"])})
+
+
+# (layers, heads) per architecture at laptop scale; hidden_dim stays 128
+_DESK_SHAPES = {
+    Arch.BILSTM_POS: (2, 1),
+    Arch.POINTER_MLP: (3, 1),
+    Arch.POINTER_LSTM: (1, 1),
+    Arch.SEQ2SEQ: (2, 4),
+    Arch.PAIRWISE_RANK: (2, 4),
+}
 
 
 def desk_config(arch: Arch, input_dim: int, seed: int = 0, pe_variant: PeVariant = PeVariant.LEARNED) -> ModelConfig:
-    """Laptop-scale defaults per architecture."""
-    if arch is Arch.BILSTM_POS:
-        return ModelConfig(arch=arch, input_dim=input_dim, hidden_dim=128, layers=2, heads=1, seed=seed)
-    if arch is Arch.POINTER_MLP:
-        return ModelConfig(arch=arch, input_dim=input_dim, hidden_dim=128, layers=3, heads=1, seed=seed)
-    if arch is Arch.POINTER_LSTM:
-        return ModelConfig(arch=arch, input_dim=input_dim, hidden_dim=128, layers=1, heads=1, seed=seed)
-    if arch is Arch.SEQ2SEQ:
-        return ModelConfig(
-            arch=arch, input_dim=input_dim, hidden_dim=128, layers=2, heads=4, pe_variant=pe_variant, seed=seed
-        )
-    if arch is Arch.PAIRWISE_RANK:
-        return ModelConfig(arch=arch, input_dim=input_dim, hidden_dim=128, layers=2, heads=4, seed=seed)
-    raise ConfigError(f"unknown architecture {arch}")
+    """Laptop-scale defaults per architecture; ``pe_variant`` applies to seq2seq only."""
+    layers, heads = _DESK_SHAPES[arch]
+    if arch is not Arch.SEQ2SEQ:
+        pe_variant = PeVariant.LEARNED
+    return ModelConfig(arch=arch, input_dim=input_dim, layers=layers, heads=heads, pe_variant=pe_variant, seed=seed)
 
 
 class Model:

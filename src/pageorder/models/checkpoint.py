@@ -16,7 +16,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .base import Arch, Model, ModelConfig
+from .base import Model, ModelConfig
 
 __all__ = [
     "CheckpointError",
@@ -94,7 +94,7 @@ class _Reader:
         return struct.unpack(fmt, self.take(struct.calcsize(fmt)))
 
 
-def load_checkpoint(path: str | Path, expected_arch: Arch | None = None, dtype=np.float32) -> Model:
+def load_checkpoint(path: str | Path, dtype=np.float32) -> Model:
     """Rebuild the model from a checkpoint, verifying integrity end to end."""
     from . import build_model
 
@@ -116,8 +116,6 @@ def load_checkpoint(path: str | Path, expected_arch: Arch | None = None, dtype=n
     if hashlib.sha256(cfg_raw).digest() != config_digest:
         raise CheckpointDigestError("config digest mismatch")
     config = ModelConfig.from_dict(json.loads(cfg_raw.decode("utf-8")))
-    if expected_arch is not None and config.arch is not expected_arch:
-        raise ArchMismatchError(f"checkpoint holds {config.arch.value}, requested {expected_arch.value}")
 
     model = build_model(config, dtype=dtype)
     (n_params,) = reader.unpack("<I")

@@ -37,13 +37,12 @@ class PairwiseScores:
             raise DomainError("pairwise scores contain non-finite entries")
 
 
-def aggregate_scores(scores: PairwiseScores, descending: bool = False) -> tuple[np.ndarray, np.ndarray]:
+def aggregate_scores(scores: PairwiseScores) -> tuple[np.ndarray, np.ndarray]:
     """Turn the pairwise matrix into per-page position scores and an ordering.
 
     score_i = mean_j s[j, i] - mean_j s[i, j] with the diagonal excluded:
     evidence that pages precede i minus evidence that pages follow i, so
-    early pages score low. The default sorts ascending; ``descending``
-    flips it (a literal reading that places high scores first).
+    early pages score low, and the ordering sorts ascending.
     """
     if scores.n < 2:
         raise DomainError("aggregation needs at least 2 pages")
@@ -51,8 +50,7 @@ def aggregate_scores(scores: PairwiseScores, descending: bool = False) -> tuple[
     np.fill_diagonal(s, 0.0)
     n = scores.n
     position_scores = s.sum(axis=0) / n - s.sum(axis=1) / n
-    keys = -position_scores if descending else position_scores
-    ordering = np.argsort(keys, kind="stable").astype(np.int64)
+    ordering = np.argsort(position_scores, kind="stable").astype(np.int64)
     return position_scores, ordering
 
 
@@ -101,7 +99,7 @@ class PairwiseRankModel(Model):
             _, attns = self.encode(Tensor(pages.reshape(1, n, -1)))
         return np.stack([a.data[0] for a in attns])
 
-    def order(self, pages: np.ndarray, descending: bool = False) -> np.ndarray:
+    def order(self, pages: np.ndarray) -> np.ndarray:
         scores, _ = self.pairwise_scores(pages)
-        _, ordering = aggregate_scores(scores, descending=descending)
+        _, ordering = aggregate_scores(scores)
         return ordering

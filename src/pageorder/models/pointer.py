@@ -20,25 +20,21 @@ __all__ = ["PointerMlpModel", "PointerLstmModel", "greedy_decode"]
 NEG_INF = -1e30
 
 
-def greedy_decode(n: int, step) -> tuple[np.ndarray, np.ndarray]:
-    """Pick each of ``n`` slots once, greedily.
+def greedy_decode(n: int, step) -> np.ndarray:
+    """Pick each of ``n`` slots once, greedily, and return the ordering.
 
     ``step(prev)`` returns the logits over all ``n`` slots for the next
     pick, given the slot picked last (``None`` at the first step). Used
     slots are masked out and the argmax taken, ties to the lowest slot.
-    Returns the ordering and the (n, n) per-step logits before masking.
     """
     chosen = np.empty(n, dtype=np.int64)
-    raw_logits = np.zeros((n, n), dtype=np.float64)
     available = np.ones(n, dtype=bool)
     pick = None
     for t in range(n):
-        logits = step(pick)
-        raw_logits[t] = logits
-        pick = int(np.argmax(np.where(available, logits, NEG_INF)))
+        pick = int(np.argmax(np.where(available, step(pick), NEG_INF)))
         chosen[t] = pick
         available[pick] = False
-    return chosen, raw_logits
+    return chosen
 
 
 def _batch_select(encoded: Tensor, sel: np.ndarray) -> Tensor:
@@ -119,8 +115,7 @@ class PointerMlpModel(Model):
                 state = encoded.mean(axis=1) if prev is None else self._next_state(encoded[:, prev, :])
                 return self._logits_from_state(state, encoded).data[0]
 
-            ordering, _ = greedy_decode(n, step)
-        return ordering
+            return greedy_decode(n, step)
 
 
 class PointerLstmModel(Model):
@@ -187,5 +182,4 @@ class PointerLstmModel(Model):
                 h, c = lstm_cell(x, h, c, self._dec)
                 return self._attention_logits(encoded_proj, encoded, h).data[0]
 
-            ordering, _ = greedy_decode(n, step)
-        return ordering
+            return greedy_decode(n, step)

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from ..numcore import Tensor, concat, embedding_lookup, no_grad, sinusoidal_positions
+from ..numcore import Tensor, concat, no_grad, sinusoidal_positions
 from .base import LengthError, Model, ModelConfig, PeVariant
 from .pointer import _batch_select, _used_slot_mask, greedy_decode
 from .transformer import build_decoder, build_encoder, causal_mask, run_decoder, run_encoder
@@ -43,7 +43,7 @@ class Seq2SeqModel(Model):
         self._check_len(n)
         variant = self.config.pe_variant
         if variant is PeVariant.LEARNED:
-            return embedding_lookup(self.params["pe.table"], np.arange(n))
+            return self.params["pe.table"][np.arange(n)]
         if variant is PeVariant.SINUSOIDAL:
             return Tensor(self._sin_table[:n])
         return None
@@ -85,12 +85,11 @@ class Seq2SeqModel(Model):
         logits = self._pointer_logits(dec_states, memory)
         return logits, sel, _used_slot_mask(sel, n)
 
-    def order_with_attention(self, pages: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """Greedy decode; returns (ordering, encoder attention stack, per-step pre-mask logits)."""
+    def order(self, pages: np.ndarray) -> np.ndarray:
         pages = self._as_input(pages)
         n = pages.shape[0]
         with no_grad():
-            memory, enc_attns = self.encode(Tensor(pages.reshape(1, n, -1)))
+            memory, _ = self.encode(Tensor(pages.reshape(1, n, -1)))
             inputs = [self.params["dec.start"].reshape(1, 1, self.config.hidden_dim)]
 
             def step(prev):
@@ -99,17 +98,12 @@ class Seq2SeqModel(Model):
                 dec_states = self._decode_states(memory, concat(inputs, axis=1))
                 return self._pointer_logits(dec_states, memory).data[0, -1]
 
-            ordering, raw_logits = greedy_decode(n, step)
-        attn_stack = np.stack([a.data[0] for a in enc_attns])
-        return ordering, attn_stack, raw_logits
+            return greedy_decode(n, step)
 
     def encoder_attention(self, pages: np.ndarray) -> np.ndarray:
+        """Stacked encoder self-attention weights, shape (layers, heads, n, n)."""
         pages = self._as_input(pages)
         n = pages.shape[0]
         with no_grad():
             _, attns = self.encode(Tensor(pages.reshape(1, n, -1)))
         return np.stack([a.data[0] for a in attns])
-
-    def order(self, pages: np.ndarray) -> np.ndarray:
-        ordering, _, _ = self.order_with_attention(pages)
-        return ordering

@@ -6,7 +6,6 @@ from .nn import (
     bidirectional_encode,
     glorot_uniform,
     layer_norm,
-    linear,
     lstm_cell,
     multi_head_attention,
     sinusoidal_positions,
@@ -18,10 +17,8 @@ from .tensor import (
     ShapeError,
     Tensor,
     concat,
-    embedding_lookup,
     grad_enabled,
     log_softmax,
-    masked_fill,
     no_grad,
     softmax,
     stack,
@@ -37,11 +34,8 @@ __all__ = [
     "stack",
     "softmax",
     "log_softmax",
-    "masked_fill",
-    "embedding_lookup",
     "RngStream",
     "glorot_uniform",
-    "linear",
     "layer_norm",
     "multi_head_attention",
     "LstmParams",

@@ -16,7 +16,6 @@ from .tensor import Tensor, concat, softmax, stack
 
 __all__ = [
     "glorot_uniform",
-    "linear",
     "layer_norm",
     "multi_head_attention",
     "LstmParams",
@@ -30,14 +29,6 @@ def glorot_uniform(rng: RngStream, shape: tuple[int, int], dtype=np.float32) -> 
     fan_in, fan_out = shape[0], shape[-1]
     limit = np.sqrt(6.0 / (fan_in + fan_out))
     return rng.uniform(shape, -limit, limit, dtype=dtype)
-
-
-def linear(x: Tensor, weight: Tensor, bias: Tensor | None = None) -> Tensor:
-    """x @ weight + bias with weight of shape (in_dim, out_dim)."""
-    out = x @ weight
-    if bias is not None:
-        out = out + bias
-    return out
 
 
 def layer_norm(x: Tensor, gain: Tensor, bias: Tensor, eps: float = 1e-5) -> Tensor:

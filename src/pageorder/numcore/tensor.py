@@ -23,8 +23,6 @@ __all__ = [
     "stack",
     "softmax",
     "log_softmax",
-    "masked_fill",
-    "embedding_lookup",
 ]
 
 
@@ -438,26 +436,3 @@ def log_softmax(x: Tensor, mask: np.ndarray | None = None) -> Tensor:
 
     return Tensor._result(out_data, (x,), _bwd)
 
-
-def masked_fill(x: Tensor, mask: np.ndarray, value: float) -> Tensor:
-    """Replace entries where ``mask`` is True with ``value``."""
-    fill = np.broadcast_to(np.asarray(mask, dtype=bool), x.shape)
-    out_data = np.where(fill, np.asarray(value, dtype=x.data.dtype), x.data)
-
-    def _bwd(g: np.ndarray) -> None:
-        x._accumulate(np.where(fill, 0.0, g).astype(x.data.dtype, copy=False))
-
-    return Tensor._result(out_data, (x,), _bwd)
-
-
-def embedding_lookup(table: Tensor, indices: np.ndarray) -> Tensor:
-    """Gather rows of a parameter table by integer index."""
-    idx = np.asarray(indices)
-    out_data = table.data[idx]
-
-    def _bwd(g: np.ndarray) -> None:
-        if table.grad is None:
-            table.grad = np.zeros_like(table.data)
-        np.add.at(table.grad, idx, g)
-
-    return Tensor._result(out_data, (table,), _bwd)

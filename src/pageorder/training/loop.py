@@ -49,6 +49,11 @@ class TrainConfig:
             raise ConfigError(f"strategy {self.strategy.value} requires a target bucket")
         if self.epochs < 1 or self.batch_size < 1:
             raise ConfigError("epochs and batch_size must be positive")
+        # a negative step or clip bound flips the gradient, and zero freezes training
+        for name in ("lr", "clip_norm", "lr_final_stage"):
+            value = getattr(self, name)
+            if value is not None and not value > 0:
+                raise ConfigError(f"{name} must be positive, got {value}")
 
 
 @dataclass
@@ -66,7 +71,6 @@ class EpochRecord:
 
 @dataclass
 class FitResult:
-    model: Model
     history: list[EpochRecord]
     val_tau_series: np.ndarray
     best_epoch: int
@@ -238,7 +242,7 @@ def fit(model: Model, train_docs: list[Document], val_docs: list[Document], cfg:
     assert best_state is not None
     model.load_state_arrays(best_state)
     series = np.array([r.val_tau_overall for r in history], dtype=np.float64)
-    return FitResult(model=model, history=history, val_tau_series=series, best_epoch=best_epoch)
+    return FitResult(history=history, val_tau_series=series, best_epoch=best_epoch)
 
 
 LOG_COLUMNS = ["epoch", "stage", "stage_min_len", "stage_max_len", "lr", "train_loss", "val_tau_overall"] + [

@@ -110,19 +110,6 @@ class TestReportSerialization:
     def test_paper_table_covers_full_menu(self):
         assert set(REFERENCE_TABLE) == set(MENU)
 
-    def test_timestamp_not_serialized(self, small_bench, tmp_path):
-        report = EvalReport(
-            rows=small_bench.report.rows,
-            corpus_digest=small_bench.report.corpus_digest,
-            seeds=small_bench.report.seeds,
-            created_at="2020-01-01T00:00:00",
-        )
-        a, b = tmp_path / "a.csv", tmp_path / "b.csv"
-        write_report_csv(report, a)
-        report.created_at = "2099-12-31T23:59:59"
-        write_report_csv(report, b)
-        assert a.read_bytes() == b.read_bytes()
-
 
 @pytest.fixture(scope="module")
 def figure_dir(small_bench, tmp_path_factory):

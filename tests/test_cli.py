@@ -52,6 +52,40 @@ class TestGen:
         cfg.write_text(json.dumps({"corpus": {"n_docs": 10, "bogus_knob": 3}}))
         assert run_cli("gen", "--config", str(cfg), "--out", str(tmp_path / "o")) == 2
 
+    @pytest.mark.parametrize(
+        "bad",
+        [
+            {"train": 5},
+            {"corpus": {"n_docs": "90"}},
+            {"train": {"epochs": 2.0}},
+            {"train": {"reshuffle_per_epoch": "false"}},
+            {"train": {"lr": True}},
+            {"corpus": {"length_weights": 1.0}},
+        ],
+        ids=["section_not_object", "int_as_string", "float_for_int", "string_for_bool", "bool_for_float", "number_for_array"],
+    )
+    def test_wrong_json_type_is_usage_error(self, tmp_path, capsys, bad):
+        cfg = tmp_path / "bad.json"
+        cfg.write_text(json.dumps(bad))
+        assert run_cli("gen", "--config", str(cfg), "--out", str(tmp_path / "o")) == 2
+        section, value = next(iter(bad.items()))
+        key = section if not isinstance(value, dict) else f"{section}.{next(iter(value))}"
+        assert f"config key {key} " in capsys.readouterr().err
+
+    def test_int_where_float_and_any_where_null_are_accepted(self, tmp_path):
+        cfg = tmp_path / "ok.json"
+        cfg.write_text(json.dumps({**TINY_CONFIG, "train": {"lr": 1, "lr_final_stage": 5e-4}}))
+        assert run_cli("gen", "--config", str(cfg), "--out", str(tmp_path / "o")) == 0
+
+    def test_effective_config_feeds_back_byte_identical(self, workdir, tmp_path):
+        echoed = json.loads((workdir / "gen" / "effective_config.json").read_text())
+        del echoed["run"]
+        cfg = tmp_path / "echoed.json"
+        cfg.write_text(json.dumps(echoed))
+        assert run_cli("gen", "--config", str(cfg), "--out", str(tmp_path / "again")) == 0
+        again = (tmp_path / "again" / "effective_config.json").read_bytes()
+        assert again == (workdir / "gen" / "effective_config.json").read_bytes()
+
     def test_missing_out_flag_exits_2(self, workdir, capsys):
         with pytest.raises(SystemExit) as exc:
             run_cli("gen", "--config", str(workdir / "cfg.json"))
@@ -97,14 +131,22 @@ class TestTrain:
 
     def test_resume_rejects_other_positional_encoding(self, workdir, corpus_path, tmp_path, capsys):
         cfg = workdir / "cfg.json"
-        first = tmp_path / "learned"
         args = ("train", "--config", str(cfg), "--corpus", str(corpus_path))
-        assert run_cli(*args, "--arch", "seq2seq_learned", "--out", str(first)) == 0
-        code = run_cli(*args, "--arch", "seq2seq_none", "--resume", str(first / "model.ckpt"), "--out", str(tmp_path / "r"))
-        assert code != 0
-        err = capsys.readouterr().err
-        assert "learned" in err and "seq2seq_none" in err
-        assert not (tmp_path / "r" / "effective_config.json").exists()
+        # (row trained, row requested on resume, what the error must name)
+        cases = [
+            ("seq2seq_learned", "seq2seq_none", ("learned", "seq2seq_none")),
+            ("pairwise", "pointer_mlp", ("pairwise_rank", "pointer_mlp")),
+        ]
+        for trained, requested, named in cases:
+            first = tmp_path / trained
+            assert run_cli(*args, "--arch", trained, "--out", str(first)) == 0
+            capsys.readouterr()
+            resumed = tmp_path / f"{trained}-as-{requested}"
+            code = run_cli(*args, "--arch", requested, "--resume", str(first / "model.ckpt"), "--out", str(resumed))
+            assert code != 0
+            err = capsys.readouterr().err
+            assert all(name in err for name in named), err
+            assert not (resumed / "effective_config.json").exists()
 
     def test_wrong_arch_flag_exits_2(self, workdir, corpus_path, tmp_path):
         with pytest.raises(SystemExit) as exc:
@@ -240,3 +282,4 @@ class TestEmbedCommand:
         texts.write_text("x\n")
         code = run_cli("embed", "--endpoint", "http://127.0.0.1:9", "--input", str(texts), "--out", str(tmp_path / "e.jsonl"))
         assert code == 1
+

@@ -7,7 +7,6 @@ from pageorder.errors import ConfigError
 from pageorder.metrics import require_permutation
 from pageorder.models import (
     Arch,
-    ArchMismatchError,
     CheckpointDigestError,
     CheckpointVersionError,
     LengthError,
@@ -103,7 +102,7 @@ class TestOrderingContracts:
 
 class TestGreedyDecode:
     def test_constant_logits_pick_slots_in_order(self):
-        order, _ = greedy_decode(6, lambda prev: np.zeros(6, dtype=np.float32))
+        order = greedy_decode(6, lambda prev: np.zeros(6, dtype=np.float32))
         assert order.tolist() == [0, 1, 2, 3, 4, 5]
 
     def test_chosen_slot_is_never_picked_again(self):
@@ -115,15 +114,8 @@ class TestGreedyDecode:
                 logits[prev] = 50.0
             return logits
 
-        order, _ = greedy_decode(5, step)
+        order = greedy_decode(5, step)
         assert order.tolist() == [2, 4, 3, 1, 0]
-
-    def test_returns_unmasked_logits(self):
-        rows = np.random.default_rng(7).normal(size=(4, 4))
-        steps = iter(rows)
-        order, logits = greedy_decode(4, lambda prev: next(steps))
-        assert np.array_equal(logits, rows)
-        require_permutation(order, 4)
 
 
 class TestSeq2Seq:
@@ -145,10 +137,19 @@ class TestSeq2Seq:
         model = build_model(tiny_config(Arch.SEQ2SEQ, pe_variant=PeVariant.NONE), dtype=np.float64)
         rng = np.random.default_rng(5)
         pages = rng.normal(size=(4, DIM)).astype(np.float64)
-        base_order, _, base_logits = model.order_with_attention(pages)
+
+        def decode(x):
+            # the greedy order plus the pointer logits of every step along it
+            order = model.order(x)
+            rank = np.empty(4, dtype=np.int64)
+            rank[order] = np.arange(4)
+            logits, _, _ = model.teacher_logits(Tensor(x[None]), rank[None])
+            return order, logits.data[0]
+
+        base_order, base_logits = decode(pages)
         for perm in itertools.permutations(range(4)):
             perm = np.asarray(perm)
-            order_p, _, logits_p = model.order_with_attention(pages[perm])
+            order_p, logits_p = decode(pages[perm])
             # the same pages get chosen in the same content order
             assert np.array_equal(perm[order_p], base_order)
             # pre-mask pointer logits permute with the slots at every step:
@@ -158,7 +159,7 @@ class TestSeq2Seq:
     def test_returns_encoder_attention_stack(self):
         model = build_model(tiny_config(Arch.SEQ2SEQ))
         pages = np.random.default_rng(6).normal(size=(5, DIM)).astype(np.float32)
-        _, attn, _ = model.order_with_attention(pages)
+        attn = model.encoder_attention(pages)
         assert attn.shape == (1, 2, 5, 5)
         assert np.allclose(attn.sum(axis=-1), 1.0, atol=1e-5)
 
@@ -214,13 +215,6 @@ class TestAggregateScores:
         _, ordering = aggregate_scores(PairwiseScores(n=4, s=np.zeros((4, 4))))
         assert ordering.tolist() == [0, 1, 2, 3]
 
-    def test_descending_flag_reverses(self):
-        truth = np.array([1, 0, 2])
-        s = np.where(truth[None, :] > truth[:, None], 1.0, -1.0)
-        _, asc = aggregate_scores(PairwiseScores(n=3, s=s))
-        _, desc = aggregate_scores(PairwiseScores(n=3, s=s), descending=True)
-        assert asc.tolist() == desc[::-1].tolist()
-
 
 class TestCheckpoints:
     def test_round_trip_preserves_inference(self, tmp_path):
@@ -253,13 +247,6 @@ class TestCheckpoints:
         path.write_bytes(bytes(blob))
         with pytest.raises(CheckpointDigestError):
             load_checkpoint(path)
-
-    def test_arch_mismatch_detected(self, tmp_path):
-        model = build_model(tiny_config(Arch.PAIRWISE_RANK))
-        path = tmp_path / "m.ckpt"
-        save_checkpoint(model, path)
-        with pytest.raises(ArchMismatchError):
-            load_checkpoint(path, expected_arch=Arch.SEQ2SEQ)
 
     def test_version_mismatch_detected(self, tmp_path):
         import hashlib

@@ -202,6 +202,22 @@ class TestTrainConfig:
         with pytest.raises(ConfigError):
             TrainConfig(weight_factor=0.5)
 
+    @pytest.mark.parametrize(
+        "knob",
+        [
+            {"lr": -1e-3},
+            {"lr": 0.0},
+            {"clip_norm": -1.0},
+            {"clip_norm": 0.0},
+            {"lr_final_stage": -1e-4},
+            {"lr_final_stage": 0.0},
+        ],
+        ids=lambda knob: "{}={}".format(*next(iter(knob.items()))),
+    )
+    def test_non_positive_step_knob_is_rejected(self, knob):
+        with pytest.raises(ConfigError, match=next(iter(knob))):
+            TrainConfig(**knob)
+
 
 @pytest.fixture(scope="module")
 def small_corpus():
