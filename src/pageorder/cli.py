@@ -67,20 +67,28 @@ _JSON_TYPES = {
 }
 
 
-def _merge_section(defaults: dict, overrides: dict, path: str) -> dict:
-    """Override ``defaults`` key by key; each value keeps its default's JSON type.
+def _check_json_type(default, value, name: str) -> None:
+    """``value`` must have ``default``'s JSON type, and each array item the type of the default's items.
 
-    An integer fits where the default is a number, and a key whose default
-    is null takes any value.
+    An integer fits where the default is a number, and a null default
+    takes any value.
     """
+    expected, got = _JSON_TYPES[type(default)], _JSON_TYPES[type(value)]
+    if default is not None and got != expected and (expected, got) != ("number", "integer"):
+        raise ConfigError(f"config key {name} must be a JSON {expected}, got {got}")
+    if isinstance(default, list) and default:
+        for i, item in enumerate(value):
+            _check_json_type(default[0], item, f"{name} item {i}")
+
+
+def _merge_section(defaults: dict, overrides: dict, path: str) -> dict:
+    """Override ``defaults`` key by key; each value keeps its default's JSON type."""
     merged = dict(defaults)
     for key, value in overrides.items():
         if key not in defaults:
             raise ConfigError(f"unknown config key {path}{key}")
         default = defaults[key]
-        expected, got = _JSON_TYPES[type(default)], _JSON_TYPES[type(value)]
-        if default is not None and got != expected and (expected, got) != ("number", "integer"):
-            raise ConfigError(f"config key {path}{key} must be a JSON {expected}, got {got}")
+        _check_json_type(default, value, f"{path}{key}")
         merged[key] = _merge_section(default, value, f"{path}{key}.") if isinstance(default, dict) else value
     return merged
 

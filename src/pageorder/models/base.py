@@ -140,13 +140,17 @@ class Model:
     # -- inference interface ---------------------------------------------
 
     def order(self, pages: np.ndarray) -> np.ndarray:
-        """Predicted reading order as slot indices; implemented per arch."""
+        """Predicted reading order of one ``(n, dim)`` document as slot indices."""
         raise NotImplementedError
 
-    def _as_input(self, pages: np.ndarray) -> np.ndarray:
+    def order_batch(self, pages: np.ndarray) -> np.ndarray:
+        """Predicted reading orders ``(B, n)`` of a ``(B, n, dim)`` stack of same-length documents."""
+        raise NotImplementedError
+
+    def _as_input(self, pages: np.ndarray, batched: bool = False) -> np.ndarray:
         pages = np.asarray(pages, dtype=self.dtype)
-        if pages.ndim != 2:
-            raise ConfigError(f"expected (n_pages, dim), got {pages.shape}")
-        if pages.shape[1] != self.config.input_dim:
-            raise ConfigError(f"embedding dim {pages.shape[1]} != model input_dim {self.config.input_dim}")
+        if pages.ndim != (3 if batched else 2):
+            raise ConfigError(f"expected ({'batch, ' if batched else ''}n_pages, dim), got {pages.shape}")
+        if pages.shape[-1] != self.config.input_dim:
+            raise ConfigError(f"embedding dim {pages.shape[-1]} != model input_dim {self.config.input_dim}")
         return pages

@@ -15,8 +15,8 @@ __all__ = ["BilstmPositionModel", "ordering_from_scores"]
 
 
 def ordering_from_scores(scores: np.ndarray) -> np.ndarray:
-    """Slots sorted ascending by score; ties keep the lower slot first."""
-    return np.argsort(np.asarray(scores), kind="stable").astype(np.int64)
+    """Slots sorted ascending by score along the last axis; ties keep the lower slot first."""
+    return np.argsort(np.asarray(scores), axis=-1, kind="stable").astype(np.int64)
 
 
 class BilstmPositionModel(Model):
@@ -42,8 +42,10 @@ class BilstmPositionModel(Model):
         return out.reshape(out.shape[0], out.shape[1])
 
     def order(self, pages: np.ndarray) -> np.ndarray:
-        pages = self._as_input(pages)
-        n = pages.shape[0]
+        return self.order_batch(self._as_input(pages)[None])[0]
+
+    def order_batch(self, pages: np.ndarray) -> np.ndarray:
+        pages = self._as_input(pages, batched=True)
         with no_grad():
-            scores = self.position_scores(Tensor(pages.reshape(1, n, -1))).data[0]
+            scores = self.position_scores(Tensor(pages)).data
         return ordering_from_scores(scores)

@@ -16,6 +16,7 @@ from pathlib import Path
 
 import numpy as np
 
+from ..errors import ConfigError
 from .base import Model, ModelConfig
 
 __all__ = [
@@ -43,8 +44,8 @@ class CheckpointDigestError(CheckpointError):
     """Stored digest does not match file contents."""
 
 
-class ArchMismatchError(CheckpointError):
-    """Checkpoint holds a different architecture than requested."""
+class ArchMismatchError(CheckpointError, ConfigError):
+    """Checkpoint holds a different architecture than requested: a usage error."""
 
 
 def _config_bytes(config: ModelConfig) -> bytes:

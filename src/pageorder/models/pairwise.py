@@ -19,6 +19,10 @@ from .transformer import build_encoder, run_encoder
 __all__ = ["PairwiseScores", "PairwiseRankModel", "aggregate_scores"]
 
 SCORER_LAYERS = 4
+# Page pairs scored per forward pass in order_batch. The scorer holds a few
+# (docs, n, n, hidden) activations at once; this bounds them to their size
+# for one 25-page document, so stacking long documents adds no peak memory.
+PAIRS_PER_PASS = 25 * 25
 
 
 @dataclass
@@ -100,6 +104,15 @@ class PairwiseRankModel(Model):
         return np.stack([a.data[0] for a in attns])
 
     def order(self, pages: np.ndarray) -> np.ndarray:
-        scores, _ = self.pairwise_scores(pages)
-        _, ordering = aggregate_scores(scores)
-        return ordering
+        return self.order_batch(self._as_input(pages)[None])[0]
+
+    def order_batch(self, pages: np.ndarray) -> np.ndarray:
+        pages = self._as_input(pages, batched=True)
+        n = pages.shape[1]
+        docs_per_pass = max(1, PAIRS_PER_PASS // (n * n))
+        orders = []
+        for start in range(0, len(pages), docs_per_pass):
+            with no_grad():
+                s, _ = self.score_matrix(Tensor(pages[start : start + docs_per_pass]))
+            orders.extend(aggregate_scores(PairwiseScores(n=n, s=doc))[1] for doc in s.data)
+        return np.stack(orders)

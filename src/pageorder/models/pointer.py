@@ -21,19 +21,22 @@ NEG_INF = -1e30
 
 
 def greedy_decode(n: int, step) -> np.ndarray:
-    """Pick each of ``n`` slots once, greedily, and return the ordering.
+    """Pick each of ``n`` slots once per document, greedily; returns ``(b, n)`` orderings.
 
-    ``step(prev)`` returns the logits over all ``n`` slots for the next
-    pick, given the slot picked last (``None`` at the first step). Used
-    slots are masked out and the argmax taken, ties to the lowest slot.
+    ``step(prev)`` returns the ``(b, n)`` logits over all slots for the next
+    pick of each of ``b`` documents, given the ``(b,)`` slots picked last
+    (``None`` at the first step). Used slots are masked out and the argmax
+    taken per row, ties to the lowest slot.
     """
-    chosen = np.empty(n, dtype=np.int64)
-    available = np.ones(n, dtype=bool)
-    pick = None
+    chosen = available = pick = None
     for t in range(n):
-        pick = int(np.argmax(np.where(available, step(pick), NEG_INF)))
-        chosen[t] = pick
-        available[pick] = False
+        logits = step(pick)
+        if available is None:
+            available = np.ones(logits.shape, dtype=bool)
+            chosen = np.empty(logits.shape, dtype=np.int64)
+        pick = np.argmax(np.where(available, logits, NEG_INF), axis=1)
+        chosen[:, t] = pick
+        available[np.arange(len(pick)), pick] = False
     return chosen
 
 
@@ -106,14 +109,18 @@ class PointerMlpModel(Model):
         return logits, sel, _used_slot_mask(sel, n)
 
     def order(self, pages: np.ndarray) -> np.ndarray:
-        pages = self._as_input(pages)
-        n = pages.shape[0]
+        return self.order_batch(self._as_input(pages)[None])[0]
+
+    def order_batch(self, pages: np.ndarray) -> np.ndarray:
+        pages = self._as_input(pages, batched=True)
+        b, n = pages.shape[:2]
+        rows = np.arange(b)
         with no_grad():
-            encoded = self.encode(Tensor(pages.reshape(1, n, -1)))
+            encoded = self.encode(Tensor(pages))
 
             def step(prev):
-                state = encoded.mean(axis=1) if prev is None else self._next_state(encoded[:, prev, :])
-                return self._logits_from_state(state, encoded).data[0]
+                state = encoded.mean(axis=1) if prev is None else self._next_state(encoded[rows, prev])
+                return self._logits_from_state(state, encoded).data
 
             return greedy_decode(n, step)
 
@@ -168,18 +175,22 @@ class PointerLstmModel(Model):
         return logits, sel, _used_slot_mask(sel, n)
 
     def order(self, pages: np.ndarray) -> np.ndarray:
-        pages = self._as_input(pages)
-        n = pages.shape[0]
+        return self.order_batch(self._as_input(pages)[None])[0]
+
+    def order_batch(self, pages: np.ndarray) -> np.ndarray:
+        pages = self._as_input(pages, batched=True)
+        b, n = pages.shape[:2]
+        rows = np.arange(b)
         with no_grad():
-            encoded = self.encode(Tensor(pages.reshape(1, n, -1)))
+            encoded = self.encode(Tensor(pages))
             encoded_proj = encoded @ self.params["attn.w_enc"]
             enc_out = 2 * self.config.hidden_dim
-            h = c = Tensor(np.zeros((1, enc_out), dtype=self.dtype))
+            h = c = Tensor(np.zeros((b, enc_out), dtype=self.dtype))
 
             def step(prev):
                 nonlocal h, c
-                x = self.params["dec.start"].reshape(1, enc_out) if prev is None else encoded[:, prev, :]
+                x = self.params["dec.start"].reshape(1, enc_out) if prev is None else encoded[rows, prev]
                 h, c = lstm_cell(x, h, c, self._dec)
-                return self._attention_logits(encoded_proj, encoded, h).data[0]
+                return self._attention_logits(encoded_proj, encoded, h).data
 
             return greedy_decode(n, step)

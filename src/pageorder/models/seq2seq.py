@@ -14,7 +14,7 @@ import numpy as np
 from ..numcore import Tensor, concat, no_grad, sinusoidal_positions
 from .base import LengthError, Model, ModelConfig, PeVariant
 from .pointer import _batch_select, _used_slot_mask, greedy_decode
-from .transformer import build_decoder, build_encoder, causal_mask, run_decoder, run_encoder
+from .transformer import DecoderCache, build_decoder, build_encoder, run_decoder, run_encoder
 
 __all__ = ["Seq2SeqModel"]
 
@@ -38,14 +38,14 @@ class Seq2SeqModel(Model):
         if n > self.config.max_len:
             raise LengthError(f"{n} pages exceed the supported maximum of {self.config.max_len} positions")
 
-    def _positions(self, n: int) -> Tensor | None:
-        """Position signal for slots/steps 0..n-1 under the active variant."""
-        self._check_len(n)
+    def _positions(self, n: int, start: int = 0) -> Tensor | None:
+        """Position signal for slots/steps start..start+n-1 under the active variant."""
+        self._check_len(start + n)
         variant = self.config.pe_variant
         if variant is PeVariant.LEARNED:
-            return self.params["pe.table"][np.arange(n)]
+            return self.params["pe.table"][np.arange(start, start + n)]
         if variant is PeVariant.SINUSOIDAL:
-            return Tensor(self._sin_table[:n])
+            return Tensor(self._sin_table[start : start + n])
         return None
 
     def encode(self, pages: Tensor) -> tuple[Tensor, list[Tensor]]:
@@ -56,11 +56,12 @@ class Seq2SeqModel(Model):
             x = x + pe
         return run_encoder(self, "enc", x, self.config.layers, self.config.heads)
 
-    def _decode_states(self, memory: Tensor, dec_inputs: Tensor) -> Tensor:
-        steps = dec_inputs.shape[-2]
-        pe = self._positions(steps)
+    def _decode_states(self, memory: Tensor, dec_inputs: Tensor, cache: DecoderCache | None = None) -> Tensor:
+        """Decoder states for ``dec_inputs``, the steps after those already in ``cache``."""
+        pe = self._positions(dec_inputs.shape[-2], start=cache.steps if cache is not None else 0)
         x = dec_inputs if pe is None else dec_inputs + pe
-        return run_decoder(self, "dec", x, memory, self.config.layers, self.config.heads, causal_mask(steps))
+        # called through the module name, so a wrapper bound there sees every decoder call
+        return run_decoder(self, "dec", x, memory, self.config.layers, self.config.heads, cache)
 
     def _pointer_logits(self, dec_states: Tensor, memory: Tensor) -> Tensor:
         q = dec_states @ self.params["ptr.wq"]
@@ -68,14 +69,17 @@ class Seq2SeqModel(Model):
         kt = k.transpose(tuple(range(k.ndim - 2)) + (k.ndim - 1, k.ndim - 2))
         return (q @ kt) * (1.0 / np.sqrt(self.config.hidden_dim))
 
+    def _start(self, b: int) -> Tensor:
+        """The learned first decoder input, repeated for ``b`` documents: ``(b, 1, h)``."""
+        h = self.config.hidden_dim
+        return self.params["dec.start"].reshape(1, 1, h) + Tensor(np.zeros((b, 1, h), dtype=self.dtype))
+
     def teacher_logits(self, pages: Tensor, truth_rank: np.ndarray) -> tuple[Tensor, np.ndarray, np.ndarray]:
         """Teacher-forced pointer logits (batch, steps, slots) plus labels and mask."""
         b, n = pages.shape[0], pages.shape[1]
         memory, _ = self.encode(pages)
         sel = np.argsort(truth_rank, axis=-1, kind="stable")
-        start = self.params["dec.start"].reshape(1, 1, self.config.hidden_dim) + Tensor(
-            np.zeros((b, 1, self.config.hidden_dim), dtype=self.dtype)
-        )
+        start = self._start(b)
         if n > 1:
             prev = _batch_select(memory, sel[:, :-1])
             dec_inputs = concat([start, prev], axis=1)
@@ -86,17 +90,25 @@ class Seq2SeqModel(Model):
         return logits, sel, _used_slot_mask(sel, n)
 
     def order(self, pages: np.ndarray) -> np.ndarray:
-        pages = self._as_input(pages)
-        n = pages.shape[0]
+        return self.order_batch(self._as_input(pages)[None])[0]
+
+    def order_batch(self, pages: np.ndarray) -> np.ndarray:
+        """Greedy pointer decode, one decoder row per document per step (K/V cached)."""
+        pages = self._as_input(pages, batched=True)
+        b, n = pages.shape[:2]
+        rows = np.arange(b)
+        h = self.config.hidden_dim
         with no_grad():
-            memory, _ = self.encode(Tensor(pages.reshape(1, n, -1)))
-            inputs = [self.params["dec.start"].reshape(1, 1, self.config.hidden_dim)]
+            memory, _ = self.encode(Tensor(pages))
+            keys = memory @ self.params["ptr.wk"]
+            cache = DecoderCache(self.config.layers)
 
             def step(prev):
-                if prev is not None:
-                    inputs.append(memory[:, prev : prev + 1, :])
-                dec_states = self._decode_states(memory, concat(inputs, axis=1))
-                return self._pointer_logits(dec_states, memory).data[0, -1]
+                x = self._start(b) if prev is None else memory[rows, prev].reshape(b, 1, h)
+                q = self._decode_states(memory, x, cache) @ self.params["ptr.wq"]
+                # multiply-and-reduce keeps the logits of identical slots bitwise
+                # equal, so the tie rule acts on truly equal pages (a one-row matmul need not)
+                return ((keys * q).sum(axis=-1) * (1.0 / np.sqrt(h))).data
 
             return greedy_decode(n, step)
 

@@ -9,6 +9,7 @@ its result unless recording is disabled via ``no_grad()``.
 from __future__ import annotations
 
 import contextlib
+import threading
 from typing import Iterator, Sequence
 
 import numpy as np
@@ -34,23 +35,28 @@ class DegenerateMaskError(ValueError):
     """A softmax row has every entry masked out."""
 
 
-_GRAD_ENABLED = True
+class _GradMode(threading.local):
+    """Grad mode per thread: one thread inside no_grad() must not stop another recording."""
+
+    enabled = True
+
+
+_grad_mode = _GradMode()
 
 
 @contextlib.contextmanager
 def no_grad() -> Iterator[None]:
-    """Skip graph recording inside the context (inference fast path)."""
-    global _GRAD_ENABLED
-    previous = _GRAD_ENABLED
-    _GRAD_ENABLED = False
+    """Skip graph recording inside the context (inference fast path) in this thread."""
+    previous = _grad_mode.enabled
+    _grad_mode.enabled = False
     try:
         yield
     finally:
-        _GRAD_ENABLED = previous
+        _grad_mode.enabled = previous
 
 
 def grad_enabled() -> bool:
-    return _GRAD_ENABLED
+    return _grad_mode.enabled
 
 
 def _unbroadcast(grad: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
@@ -123,7 +129,7 @@ class Tensor:
     @staticmethod
     def _result(data: np.ndarray, parents: Sequence["Tensor"], backward) -> "Tensor":
         out = Tensor(data)
-        if _GRAD_ENABLED and any(p.requires_grad for p in parents):
+        if _grad_mode.enabled and any(p.requires_grad for p in parents):
             out.requires_grad = True
             out._parents = tuple(p for p in parents if p.requires_grad)
             out._backward = backward
@@ -321,8 +327,8 @@ class Tensor:
     def sigmoid(self) -> "Tensor":
         a = self
         x = a.data
-        out_data = np.where(x >= 0, 1.0 / (1.0 + np.exp(-np.abs(x))), np.exp(-np.abs(x)) / (1.0 + np.exp(-np.abs(x))))
-        out_data = out_data.astype(x.dtype, copy=False)
+        e = np.exp(-np.abs(x))
+        out_data = np.where(x >= 0, 1.0 / (1.0 + e), e / (1.0 + e)).astype(x.dtype, copy=False)
 
         def _bwd(g: np.ndarray) -> None:
             a._accumulate(g * out_data * (1.0 - out_data))
@@ -342,11 +348,11 @@ class Tensor:
         """log(1 + exp(x)), computed without overflow."""
         a = self
         x = a.data
-        out_data = np.maximum(x, 0.0) + np.log1p(np.exp(-np.abs(x)))
+        e = np.exp(-np.abs(x))
+        out_data = np.maximum(x, 0.0) + np.log1p(e)
 
         def _bwd(g: np.ndarray) -> None:
-            sig = np.where(x >= 0, 1.0 / (1.0 + np.exp(-np.abs(x))), np.exp(-np.abs(x)) / (1.0 + np.exp(-np.abs(x))))
-            a._accumulate(g * sig)
+            a._accumulate(g * np.where(x >= 0, 1.0 / (1.0 + e), e / (1.0 + e)))
 
         return Tensor._result(out_data, (a,), _bwd)
 

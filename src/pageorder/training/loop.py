@@ -110,15 +110,25 @@ def _per_doc_loss(model: Model, pages: Tensor, truth: np.ndarray) -> Tensor:
 
 
 def evaluate(model_or_ensemble, instances: list[ShuffledInstance]) -> BucketMeans:
-    """Mean tau of greedy predictions, per bucket and overall."""
-    predictions = []
-    for inst in instances:
+    """Mean tau of greedy predictions, per bucket and overall.
+
+    Instances of one length are ordered together by one ``order_batch``
+    call; an ensemble routes each such group to the specialist for its
+    length. Predictions keep the instance order.
+    """
+    groups: dict[int, list[int]] = {}
+    for i, inst in enumerate(instances):
+        groups.setdefault(inst.n_pages, []).append(i)
+    predictions: list = [None] * len(instances)
+    for group in groups.values():
         model = (
-            route(model_or_ensemble, inst)
+            route(model_or_ensemble, instances[group[0]])
             if isinstance(model_or_ensemble, SpecialistEnsemble)
             else model_or_ensemble
         )
-        predictions.append(model.order(inst.pages))
+        orders = model.order_batch(np.stack([instances[i].pages for i in group]))
+        for i, order in zip(group, orders):
+            predictions[i] = order
     return mean_tau(instances, predictions)
 
 

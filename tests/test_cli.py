@@ -61,8 +61,17 @@ class TestGen:
             {"train": {"reshuffle_per_epoch": "false"}},
             {"train": {"lr": True}},
             {"corpus": {"length_weights": 1.0}},
+            {"corpus": {"length_weights": ["a", 1, 1, 1, 1]}},
         ],
-        ids=["section_not_object", "int_as_string", "float_for_int", "string_for_bool", "bool_for_float", "number_for_array"],
+        ids=[
+            "section_not_object",
+            "int_as_string",
+            "float_for_int",
+            "string_for_bool",
+            "bool_for_float",
+            "number_for_array",
+            "string_in_number_array",
+        ],
     )
     def test_wrong_json_type_is_usage_error(self, tmp_path, capsys, bad):
         cfg = tmp_path / "bad.json"
@@ -143,7 +152,7 @@ class TestTrain:
             capsys.readouterr()
             resumed = tmp_path / f"{trained}-as-{requested}"
             code = run_cli(*args, "--arch", requested, "--resume", str(first / "model.ckpt"), "--out", str(resumed))
-            assert code != 0
+            assert code == 2
             err = capsys.readouterr().err
             assert all(name in err for name in named), err
             assert not (resumed / "effective_config.json").exists()

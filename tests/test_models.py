@@ -102,20 +102,99 @@ class TestOrderingContracts:
 
 class TestGreedyDecode:
     def test_constant_logits_pick_slots_in_order(self):
-        order = greedy_decode(6, lambda prev: np.zeros(6, dtype=np.float32))
-        assert order.tolist() == [0, 1, 2, 3, 4, 5]
+        order = greedy_decode(6, lambda prev: np.zeros((3, 6), dtype=np.float32))
+        assert order.tolist() == [[0, 1, 2, 3, 4, 5]] * 3
 
     def test_chosen_slot_is_never_picked_again(self):
-        # slot 2 keeps the highest score; the last pick outranks every other slot
+        # per row: one slot keeps the highest score; the last pick outranks every other slot
+        top = np.array([2, 0])
+
         def step(prev):
-            logits = np.arange(5, dtype=np.float64)
-            logits[2] = 100.0
+            logits = np.tile(np.arange(5, dtype=np.float64), (2, 1))
+            logits[[0, 1], top] = 100.0
             if prev is not None:
-                logits[prev] = 50.0
+                assert prev.shape == (2,)
+                logits[[0, 1], prev] = 50.0
             return logits
 
         order = greedy_decode(5, step)
-        assert order.tolist() == [2, 4, 3, 1, 0]
+        assert order.tolist() == [[2, 4, 3, 1, 0], [0, 4, 3, 2, 1]]
+
+    def test_rows_decode_independently(self):
+        # row 1 prefers high slots, row 0 low ones; each row's picks feed only its own mask
+        def step(prev):
+            return np.stack([-np.arange(4.0), np.arange(4.0)])
+
+        assert greedy_decode(4, step).tolist() == [[0, 1, 2, 3], [3, 2, 1, 0]]
+
+
+ORDER_ROWS = [(arch, PeVariant.LEARNED) for arch in Arch] + [
+    (Arch.SEQ2SEQ, PeVariant.SINUSOIDAL),
+    (Arch.SEQ2SEQ, PeVariant.NONE),
+]
+
+
+class TestOrderBatch:
+    @pytest.mark.parametrize("arch,pe", ORDER_ROWS, ids=lambda v: v.value)
+    def test_stack_matches_per_document_order(self, arch, pe):
+        model = build_model(tiny_config(arch, pe_variant=pe))
+        rng = np.random.default_rng(12)
+        for n in (2, 7, 25):
+            stack = rng.normal(size=(4, n, DIM)).astype(np.float32)
+            batched = model.order_batch(stack)
+            assert batched.shape == (4, n)
+            assert batched.tolist() == [model.order(doc).tolist() for doc in stack]
+
+    @pytest.mark.parametrize(
+        "arch,pe", [(Arch.POINTER_MLP, PeVariant.LEARNED), (Arch.SEQ2SEQ, PeVariant.NONE)], ids=lambda v: v.value
+    )
+    def test_identical_pages_tie_to_low_slots_in_a_stack(self, arch, pe):
+        # a document of identical pages has bitwise-equal logits at every step, batched or not
+        model = build_model(tiny_config(arch, pe_variant=pe))
+        rng = np.random.default_rng(13)
+        tied = np.tile(rng.normal(size=(1, DIM)).astype(np.float32), (6, 1))
+        stack = np.stack([rng.normal(size=(6, DIM)).astype(np.float32), tied, tied])
+        batched = model.order_batch(stack)
+        assert batched[1:].tolist() == [list(range(6))] * 2
+        assert batched.tolist() == [model.order(doc).tolist() for doc in stack]
+
+    def test_rejects_unbatched_input(self):
+        model = build_model(tiny_config(Arch.POINTER_MLP))
+        with pytest.raises(ConfigError):
+            model.order_batch(np.zeros((5, DIM), dtype=np.float32))
+
+    @pytest.mark.parametrize("pe", list(PeVariant), ids=lambda v: v.value)
+    def test_cached_decode_feeds_one_decoder_row_per_document_per_step(self, monkeypatch, pe):
+        import pageorder.models.seq2seq as seq2seq_mod
+
+        model = build_model(tiny_config(Arch.SEQ2SEQ, pe_variant=pe))
+        rows_per_call = []
+        run_decoder = seq2seq_mod.run_decoder
+
+        def counted(model, prefix, x, *args, **kwargs):
+            rows_per_call.append(x.shape[:-1])
+            return run_decoder(model, prefix, x, *args, **kwargs)
+
+        monkeypatch.setattr(seq2seq_mod, "run_decoder", counted)
+        stack = np.random.default_rng(14).normal(size=(3, 9, DIM)).astype(np.float32)
+        model.order_batch(stack)
+        assert rows_per_call == [(3, 1)] * 9
+
+    @pytest.mark.parametrize("pe", list(PeVariant), ids=lambda v: v.value)
+    def test_cached_decoder_states_match_teacher_forcing(self, pe):
+        # incremental steps against one causal pass over the same inputs
+        from pageorder.models.transformer import DecoderCache
+        from pageorder.numcore import no_grad
+
+        model = build_model(tiny_config(Arch.SEQ2SEQ, pe_variant=pe), dtype=np.float64)
+        rng = np.random.default_rng(15)
+        with no_grad():
+            memory, _ = model.encode(Tensor(rng.normal(size=(2, 6, DIM))))
+            inputs = Tensor(rng.normal(size=(2, 6, 16)))
+            full = model._decode_states(memory, inputs).data
+            cache = DecoderCache(model.config.layers)
+            steps = [model._decode_states(memory, inputs[:, t : t + 1], cache).data for t in range(6)]
+        assert np.allclose(np.concatenate(steps, axis=1), full, atol=1e-12)
 
 
 class TestSeq2Seq:

@@ -1,3 +1,5 @@
+import threading
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -9,6 +11,7 @@ from pageorder.numcore import (
     Tensor,
     concat,
     grad_check,
+    grad_enabled,
     log_softmax,
     no_grad,
     softmax,
@@ -153,6 +156,41 @@ class TestGraphMechanics:
             y = (x * 3.0).sum()
         assert not y.requires_grad
         assert y._backward is None
+
+    def test_grad_mode_is_per_thread(self):
+        # contexts overlap across threads and close in the order opened: A in, B in, A out, B out
+        a_in, b_in, a_out = threading.Event(), threading.Event(), threading.Event()
+        seen = {}
+
+        def inference():
+            with no_grad():
+                a_in.set()
+                assert b_in.wait(timeout=10)
+            a_out.set()
+            seen["inference_after"] = grad_enabled()
+
+        def training():
+            assert a_in.wait(timeout=10)
+            seen["graph_while_other_in_no_grad"] = (t64([1.0, 2.0]) * 3.0).sum().requires_grad
+            with no_grad():
+                b_in.set()
+                assert a_out.wait(timeout=10)
+            seen["graph_after"] = (t64([1.0, 2.0]) * 3.0).sum().requires_grad
+            seen["training_after"] = grad_enabled()
+
+        threads = [threading.Thread(target=inference), threading.Thread(target=training)]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=10)
+            assert not t.is_alive()
+        assert seen == {
+            "graph_while_other_in_no_grad": True,
+            "inference_after": True,
+            "graph_after": True,
+            "training_after": True,
+        }
+        assert grad_enabled()
 
     def test_gradient_accumulates_across_uses(self):
         x = t64([2.0])

@@ -1,7 +1,16 @@
 import numpy as np
 import pytest
 
-from pageorder.corpus import CorpusConfig, Document, LengthBucket, generate_corpus, split_corpus
+from pageorder.corpus import (
+    CorpusConfig,
+    Document,
+    LengthBucket,
+    bucket_of,
+    generate_corpus,
+    shuffle_instance,
+    split_corpus,
+)
+from pageorder.metrics import mean_tau
 from pageorder.errors import ConfigError, DomainError
 from pageorder.models import Arch, ModelConfig, build_model
 from pageorder.numcore import Tensor, TrainingDivergedError, grad_check, no_grad
@@ -11,6 +20,7 @@ from pageorder.training import (
     Strategy,
     TrainConfig,
     curriculum_schedule,
+    evaluate,
     fit,
     loss_pairwise,
     loss_pointer,
@@ -307,6 +317,43 @@ class TestFit:
         assert len(rows) == 2
         assert rows[0]["epoch"] == 0
         assert rows[1]["val_tau_overall"] == result.history[1].val_tau_overall
+
+
+class TestEvaluate:
+    def _predictions(self, monkeypatch, model_or_ensemble, instances):
+        """The predictions evaluate hands to mean_tau, and its result."""
+        import pageorder.training.loop as loop
+
+        seen = []
+        original = loop.mean_tau
+
+        def recording_mean_tau(insts, preds):
+            seen.extend(preds)
+            return original(insts, preds)
+
+        monkeypatch.setattr(loop, "mean_tau", recording_mean_tau)
+        result = evaluate(model_or_ensemble, instances)
+        return [p.tolist() for p in seen], result
+
+    @pytest.mark.parametrize("arch", list(Arch), ids=lambda a: a.value)
+    def test_mixed_lengths_match_per_document_orders(self, small_corpus, monkeypatch, arch):
+        _, val, test = small_corpus
+        instances = [shuffle_instance(d, 4) for d in val + test]
+        lengths = {i.n_pages for i in instances}
+        assert 3 < len(lengths) < len(instances)  # several lengths, some shared
+        model = tiny(arch)
+        predictions, result = self._predictions(monkeypatch, model, instances)
+        expected = [model.order(inst.pages).tolist() for inst in instances]
+        assert predictions == expected
+        assert result == mean_tau(instances, [np.asarray(p) for p in expected])
+
+    def test_ensemble_routes_each_length_to_its_specialist(self, small_corpus, monkeypatch):
+        _, val, test = small_corpus
+        instances = [shuffle_instance(d, 4) for d in val + test]
+        assert len({bucket_of(i.n_pages) for i in instances}) > 2
+        ensemble = SpecialistEnsemble(models={b: tiny(Arch.POINTER_MLP, seed=i) for i, b in enumerate(LengthBucket)})
+        predictions, _ = self._predictions(monkeypatch, ensemble, instances)
+        assert predictions == [route(ensemble, inst).order(inst.pages).tolist() for inst in instances]
 
 
 class TestRouting:
