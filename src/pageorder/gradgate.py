@@ -14,6 +14,7 @@ from .numcore import (
     LstmParams,
     RngStream,
     Tensor,
+    bidirectional_encode,
     grad_check,
     layer_norm,
     lstm_cell,
@@ -87,6 +88,25 @@ def run_gradient_gate(tolerance: float = 1e-3, epsilon: float = 1e-5) -> GateRes
         "recurrent_cell",
         grad_check(lstm_fn, [("wx", cell.wx), ("wh", cell.wh), ("b", cell.b), ("x", xc)], epsilon, tolerance),
     )
+
+    # recurrent sequence: both fused directions, every output position weighted
+    directions = {
+        d: LstmParams(
+            wx=_t64(rng.split(f"bilstm.{d}.wx"), (DIM, 16)),
+            wh=_t64(rng.split(f"bilstm.{d}.wh"), (4, 16)),
+            b=_t64(rng.split(f"bilstm.{d}.b"), 16),
+        )
+        for d in ("fwd", "bwd")
+    }
+    xs = _t64(rng.split("bilstm.x"), (2, 4, DIM))
+    position_weights = Tensor(rng.split("bilstm.w").normal((2, 4, 8), dtype=np.float64))
+
+    def bilstm_fn():
+        out = bidirectional_encode(xs, directions["fwd"], directions["bwd"])
+        return (out * position_weights).sum() + (out * out).sum()
+
+    named = [("x", xs)] + [(f"{d}.{k}", t) for d, cell in directions.items() for k, t in cell.tensors().items()]
+    result.add("recurrent_sequence", grad_check(bilstm_fn, named, epsilon, tolerance))
 
     # attention
     q = _t64(rng.split("attn.q"), (4, 8))

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from ..numcore import Tensor, bidirectional_encode, lstm_cell, no_grad, stack
+from ..numcore import Tensor, bidirectional_encode, concat, lstm_cell, lstm_sequence, no_grad
 from .base import Model, ModelConfig
 
 __all__ = ["PointerMlpModel", "PointerLstmModel", "greedy_decode"]
@@ -97,13 +97,10 @@ class PointerMlpModel(Model):
         b, n = pages.shape[0], pages.shape[1]
         encoded = self.encode(pages)
         sel = np.argsort(truth_rank, axis=-1, kind="stable")  # slot of rank t at column t
-        mean_state = encoded.mean(axis=1)
-        states = [mean_state]
+        # decoder states: the mean encoding, then the state after each page of the true order but the last
+        state_seq = encoded.mean(axis=1).reshape(b, 1, self.config.hidden_dim)
         if n > 1:
-            prev = self._next_state(_batch_select(encoded, sel[:, :-1]))
-            for t in range(n - 1):
-                states.append(prev[:, t, :])
-        state_seq = stack(states, axis=1)  # (b, n, h)
+            state_seq = concat([state_seq, self._next_state(_batch_select(encoded, sel[:, :-1]))], axis=1)
         kt = encoded.transpose((0, 2, 1))
         logits = (state_seq @ kt) * (1.0 / np.sqrt(self.config.hidden_dim))
         return logits, sel, _used_slot_mask(sel, n)
@@ -144,13 +141,14 @@ class PointerLstmModel(Model):
     def encode(self, pages: Tensor) -> Tensor:
         return bidirectional_encode(pages, self._enc_fwd, self._enc_bwd)
 
-    def _attention_logits(self, encoded_proj: Tensor, encoded: Tensor, h_dec: Tensor) -> Tensor:
-        # additive attention: v . tanh(W_enc enc_j + W_dec h)
-        b, n = encoded.shape[0], encoded.shape[1]
-        hidden = self.config.hidden_dim
+    def _attention_logits(self, encoded_proj: Tensor, h_dec: Tensor) -> Tensor:
+        # additive attention v . tanh(W_enc enc_j + W_dec h_t) for every
+        # decoder state t (axis 1 of h_dec) and slot j, in one broadcast
+        b, steps = h_dec.shape[0], h_dec.shape[1]
+        n, hidden = encoded_proj.shape[1], self.config.hidden_dim
         query = h_dec @ self.params["attn.w_dec"] + self.params["attn.b"]
-        scores = (encoded_proj + query.reshape(b, 1, hidden)).tanh() @ self.params["attn.v"]
-        return scores.reshape(b, n)
+        feats = encoded_proj.reshape(b, 1, n, hidden) + query.reshape(b, steps, 1, hidden)
+        return (feats.tanh() @ self.params["attn.v"]).reshape(b, steps, n)
 
     def teacher_logits(self, pages: Tensor, truth_rank: np.ndarray) -> tuple[Tensor, np.ndarray, np.ndarray]:
         b, n = pages.shape[0], pages.shape[1]
@@ -158,20 +156,11 @@ class PointerLstmModel(Model):
         encoded_proj = encoded @ self.params["attn.w_enc"]
         sel = np.argsort(truth_rank, axis=-1, kind="stable")
         enc_out = 2 * self.config.hidden_dim
-        start = self.params["dec.start"].reshape(1, enc_out) + Tensor(
-            np.zeros((b, enc_out), dtype=self.dtype)
-        )
-        h = Tensor(np.zeros((b, enc_out), dtype=self.dtype))
-        c = Tensor(np.zeros((b, enc_out), dtype=self.dtype))
-        inputs = [start]
+        # decoder inputs: the learned start vector, then each page of the true order but the last
+        inputs = self.params["dec.start"].reshape(1, 1, enc_out) + Tensor(np.zeros((b, 1, enc_out), dtype=self.dtype))
         if n > 1:
-            prev_pages = _batch_select(encoded, sel[:, :-1])
-            inputs.extend(prev_pages[:, t, :] for t in range(n - 1))
-        step_logits = []
-        for t in range(n):
-            h, c = lstm_cell(inputs[t], h, c, self._dec)
-            step_logits.append(self._attention_logits(encoded_proj, encoded, h))
-        logits = stack(step_logits, axis=1)
+            inputs = concat([inputs, _batch_select(encoded, sel[:, :-1])], axis=1)
+        logits = self._attention_logits(encoded_proj, lstm_sequence(inputs, self._dec))
         return logits, sel, _used_slot_mask(sel, n)
 
     def order(self, pages: np.ndarray) -> np.ndarray:
@@ -191,6 +180,6 @@ class PointerLstmModel(Model):
                 nonlocal h, c
                 x = self.params["dec.start"].reshape(1, enc_out) if prev is None else encoded[rows, prev]
                 h, c = lstm_cell(x, h, c, self._dec)
-                return self._attention_logits(encoded_proj, encoded, h).data
+                return self._attention_logits(encoded_proj, h.reshape(b, 1, enc_out)).data[:, 0]
 
             return greedy_decode(n, step)

@@ -7,6 +7,7 @@ from .nn import (
     glorot_uniform,
     layer_norm,
     lstm_cell,
+    lstm_sequence,
     multi_head_attention,
     sinusoidal_positions,
 )
@@ -40,6 +41,7 @@ __all__ = [
     "multi_head_attention",
     "LstmParams",
     "lstm_cell",
+    "lstm_sequence",
     "bidirectional_encode",
     "sinusoidal_positions",
     "AdamState",

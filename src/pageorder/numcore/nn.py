@@ -12,7 +12,7 @@ import numpy as np
 
 from ..errors import ConfigError
 from .rng import RngStream
-from .tensor import Tensor, concat, softmax, stack
+from .tensor import Tensor, concat, sigmoid_array, softmax
 
 __all__ = [
     "glorot_uniform",
@@ -20,6 +20,7 @@ __all__ = [
     "multi_head_attention",
     "LstmParams",
     "lstm_cell",
+    "lstm_sequence",
     "bidirectional_encode",
     "sinusoidal_positions",
 ]
@@ -118,17 +119,66 @@ def lstm_cell(x: Tensor, h: Tensor, c: Tensor, params: LstmParams) -> tuple[Tens
     return h_next, c_next
 
 
-def _run_direction(seq: Tensor, params: LstmParams, reverse: bool) -> list[Tensor]:
+def lstm_sequence(seq: Tensor, params: LstmParams, reverse: bool = False) -> Tensor:
+    """Run one recurrent direction over ``seq (B, n, d)``; returns every state ``(B, n, H)``.
+
+    The same recurrence as ``lstm_cell`` stepped over the positions
+    (last to first when ``reverse``), recorded as two graph nodes: the
+    input projection ``seq @ wx`` for all positions in one GEMM, and the
+    recurrence, whose backward runs backpropagation through time in
+    numpy and yields the weight gradient of ``wh`` as one GEMM.
+    """
     batch, n = seq.shape[0], seq.shape[1]
     hidden = params.hidden
-    h = Tensor(np.zeros((batch, hidden), dtype=seq.data.dtype))
-    c = Tensor(np.zeros((batch, hidden), dtype=seq.data.dtype))
+    wh, bias = params.wh.data, params.b.data
+    xz = seq @ params.wx  # (B, n, 4H)
+    dtype = xz.data.dtype
+    gates = np.empty((batch, n, 4 * hidden), dtype=dtype)  # i, f, g, o after activation
+    cells = np.empty((batch, n, hidden), dtype=dtype)
+    tanh_cells = np.empty_like(cells)
+    states = np.empty_like(cells)
     order = range(n - 1, -1, -1) if reverse else range(n)
-    outputs: list[Tensor | None] = [None] * n
+    h = np.zeros((batch, hidden), dtype=dtype)
+    c = np.zeros((batch, hidden), dtype=dtype)
     for t in order:
-        h, c = lstm_cell(seq[:, t, :], h, c, params)
-        outputs[t] = h
-    return outputs  # type: ignore[return-value]
+        z = xz.data[:, t] + h @ wh + bias
+        act = gates[:, t]
+        act[:] = sigmoid_array(z)
+        act[:, 2 * hidden : 3 * hidden] = np.tanh(z[:, 2 * hidden : 3 * hidden])
+        i, f, g, o = np.split(act, 4, axis=-1)
+        c = cells[:, t] = f * c + i * g
+        tanh_cells[:, t] = np.tanh(c)
+        h = states[:, t] = o * tanh_cells[:, t]
+
+    def _bwd(grad: np.ndarray) -> None:
+        # state and cell entering each position: those of the position run before it, zeros first
+        prev_states, prev_cells = np.zeros_like(states), np.zeros_like(cells)
+        into, outof = (slice(None, -1), slice(1, None)) if reverse else (slice(1, None), slice(None, -1))
+        prev_states[:, into] = states[:, outof]
+        prev_cells[:, into] = cells[:, outof]
+        dz = np.empty_like(gates)
+        dh = dc = np.zeros((batch, hidden), dtype=dtype)
+        for t in reversed(order):
+            i, f, g, o = np.split(gates[:, t], 4, axis=-1)
+            tc = tanh_cells[:, t]
+            dh = dh + grad[:, t]
+            dc = dc + dh * o * (1.0 - tc * tc)
+            d = dz[:, t]
+            d[:, :hidden] = dc * g * i * (1.0 - i)
+            d[:, hidden : 2 * hidden] = dc * prev_cells[:, t] * f * (1.0 - f)
+            d[:, 2 * hidden : 3 * hidden] = dc * i * (1.0 - g * g)
+            d[:, 3 * hidden :] = dh * tc * o * (1.0 - o)
+            dc = dc * f
+            dh = d @ wh.T
+        dz_flat = dz.reshape(batch * n, 4 * hidden)
+        if xz.requires_grad:
+            xz._accumulate(dz)
+        if params.wh.requires_grad:
+            params.wh._accumulate(prev_states.reshape(batch * n, hidden).T @ dz_flat)
+        if params.b.requires_grad:
+            params.b._accumulate(dz_flat.sum(axis=0))
+
+    return Tensor._result(states, (xz, params.wh, params.b), _bwd)
 
 
 def bidirectional_encode(seq: Tensor, forward: LstmParams, backward: LstmParams) -> Tensor:
@@ -140,10 +190,7 @@ def bidirectional_encode(seq: Tensor, forward: LstmParams, backward: LstmParams)
     squeeze = seq.ndim == 2
     if squeeze:
         seq = seq.reshape(1, *seq.shape)
-    fwd = _run_direction(seq, forward, reverse=False)
-    bwd = _run_direction(seq, backward, reverse=True)
-    per_step = [concat([f, b], axis=-1) for f, b in zip(fwd, bwd)]
-    out = stack(per_step, axis=1)
+    out = concat([lstm_sequence(seq, forward), lstm_sequence(seq, backward, reverse=True)], axis=-1)
     if squeeze:
         out = out.reshape(out.shape[1], out.shape[2])
     return out

@@ -69,6 +69,12 @@ def _unbroadcast(grad: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
     return grad
 
 
+def sigmoid_array(x: np.ndarray) -> np.ndarray:
+    """Logistic function computed without overflow, in ``x``'s dtype."""
+    e = np.exp(-np.abs(x))
+    return np.where(x >= 0, 1.0 / (1.0 + e), e / (1.0 + e)).astype(x.dtype, copy=False)
+
+
 class Tensor:
     """A dense array node in the autodiff graph.
 
@@ -122,9 +128,12 @@ class Tensor:
     # -- graph plumbing ------------------------------------------------
 
     def _accumulate(self, g: np.ndarray) -> None:
+        # the first gradient is copied: ``g`` may be a read-only broadcast or
+        # a view of another node's grad, which later ``+=`` must not touch
         if self.grad is None:
-            self.grad = np.zeros_like(self.data)
-        self.grad += g
+            self.grad = np.array(g, dtype=self.data.dtype, order="C", copy=True)
+        else:
+            self.grad += g
 
     @staticmethod
     def _result(data: np.ndarray, parents: Sequence["Tensor"], backward) -> "Tensor":
@@ -166,7 +175,22 @@ class Tensor:
             return other
         return Tensor(np.asarray(other, dtype=self.data.dtype))
 
+    def _scalar(self, other):
+        """A Python number as a scalar of this tensor's dtype (None for anything else).
+
+        Arithmetic with it rounds exactly as with a 0-d array of that dtype.
+        """
+        if isinstance(other, (int, float)) and not isinstance(other, bool):
+            return self.data.dtype.type(other)
+        return None
+
+    def _add_scalar(self, s) -> "Tensor":
+        return Tensor._result(self.data + s, (self,), self._accumulate)
+
     def __add__(self, other) -> "Tensor":
+        s = self._scalar(other)
+        if s is not None:
+            return self._add_scalar(s)
         other = self._coerce(other)
         a, b = self, other
         out_data = a.data + b.data
@@ -185,14 +209,23 @@ class Tensor:
         return self * -1.0
 
     def __sub__(self, other) -> "Tensor":
+        s = self._scalar(other)
+        if s is not None:
+            return self._add_scalar(-s)
         return self + (-self._coerce(other))
 
     def __rsub__(self, other) -> "Tensor":
-        return self._coerce(other) + (-self)
+        return (-self) + other
 
     def __mul__(self, other) -> "Tensor":
-        other = self._coerce(other)
-        a, b = self, other
+        a, s = self, self._scalar(other)
+        if s is not None:
+
+            def _bwd_scalar(g: np.ndarray) -> None:
+                a._accumulate(g * s)
+
+            return Tensor._result(a.data * s, (a,), _bwd_scalar)
+        b = self._coerce(other)
         out_data = a.data * b.data
 
         def _bwd(g: np.ndarray) -> None:
@@ -230,6 +263,8 @@ class Tensor:
             raise ShapeError(f"matmul needs >=2-D operands, got {a.shape} @ {b.shape}")
         if a.shape[-1] != b.shape[-2]:
             raise ShapeError(f"inner dimensions mismatch: {a.shape} @ {b.shape}")
+        if a.ndim > 2 and b.ndim == 2:
+            return a._matmul_flat(b)
         out_data = np.matmul(a.data, b.data)
 
         def _bwd(g: np.ndarray) -> None:
@@ -239,6 +274,26 @@ class Tensor:
             if b.requires_grad:
                 gb = np.matmul(np.swapaxes(a.data, -1, -2), g)
                 b._accumulate(_unbroadcast(gb, b.shape))
+
+        return Tensor._result(out_data, (a, b), _bwd)
+
+    def _matmul_flat(self, b: "Tensor") -> "Tensor":
+        """``(..., k) @ (k, m)`` as one 2-D GEMM over the flattened leading axes.
+
+        The weight gradient is then one ``(k, rows) @ (rows, m)`` product
+        instead of a stack of per-batch products summed away afterwards.
+        """
+        a = self
+        k, m = b.shape
+        a2 = a.data.reshape(-1, k)
+        out_data = (a2 @ b.data).reshape(*a.shape[:-1], m)
+
+        def _bwd(g: np.ndarray) -> None:
+            g2 = g.reshape(-1, m)
+            if a.requires_grad:
+                a._accumulate((g2 @ b.data.T).reshape(a.shape))
+            if b.requires_grad:
+                b._accumulate(a2.T @ g2)
 
         return Tensor._result(out_data, (a, b), _bwd)
 
@@ -326,9 +381,7 @@ class Tensor:
 
     def sigmoid(self) -> "Tensor":
         a = self
-        x = a.data
-        e = np.exp(-np.abs(x))
-        out_data = np.where(x >= 0, 1.0 / (1.0 + e), e / (1.0 + e)).astype(x.dtype, copy=False)
+        out_data = sigmoid_array(a.data)
 
         def _bwd(g: np.ndarray) -> None:
             a._accumulate(g * out_data * (1.0 - out_data))

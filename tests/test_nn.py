@@ -10,9 +10,12 @@ from pageorder.numcore import (
     grad_check,
     layer_norm,
     lstm_cell,
+    lstm_sequence,
     multi_head_attention,
     sinusoidal_positions,
+    stack,
 )
+from pageorder.numcore.tensor import _unbroadcast
 
 
 def t64(arr):
@@ -165,3 +168,61 @@ class TestSinusoidalPositions:
         gaps = np.linalg.norm(table[:, None, :] - table[None, :, :], axis=-1)
         gaps[np.diag_indices(25)] = np.inf
         assert gaps.min() > 0.0
+
+
+def _lstm_params64(rng: RngStream, d: int, hidden: int) -> LstmParams:
+    return LstmParams(
+        wx=t64(rng.split("wx").normal((d, 4 * hidden), std=0.5, dtype=np.float64)),
+        wh=t64(rng.split("wh").normal((hidden, 4 * hidden), std=0.5, dtype=np.float64)),
+        b=t64(rng.split("b").normal(4 * hidden, std=0.5, dtype=np.float64)),
+    )
+
+
+def _stepped_lstm(seq: Tensor, params: LstmParams, reverse: bool) -> Tensor:
+    """The reference: lstm_cell stepped over the positions, one graph per step."""
+    batch, n = seq.shape[0], seq.shape[1]
+    h = c = Tensor(np.zeros((batch, params.hidden), dtype=np.float64))
+    outputs = [None] * n
+    for t in range(n - 1, -1, -1) if reverse else range(n):
+        h, c = lstm_cell(seq[:, t, :], h, c, params)
+        outputs[t] = h
+    return stack(outputs, axis=1)
+
+
+class TestLstmSequence:
+    @pytest.mark.parametrize("reverse", [False, True])
+    @pytest.mark.parametrize("n", [1, 2, 7])
+    def test_matches_stepped_cell_outputs_and_gradients(self, n, reverse):
+        rng = RngStream(31)
+        params = _lstm_params64(rng.split("cell"), 5, 4)
+        x = t64(rng.split("x").normal((3, n, 5), dtype=np.float64))
+        weights = rng.split("loss").normal((3, n, 4), dtype=np.float64)
+        named = [("x", x), ("wx", params.wx), ("wh", params.wh), ("b", params.b)]
+
+        def run(fn):
+            for _, tensor in named:
+                tensor.zero_grad()
+            out = fn(x, params, reverse)
+            (out * Tensor(weights) + out * out).sum().backward()
+            return out.data, [tensor.grad.copy() for _, tensor in named]
+
+        fused, fused_grads = run(lstm_sequence)
+        stepped, stepped_grads = run(_stepped_lstm)
+        np.testing.assert_allclose(fused, stepped, rtol=0, atol=1e-12)
+        for (name, _), got, want in zip(named, fused_grads, stepped_grads):
+            np.testing.assert_allclose(got, want, rtol=0, atol=1e-12, err_msg=name)
+
+
+class TestFlattenedMatmul:
+    @pytest.mark.parametrize("a_shape,b_shape", [((3, 4, 5), (5, 6)), ((2, 4, 4, 5), (5, 5))])
+    def test_matches_batched_matmul_and_unbroadcast(self, a_shape, b_shape):
+        rng = np.random.default_rng(33)
+        a, b = t64(rng.normal(size=a_shape)), t64(rng.normal(size=b_shape))
+        g = rng.normal(size=a_shape[:-1] + b_shape[-1:])
+        out = a @ b
+        (out * Tensor(g)).sum().backward()
+        np.testing.assert_allclose(out.data, np.matmul(a.data, b.data), rtol=0, atol=1e-12)
+        want_ga = _unbroadcast(np.matmul(g, b.data.T), a_shape)
+        want_gb = _unbroadcast(np.matmul(np.swapaxes(a.data, -1, -2), g), b_shape)
+        np.testing.assert_allclose(a.grad, want_ga, rtol=0, atol=1e-12)
+        np.testing.assert_allclose(b.grad, want_gb, rtol=0, atol=1e-12)

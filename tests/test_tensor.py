@@ -149,6 +149,52 @@ class TestElementwiseGradients:
         assert np.allclose(table.grad, expected)
 
 
+class TestIndexGradients:
+    def test_overlapping_slices_add_up(self):
+        x = t64(np.arange(4.0))
+        (x[0:3].sum() + x[1:].sum() + x[-1] * 2.0 + x[None, ..., 2].sum()).backward()
+        assert np.array_equal(x.grad, [1.0, 2.0, 3.0, 3.0])
+
+    def test_boolean_mask(self):
+        x = t64(np.arange(3.0))
+        x[np.array([True, False, True])].sum().backward()
+        assert np.array_equal(x.grad, [1.0, 0.0, 1.0])
+
+
+class TestScalarOperands:
+    """Python numbers skip the operand tensor and round as a 0-d array of the tensor's dtype did."""
+
+    @pytest.mark.parametrize(
+        "fast,reference",
+        [
+            (lambda x: x * 0.1, lambda x, s: x * s(0.1)),
+            (lambda x: 0.1 * x, lambda x, s: x * s(0.1)),
+            (lambda x: x + 0.1, lambda x, s: x + s(0.1)),
+            (lambda x: 0.1 + x, lambda x, s: x + s(0.1)),
+            (lambda x: x - 0.1, lambda x, s: x + (s(0.1) * s(-1.0))),
+            (lambda x: 0.1 - x, lambda x, s: s(0.1) + x * s(-1.0)),
+            (lambda x: -x, lambda x, s: x * s(-1.0)),
+            (lambda x: x / 3, lambda x, s: x * s(1.0 / 3.0)),
+        ],
+    )
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_bitwise_equal_to_tensor_operand(self, fast, reference, dtype):
+        data = np.random.default_rng(9).normal(size=(3, 4)).astype(dtype)
+        weights = Tensor(np.random.default_rng(10).normal(size=(3, 4)).astype(dtype))
+
+        def run(fn):
+            x = Tensor(data.copy(), requires_grad=True)
+            out = fn(x)
+            (out * out * weights).sum().backward()
+            return out, x.grad
+
+        out, grad = run(fast)
+        want, want_grad = run(lambda x: reference(x, lambda v: Tensor(np.asarray(v, dtype=dtype))))
+        assert out.data.dtype == dtype and grad.dtype == dtype
+        assert np.array_equal(out.data, want.data)
+        assert np.array_equal(grad, want_grad)
+
+
 class TestGraphMechanics:
     def test_no_grad_blocks_recording(self):
         x = t64([1.0, 2.0])
@@ -197,6 +243,15 @@ class TestGraphMechanics:
         y = x * 3.0 + x * 4.0
         y.sum().backward()
         assert np.allclose(x.grad, [7.0])
+
+    def test_first_gradient_is_copied_not_aliased(self):
+        # reshape hands x a view of y.grad; x's later accumulation must not write through it
+        x = t64(np.arange(6.0).reshape(2, 3))
+        y = x.reshape(6)
+        w = np.arange(1.0, 7.0)
+        ((y * Tensor(w)).sum() + (x * 2.0).sum() + x.sum()).backward()
+        assert np.array_equal(y.grad, w)
+        assert np.array_equal(x.grad, w.reshape(2, 3) + 3.0)
 
     def test_backward_requires_scalar(self):
         x = t64([1.0, 2.0])
