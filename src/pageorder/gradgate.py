@@ -17,7 +17,6 @@ from .numcore import (
     bidirectional_encode,
     grad_check,
     layer_norm,
-    lstm_cell,
     multi_head_attention,
 )
 from .training import loss_pairwise, loss_pointer, loss_position, make_pairwise_targets
@@ -68,25 +67,6 @@ def run_gradient_gate(tolerance: float = 1e-3, epsilon: float = 1e-5) -> GateRes
     result.add(
         "dense",
         grad_check(lambda: ((x @ w + b).relu() ** 2.0).sum(), [("x", x), ("w", w), ("b", b)], epsilon, tolerance),
-    )
-
-    # recurrent cell
-    cell = LstmParams(
-        wx=_t64(rng.split("lstm.wx"), (DIM, 16)),
-        wh=_t64(rng.split("lstm.wh"), (4, 16)),
-        b=_t64(rng.split("lstm.b"), 16),
-    )
-    xc = _t64(rng.split("lstm.x"), (2, DIM))
-    h0 = Tensor(np.zeros((2, 4), dtype=np.float64))
-    c0 = Tensor(np.zeros((2, 4), dtype=np.float64))
-
-    def lstm_fn():
-        h, c = lstm_cell(xc, h0, c0, cell)
-        return (h * h).sum() + c.sum()
-
-    result.add(
-        "recurrent_cell",
-        grad_check(lstm_fn, [("wx", cell.wx), ("wh", cell.wh), ("b", cell.b), ("x", xc)], epsilon, tolerance),
     )
 
     # recurrent sequence: both fused directions, every output position weighted

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from ..numcore import Tensor, bidirectional_encode, concat, lstm_cell, lstm_sequence, no_grad
+from ..numcore import Tensor, bidirectional_encode, concat, lstm_sequence, no_grad
 from .base import Model, ModelConfig
 
 __all__ = ["PointerMlpModel", "PointerLstmModel", "greedy_decode"]
@@ -46,14 +46,15 @@ def _batch_select(encoded: Tensor, sel: np.ndarray) -> Tensor:
     return encoded[np.arange(b)[:, None], sel]
 
 
-def _used_slot_mask(sel: np.ndarray, n: int) -> np.ndarray:
-    """valid[b, t, j] is True when slot j is still available at step t."""
-    b, steps = sel.shape
-    valid = np.ones((b, steps, n), dtype=bool)
-    for t in range(1, steps):
-        valid[:, t, :] = valid[:, t - 1, :]
-        valid[np.arange(b), t, sel[:, t - 1]] = False
-    return valid
+def _start_rows(start: Tensor, b: int) -> Tensor:
+    """The learned first decoder input ``start (d,)``, repeated for ``b`` documents: ``(b, 1, d)``."""
+    d = start.shape[-1]
+    return start.reshape(1, 1, d) + Tensor(np.zeros((b, 1, d), dtype=start.dtype))
+
+
+def _free_slots(truth_rank: np.ndarray) -> np.ndarray:
+    """free[b, t, j] is True when slot j is still available at step t: its true rank is >= t."""
+    return truth_rank[:, None, :] >= np.arange(truth_rank.shape[1])[:, None]
 
 
 class PointerMlpModel(Model):
@@ -94,16 +95,15 @@ class PointerMlpModel(Model):
 
     def teacher_logits(self, pages: Tensor, truth_rank: np.ndarray) -> tuple[Tensor, np.ndarray, np.ndarray]:
         """Teacher-forced step logits over all slots, labels, and candidate mask."""
-        b, n = pages.shape[0], pages.shape[1]
+        b = pages.shape[0]
         encoded = self.encode(pages)
         sel = np.argsort(truth_rank, axis=-1, kind="stable")  # slot of rank t at column t
         # decoder states: the mean encoding, then the state after each page of the true order but the last
-        state_seq = encoded.mean(axis=1).reshape(b, 1, self.config.hidden_dim)
-        if n > 1:
-            state_seq = concat([state_seq, self._next_state(_batch_select(encoded, sel[:, :-1]))], axis=1)
+        first = encoded.mean(axis=1).reshape(b, 1, self.config.hidden_dim)
+        state_seq = concat([first, self._next_state(_batch_select(encoded, sel[:, :-1]))], axis=1)
         kt = encoded.transpose((0, 2, 1))
         logits = (state_seq @ kt) * (1.0 / np.sqrt(self.config.hidden_dim))
-        return logits, sel, _used_slot_mask(sel, n)
+        return logits, sel, _free_slots(truth_rank)
 
     def order(self, pages: np.ndarray) -> np.ndarray:
         return self.order_batch(self._as_input(pages)[None])[0]
@@ -151,17 +151,14 @@ class PointerLstmModel(Model):
         return (feats.tanh() @ self.params["attn.v"]).reshape(b, steps, n)
 
     def teacher_logits(self, pages: Tensor, truth_rank: np.ndarray) -> tuple[Tensor, np.ndarray, np.ndarray]:
-        b, n = pages.shape[0], pages.shape[1]
         encoded = self.encode(pages)
         encoded_proj = encoded @ self.params["attn.w_enc"]
         sel = np.argsort(truth_rank, axis=-1, kind="stable")
-        enc_out = 2 * self.config.hidden_dim
         # decoder inputs: the learned start vector, then each page of the true order but the last
-        inputs = self.params["dec.start"].reshape(1, 1, enc_out) + Tensor(np.zeros((b, 1, enc_out), dtype=self.dtype))
-        if n > 1:
-            inputs = concat([inputs, _batch_select(encoded, sel[:, :-1])], axis=1)
-        logits = self._attention_logits(encoded_proj, lstm_sequence(inputs, self._dec))
-        return logits, sel, _used_slot_mask(sel, n)
+        start = _start_rows(self.params["dec.start"], pages.shape[0])
+        inputs = concat([start, _batch_select(encoded, sel[:, :-1])], axis=1)
+        states, _ = lstm_sequence(inputs, self._dec)
+        return self._attention_logits(encoded_proj, states), sel, _free_slots(truth_rank)
 
     def order(self, pages: np.ndarray) -> np.ndarray:
         return self.order_batch(self._as_input(pages)[None])[0]
@@ -169,17 +166,15 @@ class PointerLstmModel(Model):
     def order_batch(self, pages: np.ndarray) -> np.ndarray:
         pages = self._as_input(pages, batched=True)
         b, n = pages.shape[:2]
-        rows = np.arange(b)
         with no_grad():
             encoded = self.encode(Tensor(pages))
             encoded_proj = encoded @ self.params["attn.w_enc"]
-            enc_out = 2 * self.config.hidden_dim
-            h = c = Tensor(np.zeros((b, enc_out), dtype=self.dtype))
+            state = None
 
             def step(prev):
-                nonlocal h, c
-                x = self.params["dec.start"].reshape(1, enc_out) if prev is None else encoded[rows, prev]
-                h, c = lstm_cell(x, h, c, self._dec)
-                return self._attention_logits(encoded_proj, h.reshape(b, 1, enc_out)).data[:, 0]
+                nonlocal state
+                x = _start_rows(self.params["dec.start"], b) if prev is None else _batch_select(encoded, prev[:, None])
+                h, state = lstm_sequence(x, self._dec, state=state)
+                return self._attention_logits(encoded_proj, h).data[:, 0]
 
             return greedy_decode(n, step)

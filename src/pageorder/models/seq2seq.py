@@ -13,7 +13,7 @@ import numpy as np
 
 from ..numcore import Tensor, concat, no_grad, sinusoidal_positions
 from .base import LengthError, Model, ModelConfig, PeVariant
-from .pointer import _batch_select, _used_slot_mask, greedy_decode
+from .pointer import _batch_select, _free_slots, _start_rows, greedy_decode
 from .transformer import DecoderCache, build_decoder, build_encoder, run_decoder, run_encoder
 
 __all__ = ["Seq2SeqModel"]
@@ -69,25 +69,14 @@ class Seq2SeqModel(Model):
         kt = k.transpose(tuple(range(k.ndim - 2)) + (k.ndim - 1, k.ndim - 2))
         return (q @ kt) * (1.0 / np.sqrt(self.config.hidden_dim))
 
-    def _start(self, b: int) -> Tensor:
-        """The learned first decoder input, repeated for ``b`` documents: ``(b, 1, h)``."""
-        h = self.config.hidden_dim
-        return self.params["dec.start"].reshape(1, 1, h) + Tensor(np.zeros((b, 1, h), dtype=self.dtype))
-
     def teacher_logits(self, pages: Tensor, truth_rank: np.ndarray) -> tuple[Tensor, np.ndarray, np.ndarray]:
         """Teacher-forced pointer logits (batch, steps, slots) plus labels and mask."""
-        b, n = pages.shape[0], pages.shape[1]
         memory, _ = self.encode(pages)
         sel = np.argsort(truth_rank, axis=-1, kind="stable")
-        start = self._start(b)
-        if n > 1:
-            prev = _batch_select(memory, sel[:, :-1])
-            dec_inputs = concat([start, prev], axis=1)
-        else:
-            dec_inputs = start
-        dec_states = self._decode_states(memory, dec_inputs)
-        logits = self._pointer_logits(dec_states, memory)
-        return logits, sel, _used_slot_mask(sel, n)
+        start = _start_rows(self.params["dec.start"], pages.shape[0])
+        dec_inputs = concat([start, _batch_select(memory, sel[:, :-1])], axis=1)
+        logits = self._pointer_logits(self._decode_states(memory, dec_inputs), memory)
+        return logits, sel, _free_slots(truth_rank)
 
     def order(self, pages: np.ndarray) -> np.ndarray:
         return self.order_batch(self._as_input(pages)[None])[0]
@@ -96,7 +85,6 @@ class Seq2SeqModel(Model):
         """Greedy pointer decode, one decoder row per document per step (K/V cached)."""
         pages = self._as_input(pages, batched=True)
         b, n = pages.shape[:2]
-        rows = np.arange(b)
         h = self.config.hidden_dim
         with no_grad():
             memory, _ = self.encode(Tensor(pages))
@@ -104,7 +92,7 @@ class Seq2SeqModel(Model):
             cache = DecoderCache(self.config.layers)
 
             def step(prev):
-                x = self._start(b) if prev is None else memory[rows, prev].reshape(b, 1, h)
+                x = _start_rows(self.params["dec.start"], b) if prev is None else _batch_select(memory, prev[:, None])
                 q = self._decode_states(memory, x, cache) @ self.params["ptr.wq"]
                 # multiply-and-reduce keeps the logits of identical slots bitwise
                 # equal, so the tie rule acts on truly equal pages (a one-row matmul need not)

@@ -26,9 +26,7 @@ def build_encoder(model, prefix: str, width: int, layers: int) -> None:
     model._zeros(f"{prefix}.ln_out.b", width)
 
 
-def run_encoder(
-    model, prefix: str, x: Tensor, layers: int, heads: int, mask: np.ndarray | None = None
-) -> tuple[Tensor, list[Tensor]]:
+def run_encoder(model, prefix: str, x: Tensor, layers: int, heads: int) -> tuple[Tensor, list[Tensor]]:
     """Self-attention stack; returns final states and per-layer attention."""
     params = model.params
     attns: list[Tensor] = []
@@ -38,7 +36,7 @@ def run_encoder(
         q = h @ params[f"{p}.wq"]
         k = h @ params[f"{p}.wk"]
         v = h @ params[f"{p}.wv"]
-        mixed, attn = multi_head_attention(q, k, v, heads, mask=mask)
+        mixed, attn = multi_head_attention(q, k, v, heads)
         attns.append(attn)
         x = x + mixed @ params[f"{p}.wo"]
         h2 = layer_norm(x, params[f"{p}.ln2.g"], params[f"{p}.ln2.b"])

@@ -6,7 +6,6 @@ from .nn import (
     bidirectional_encode,
     glorot_uniform,
     layer_norm,
-    lstm_cell,
     lstm_sequence,
     multi_head_attention,
     sinusoidal_positions,
@@ -40,7 +39,6 @@ __all__ = [
     "layer_norm",
     "multi_head_attention",
     "LstmParams",
-    "lstm_cell",
     "lstm_sequence",
     "bidirectional_encode",
     "sinusoidal_positions",

@@ -1,7 +1,9 @@
 """Neural building blocks composed from tensor primitives.
 
-Everything here works on unbatched ``(n, d)`` inputs as well as batched
-``(batch, n, d)`` inputs; weight matrices broadcast over leading axes.
+``layer_norm`` and ``multi_head_attention`` take unbatched ``(n, d)`` as
+well as batched ``(batch, n, d)`` inputs; weight matrices broadcast over
+leading axes. The recurrent blocks, ``lstm_sequence`` and
+``bidirectional_encode``, need batched ``(batch, n, d)`` input.
 """
 
 from __future__ import annotations
@@ -19,7 +21,6 @@ __all__ = [
     "layer_norm",
     "multi_head_attention",
     "LstmParams",
-    "lstm_cell",
     "lstm_sequence",
     "bidirectional_encode",
     "sinusoidal_positions",
@@ -106,27 +107,21 @@ class LstmParams:
         return {"wx": self.wx, "wh": self.wh, "b": self.b}
 
 
-def lstm_cell(x: Tensor, h: Tensor, c: Tensor, params: LstmParams) -> tuple[Tensor, Tensor]:
-    """One gated-recurrence step; gate order i, f, g, o."""
-    hidden = params.hidden
-    z = x @ params.wx + h @ params.wh + params.b
-    i = z[..., :hidden].sigmoid()
-    f = z[..., hidden : 2 * hidden].sigmoid()
-    g = z[..., 2 * hidden : 3 * hidden].tanh()
-    o = z[..., 3 * hidden :].sigmoid()
-    c_next = f * c + i * g
-    h_next = o * c_next.tanh()
-    return h_next, c_next
+def lstm_sequence(
+    seq: Tensor,
+    params: LstmParams,
+    reverse: bool = False,
+    state: tuple[np.ndarray, np.ndarray] | None = None,
+) -> tuple[Tensor, tuple[np.ndarray, np.ndarray]]:
+    """Run one recurrent direction over ``seq (B, n, d)`` from ``state = (h0, c0)``, zeros if None.
 
-
-def lstm_sequence(seq: Tensor, params: LstmParams, reverse: bool = False) -> Tensor:
-    """Run one recurrent direction over ``seq (B, n, d)``; returns every state ``(B, n, H)``.
-
-    The same recurrence as ``lstm_cell`` stepped over the positions
-    (last to first when ``reverse``), recorded as two graph nodes: the
-    input projection ``seq @ wx`` for all positions in one GEMM, and the
-    recurrence, whose backward runs backpropagation through time in
-    numpy and yields the weight gradient of ``wh`` as one GEMM.
+    Returns every state ``(B, n, H)`` and the final ``(h, c)``, from which
+    a later call continues the recurrence. Gate order is i, f, g, o; the
+    positions run last to first when ``reverse``. Recorded as two graph
+    nodes: the input projection ``seq @ wx`` for all positions in one
+    GEMM, and the recurrence, whose backward runs backpropagation through
+    time in numpy and yields the weight gradient of ``wh`` as one GEMM.
+    No gradient flows into ``state``.
     """
     batch, n = seq.shape[0], seq.shape[1]
     hidden = params.hidden
@@ -138,8 +133,9 @@ def lstm_sequence(seq: Tensor, params: LstmParams, reverse: bool = False) -> Ten
     tanh_cells = np.empty_like(cells)
     states = np.empty_like(cells)
     order = range(n - 1, -1, -1) if reverse else range(n)
-    h = np.zeros((batch, hidden), dtype=dtype)
-    c = np.zeros((batch, hidden), dtype=dtype)
+    if state is None:
+        state = (np.zeros((batch, hidden), dtype=dtype),) * 2
+    h, c = state
     for t in order:
         z = xz.data[:, t] + h @ wh + bias
         act = gates[:, t]
@@ -151,8 +147,9 @@ def lstm_sequence(seq: Tensor, params: LstmParams, reverse: bool = False) -> Ten
         h = states[:, t] = o * tanh_cells[:, t]
 
     def _bwd(grad: np.ndarray) -> None:
-        # state and cell entering each position: those of the position run before it, zeros first
-        prev_states, prev_cells = np.zeros_like(states), np.zeros_like(cells)
+        # state and cell entering each position: those of the position run before it, the initial state first
+        prev_states, prev_cells = np.empty_like(states), np.empty_like(cells)
+        prev_states[:, order[0]], prev_cells[:, order[0]] = state
         into, outof = (slice(None, -1), slice(1, None)) if reverse else (slice(1, None), slice(None, -1))
         prev_states[:, into] = states[:, outof]
         prev_cells[:, into] = cells[:, outof]
@@ -178,22 +175,14 @@ def lstm_sequence(seq: Tensor, params: LstmParams, reverse: bool = False) -> Ten
         if params.b.requires_grad:
             params.b._accumulate(dz_flat.sum(axis=0))
 
-    return Tensor._result(states, (xz, params.wh, params.b), _bwd)
+    return Tensor._result(states, (xz, params.wh, params.b), _bwd), (h, c)
 
 
 def bidirectional_encode(seq: Tensor, forward: LstmParams, backward: LstmParams) -> Tensor:
-    """Concatenate forward and backward recurrent states per position.
-
-    ``seq`` is ``(n, d)`` or ``(batch, n, d)``; output appends a ``2H``
-    channel axis in the same layout.
-    """
-    squeeze = seq.ndim == 2
-    if squeeze:
-        seq = seq.reshape(1, *seq.shape)
-    out = concat([lstm_sequence(seq, forward), lstm_sequence(seq, backward, reverse=True)], axis=-1)
-    if squeeze:
-        out = out.reshape(out.shape[1], out.shape[2])
-    return out
+    """Concatenate forward and backward recurrent states per position: ``(B, n, d)`` -> ``(B, n, 2H)``."""
+    fwd, _ = lstm_sequence(seq, forward)
+    bwd, _ = lstm_sequence(seq, backward, reverse=True)
+    return concat([fwd, bwd], axis=-1)
 
 
 def sinusoidal_positions(n_positions: int, dim: int, dtype=np.float32) -> np.ndarray:

@@ -141,12 +141,11 @@ def _stages_for(cfg: TrainConfig) -> list[CurriculumStage]:
     return [CurriculumStage(MIN_PAGES, MAX_PAGES, cfg.epochs, 1.0)]
 
 
-def _batches(indices: list[int], lengths: list[int], batch_size: int, order: np.ndarray) -> list[list[int]]:
-    """Group same-length documents into batches, batch order seeded."""
+def _batches(lengths: list[int], batch_size: int, order: np.ndarray) -> list[list[int]]:
+    """Group the positions of same-length documents into batches, batch order seeded."""
     by_length: dict[int, list[int]] = {}
-    for pos in order:
-        idx = indices[pos]
-        by_length.setdefault(lengths[pos], []).append(idx)
+    for pos in order.tolist():
+        by_length.setdefault(lengths[pos], []).append(pos)
     batches = []
     for length in sorted(by_length):
         group = by_length[length]
@@ -196,7 +195,7 @@ def fit(model: Model, train_docs: list[Document], val_docs: list[Document], cfg:
                 instances = [base_instances[i] for i in stage_positions]
             lengths = [inst.n_pages for inst in instances]
             order = run_rng.split(f"order-ep{epoch}").permutation(len(instances))
-            batches = _batches(list(range(len(instances))), lengths, cfg.batch_size, order)
+            batches = _batches(lengths, cfg.batch_size, order)
 
             total_weighted_loss = 0.0
             total_weight = 0.0

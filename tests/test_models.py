@@ -197,6 +197,28 @@ class TestOrderBatch:
         assert np.allclose(np.concatenate(steps, axis=1), full, atol=1e-12)
 
 
+class TestGreedyMatchesTeacherForcing:
+    @pytest.mark.parametrize("arch", [Arch.POINTER_MLP, Arch.POINTER_LSTM, Arch.SEQ2SEQ], ids=lambda v: v.value)
+    @pytest.mark.parametrize("n", [2, 9, 25])
+    def test_each_pick_is_the_masked_argmax_of_teacher_logits(self, arch, n):
+        # teacher forcing fed the decoded order must see the same step logits the decoder picked from
+        from pageorder.numcore import no_grad
+
+        model = build_model(tiny_config(arch), dtype=np.float64)
+        stack = np.random.default_rng(16).normal(size=(3, n, DIM))
+        order = model.order_batch(stack)
+        rank = np.argsort(order, axis=1)  # rank[b, slot] is the step that picked the slot
+        with no_grad():
+            logits, sel, free = model.teacher_logits(Tensor(stack), rank)
+        assert sel.tolist() == order.tolist()
+        unused = [[[j not in row[:t] for j in range(n)] for t in range(n)] for row in sel.tolist()]
+        assert free.tolist() == unused
+        masked = np.where(free, logits.data, -np.inf)
+        best = masked.max(axis=-1)
+        picked = np.take_along_axis(masked, order[..., None], axis=-1)[..., 0]
+        assert np.all(best - picked <= 1e-9 * np.maximum(1.0, np.abs(best)))
+
+
 class TestSeq2Seq:
     def test_learned_pe_rejects_long_input(self):
         model = build_model(tiny_config(Arch.SEQ2SEQ, pe_variant=PeVariant.LEARNED))

@@ -9,7 +9,6 @@ from pageorder.numcore import (
     bidirectional_encode,
     grad_check,
     layer_norm,
-    lstm_cell,
     lstm_sequence,
     multi_head_attention,
     sinusoidal_positions,
@@ -73,18 +72,19 @@ class TestLstm:
         params = LstmParams(
             wx=Tensor(np.zeros((3, 16))), wh=Tensor(np.zeros((4, 16))), b=Tensor(np.zeros(16))
         )
-        h, c = lstm_cell(Tensor(np.zeros((1, 3))), Tensor(np.zeros((1, 4))), Tensor(np.zeros((1, 4))), params)
-        assert np.allclose(h.data, 0.0)
-        assert np.allclose(c.data, 0.0)
+        states, (h, c) = lstm_sequence(Tensor(np.zeros((1, 2, 3))), params)
+        assert np.allclose(states.data, 0.0)
+        assert np.allclose(h, 0.0)
+        assert np.allclose(c, 0.0)
 
     @pytest.mark.parametrize("n", [1, 3, 6])
     def test_bidirectional_output_dim(self, n):
         rng = RngStream(0)
         fwd = LstmParams.create(rng.split("f"), 5, 7)
         bwd = LstmParams.create(rng.split("b"), 5, 7)
-        seq = Tensor(rng.split("x").normal((n, 5)))
+        seq = Tensor(rng.split("x").normal((n, 5))[None])
         out = bidirectional_encode(seq, fwd, bwd)
-        assert out.shape == (n, 14)
+        assert out.shape == (1, n, 14)
 
     def test_reversed_input_swaps_direction_channels(self):
         # with both directions sharing one set of weights, running the
@@ -93,39 +93,18 @@ class TestLstm:
         rng = RngStream(7)
         shared = LstmParams.create(rng.split("cell"), 4, 3)
         x = rng.split("seq").normal((3, 4), dtype=np.float32)
-        enc = bidirectional_encode(Tensor(x), shared, shared).data
-        enc_rev = bidirectional_encode(Tensor(x[::-1].copy()), shared, shared).data
+        enc = bidirectional_encode(Tensor(x[None]), shared, shared).data[0]
+        enc_rev = bidirectional_encode(Tensor(x[::-1].copy()[None]), shared, shared).data[0]
         n, hidden = 3, 3
         for s in range(n):
             assert np.allclose(enc_rev[s, :hidden], enc[n - 1 - s, hidden:], atol=1e-6)
             assert np.allclose(enc_rev[s, hidden:], enc[n - 1 - s, :hidden], atol=1e-6)
 
         # and explicitly recompute the forward scan as the oracle
-        h = np.zeros(3, dtype=np.float32)
-        c = np.zeros(3, dtype=np.float32)
+        h = c = Tensor(np.zeros((1, 3), dtype=np.float32))
         for t in range(n):
-            ht, ct = lstm_cell(
-                Tensor(x[t : t + 1]), Tensor(h[None]), Tensor(c[None]), shared
-            )
-            h, c = ht.data[0], ct.data[0]
-            assert np.allclose(enc[t, :hidden], h, atol=1e-6)
-
-    def test_cell_gradients(self):
-        rng = RngStream(9)
-        params = LstmParams(
-            wx=t64(rng.split("wx").normal((3, 8), dtype=np.float64)),
-            wh=t64(rng.split("wh").normal((2, 8), dtype=np.float64)),
-            b=t64(rng.split("b").normal(8, dtype=np.float64)),
-        )
-        x = t64(rng.split("x").normal((1, 3), dtype=np.float64))
-
-        def f():
-            h, c = lstm_cell(x, Tensor(np.zeros((1, 2), dtype=np.float64)), Tensor(np.zeros((1, 2), dtype=np.float64)), params)
-            return (h * h).sum() + c.sum()
-
-        named = [("wx", params.wx), ("wh", params.wh), ("b", params.b), ("x", x)]
-        report = grad_check(f, named, epsilon=1e-6, tolerance=1e-6)
-        assert report.passed, report.summary()
+            h, c = _cell(Tensor(x[t : t + 1]), h, c, shared)
+            assert np.allclose(enc[t, :hidden], h.data[0], atol=1e-6)
 
 
 class TestLayerNorm:
@@ -178,21 +157,34 @@ def _lstm_params64(rng: RngStream, d: int, hidden: int) -> LstmParams:
     )
 
 
-def _stepped_lstm(seq: Tensor, params: LstmParams, reverse: bool) -> Tensor:
-    """The reference: lstm_cell stepped over the positions, one graph per step."""
+def _cell(x: Tensor, h: Tensor, c: Tensor, params: LstmParams) -> tuple[Tensor, Tensor]:
+    """One gated-recurrence step built from Tensor ops, gate order i, f, g, o."""
+    hidden = params.hidden
+    z = x @ params.wx + h @ params.wh + params.b
+    i = z[..., :hidden].sigmoid()
+    f = z[..., hidden : 2 * hidden].sigmoid()
+    g = z[..., 2 * hidden : 3 * hidden].tanh()
+    o = z[..., 3 * hidden :].sigmoid()
+    c_next = f * c + i * g
+    h_next = o * c_next.tanh()
+    return h_next, c_next
+
+
+def _stepped_lstm(seq: Tensor, params: LstmParams, reverse: bool, state) -> tuple[Tensor, tuple]:
+    """The reference: _cell stepped over the positions from ``state`` (zeros if None), one graph per step."""
     batch, n = seq.shape[0], seq.shape[1]
-    h = c = Tensor(np.zeros((batch, params.hidden), dtype=np.float64))
+    if state is None:
+        state = (np.zeros((batch, params.hidden)),) * 2
+    h, c = (Tensor(s) for s in state)
     outputs = [None] * n
     for t in range(n - 1, -1, -1) if reverse else range(n):
-        h, c = lstm_cell(seq[:, t, :], h, c, params)
+        h, c = _cell(seq[:, t, :], h, c, params)
         outputs[t] = h
-    return stack(outputs, axis=1)
+    return stack(outputs, axis=1), (h.data, c.data)
 
 
 class TestLstmSequence:
-    @pytest.mark.parametrize("reverse", [False, True])
-    @pytest.mark.parametrize("n", [1, 2, 7])
-    def test_matches_stepped_cell_outputs_and_gradients(self, n, reverse):
+    def _compare_with_stepped_cell(self, n, reverse, state):
         rng = RngStream(31)
         params = _lstm_params64(rng.split("cell"), 5, 4)
         x = t64(rng.split("x").normal((3, n, 5), dtype=np.float64))
@@ -202,15 +194,30 @@ class TestLstmSequence:
         def run(fn):
             for _, tensor in named:
                 tensor.zero_grad()
-            out = fn(x, params, reverse)
+            out, final = fn(x, params, reverse, state)
             (out * Tensor(weights) + out * out).sum().backward()
-            return out.data, [tensor.grad.copy() for _, tensor in named]
+            return out.data, final, [tensor.grad.copy() for _, tensor in named]
 
-        fused, fused_grads = run(lstm_sequence)
-        stepped, stepped_grads = run(_stepped_lstm)
+        fused, fused_final, fused_grads = run(lstm_sequence)
+        stepped, stepped_final, stepped_grads = run(_stepped_lstm)
         np.testing.assert_allclose(fused, stepped, rtol=0, atol=1e-12)
+        for name, got, want in zip(("h", "c"), fused_final, stepped_final):
+            np.testing.assert_allclose(got, want, rtol=0, atol=1e-12, err_msg=f"final {name}")
         for (name, _), got, want in zip(named, fused_grads, stepped_grads):
             np.testing.assert_allclose(got, want, rtol=0, atol=1e-12, err_msg=name)
+
+    @pytest.mark.parametrize("reverse", [False, True])
+    @pytest.mark.parametrize("n", [1, 2, 7])
+    def test_matches_stepped_cell_outputs_and_gradients(self, n, reverse):
+        self._compare_with_stepped_cell(n, reverse, state=None)
+
+    @pytest.mark.parametrize("reverse", [False, True])
+    @pytest.mark.parametrize("n", [1, 2, 7])
+    def test_continues_from_given_state(self, n, reverse):
+        # the recurrence and its backward both start from (h0, c0), not zeros
+        rng = RngStream(32)
+        state = (rng.split("h0").normal((3, 4), dtype=np.float64), rng.split("c0").normal((3, 4), dtype=np.float64))
+        self._compare_with_stepped_cell(n, reverse, state)
 
 
 class TestFlattenedMatmul:
