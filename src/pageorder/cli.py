@@ -70,12 +70,14 @@ _JSON_TYPES = {
 def _check_json_type(default, value, name: str) -> None:
     """``value`` must have ``default``'s JSON type, and each array item the type of the default's items.
 
-    An integer fits where the default is a number, and a null default
-    takes any value.
+    An integer fits where the default is a number. A null default stands
+    for an unset number, so it takes null or a number.
     """
-    expected, got = _JSON_TYPES[type(default)], _JSON_TYPES[type(value)]
-    if default is not None and got != expected and (expected, got) != ("number", "integer"):
-        raise ConfigError(f"config key {name} must be a JSON {expected}, got {got}")
+    expected = "number" if default is None else _JSON_TYPES[type(default)]
+    got = _JSON_TYPES[type(value)]
+    if got != expected and (expected, got) != ("number", "integer") and not (default is None and value is None):
+        or_null = " or null" if default is None else ""
+        raise ConfigError(f"config key {name} must be a JSON {expected}{or_null}, got {got}")
     if isinstance(default, list) and default:
         for i, item in enumerate(value):
             _check_json_type(default[0], item, f"{name} item {i}")
@@ -109,6 +111,14 @@ def load_config(path: str | None) -> dict:
     return _merge_section(defaults, raw, "")
 
 
+def _config_with_seed(args: argparse.Namespace, section: str) -> dict:
+    """The command's config, with ``--seed`` (when given) written into ``{section}.seed``, so the echo records it."""
+    config = load_config(args.config)
+    if args.seed is not None:
+        config[section]["seed"] = args.seed
+    return config
+
+
 def _echo_config(config: dict, out_dir: Path, extras: dict | None = None) -> None:
     payload = dict(config)
     if extras:
@@ -117,19 +127,14 @@ def _echo_config(config: dict, out_dir: Path, extras: dict | None = None) -> Non
     atomic_write_text(out_dir / "effective_config.json", json.dumps(payload, indent=2, sort_keys=True) + "\n")
 
 
-def _corpus_config(config: dict, seed_override: int | None) -> CorpusConfig:
+def _corpus_config(config: dict) -> CorpusConfig:
     section = dict(config["corpus"])
-    if seed_override is not None:
-        section["seed"] = seed_override
     section["length_weights"] = tuple(section["length_weights"])
     return CorpusConfig(**section)
 
 
-def _train_config(config: dict, strategy: Strategy, target: LengthBucket | None, seed_override: int | None) -> TrainConfig:
-    section = dict(config["train"])
-    if seed_override is not None:
-        section["seed"] = seed_override
-    return TrainConfig(strategy=strategy, target_bucket=target, **section)
+def _train_config(config: dict, strategy: Strategy, target: LengthBucket | None) -> TrainConfig:
+    return TrainConfig(strategy=strategy, target_bucket=target, **config["train"])
 
 
 def _bucket_from_label(label: str) -> LengthBucket:
@@ -150,9 +155,9 @@ def _print_histogram(docs) -> None:
 
 
 def cmd_gen(args: argparse.Namespace) -> int:
-    config = load_config(args.config)
+    config = _config_with_seed(args, "corpus")
     out = Path(args.out)
-    corpus_cfg = _corpus_config(config, args.seed)
+    corpus_cfg = _corpus_config(config)
     docs = generate_corpus(corpus_cfg)
     out.mkdir(parents=True, exist_ok=True)
     save_corpus(docs, out / "corpus.jsonl")
@@ -163,12 +168,12 @@ def cmd_gen(args: argparse.Namespace) -> int:
 
 
 def cmd_train(args: argparse.Namespace) -> int:
-    config = load_config(args.config)
+    config = _config_with_seed(args, "train")
     docs = load_corpus(args.corpus)
     splits = split_corpus(docs, seed=config["seed"])
     strategy = Strategy(args.strategy)
     target = _bucket_from_label(args.target_bucket) if args.target_bucket else None
-    train_cfg = _train_config(config, strategy, target, args.seed)
+    train_cfg = _train_config(config, strategy, target)
     arch, pe = ARCH_ROWS[args.arch]
 
     out = Path(args.out)
@@ -205,11 +210,11 @@ def cmd_train(args: argparse.Namespace) -> int:
 
 
 def cmd_bench(args: argparse.Namespace) -> int:
-    config = load_config(args.config)
+    config = _config_with_seed(args, "train")
     docs = load_corpus(args.corpus)
     splits = split_corpus(docs, seed=config["seed"])
-    corpus_cfg = _corpus_config(config, None)
-    train_cfg = _train_config(config, Strategy.UNIVERSAL, None, args.seed)
+    corpus_cfg = _corpus_config(config)
+    train_cfg = _train_config(config, Strategy.UNIVERSAL, None)
     menu = tuple(args.models.split(",")) if args.models else tuple(config["bench"]["models"])
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
@@ -280,10 +285,10 @@ def cmd_gradcheck(args: argparse.Namespace) -> int:
 
 
 def cmd_transfer(args: argparse.Namespace) -> int:
-    config = load_config(args.config)
+    config = _config_with_seed(args, "train")
     docs = load_corpus(args.corpus)
     splits = split_corpus(docs, seed=config["seed"])
-    train_cfg = _train_config(config, Strategy.UNIVERSAL, None, args.seed)
+    train_cfg = _train_config(config, Strategy.UNIVERSAL, None)
     result = transfer_experiment(
         splits,
         train_cfg,
@@ -379,7 +384,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_transfer.set_defaults(fn=cmd_transfer)
 
     p_embed = sub.add_parser("embed", help="fetch embeddings from a remote service")
-    common(p_embed)
+    p_embed.add_argument("--config", help="JSON config file (defaults apply when omitted)")
     p_embed.add_argument("--endpoint", default=None)
     p_embed.add_argument("--input", required=True, help="text file, one text per line")
     p_embed.add_argument("--out", required=True)

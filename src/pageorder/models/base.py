@@ -112,6 +112,20 @@ class Model:
             self.params[f"{prefix}.{name}"] = tensor
         return params
 
+    def _dense_stack(self, prefix: str, dims: list[int]) -> None:
+        """Register ``{prefix}.w{i}`` of shape ``(dims[i], dims[i + 1])`` and a zero ``{prefix}.b{i}`` per layer."""
+        for i in range(len(dims) - 1):
+            self._glorot(f"{prefix}.w{i}", (dims[i], dims[i + 1]))
+            self._zeros(f"{prefix}.b{i}", dims[i + 1])
+
+    def _run_dense_stack(self, prefix: str, x: Tensor, layers: int) -> Tensor:
+        """Apply the ``layers`` dense layers of ``prefix`` to ``x``, with a ReLU between consecutive ones."""
+        for i in range(layers):
+            if i:
+                x = x.relu()
+            x = x @ self.params[f"{prefix}.w{i}"] + self.params[f"{prefix}.b{i}"]
+        return x
+
     def named_parameters(self) -> list[tuple[str, Tensor]]:
         return list(self.params.items())
 

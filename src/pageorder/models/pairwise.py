@@ -14,7 +14,7 @@ import numpy as np
 from ..errors import DomainError
 from ..numcore import Tensor, no_grad
 from .base import Model, ModelConfig
-from .transformer import build_encoder, run_encoder
+from .transformer import build_stack, run_encoder
 
 __all__ = ["PairwiseScores", "PairwiseRankModel", "aggregate_scores"]
 
@@ -66,27 +66,19 @@ class PairwiseRankModel(Model):
         h = config.hidden_dim
         self._glorot("input.w", (config.input_dim, h))
         self._zeros("input.b", h)
-        build_encoder(self, "enc", h, config.layers)
-        for i in range(SCORER_LAYERS - 1):
-            self._glorot(f"scorer.w{i}", (h, h))
-            self._zeros(f"scorer.b{i}", h)
-        self._glorot(f"scorer.w{SCORER_LAYERS - 1}", (h, 1))
-        self._zeros(f"scorer.b{SCORER_LAYERS - 1}", 1)
+        build_stack(self, "enc", ("",))
+        self._dense_stack("scorer", [h] * SCORER_LAYERS + [1])
 
     def encode(self, pages: Tensor) -> tuple[Tensor, list[Tensor]]:
         x = pages @ self.params["input.w"] + self.params["input.b"]
-        return run_encoder(self, "enc", x, self.config.layers, self.config.heads)
+        return run_encoder(self, "enc", x)
 
     def score_matrix(self, pages: Tensor) -> tuple[Tensor, list[Tensor]]:
         """Full (batch, n, n) score tensor in one pass."""
         encoded, attns = self.encode(pages)
         b, n, h = encoded.shape
         diff = encoded.reshape(b, 1, n, h) - encoded.reshape(b, n, 1, h)  # [b, i, j] = enc_j - enc_i
-        x = diff
-        for i in range(SCORER_LAYERS - 1):
-            x = (x @ self.params[f"scorer.w{i}"] + self.params[f"scorer.b{i}"]).relu()
-        x = x @ self.params[f"scorer.w{SCORER_LAYERS - 1}"] + self.params[f"scorer.b{SCORER_LAYERS - 1}"]
-        return x.reshape(b, n, n), attns
+        return self._run_dense_stack("scorer", diff, SCORER_LAYERS).reshape(b, n, n), attns
 
     def pairwise_scores(self, pages: np.ndarray) -> tuple[PairwiseScores, list[np.ndarray]]:
         pages = self._as_input(pages)

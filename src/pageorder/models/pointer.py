@@ -63,27 +63,14 @@ class PointerMlpModel(Model):
     def __init__(self, config: ModelConfig, dtype=np.float32):
         super().__init__(config, dtype)
         h = config.hidden_dim
-        in_dim = config.input_dim
-        for i in range(config.layers):
-            self._glorot(f"enc.w{i}", (in_dim, h))
-            self._zeros(f"enc.b{i}", h)
-            in_dim = h
-        self._glorot("update.w0", (h, h))
-        self._zeros("update.b0", h)
-        self._glorot("update.w1", (h, h))
-        self._zeros("update.b1", h)
+        self._dense_stack("enc", [config.input_dim] + [h] * config.layers)
+        self._dense_stack("update", [h, h, h])
 
     def encode(self, pages: Tensor) -> Tensor:
-        x = pages
-        for i in range(self.config.layers):
-            x = x @ self.params[f"enc.w{i}"] + self.params[f"enc.b{i}"]
-            if i < self.config.layers - 1:
-                x = x.relu()
-        return x
+        return self._run_dense_stack("enc", pages, self.config.layers)
 
     def _next_state(self, selected: Tensor) -> Tensor:
-        hidden = (selected @ self.params["update.w0"] + self.params["update.b0"]).relu()
-        return hidden @ self.params["update.w1"] + self.params["update.b1"]
+        return self._run_dense_stack("update", selected, 2)
 
     def _logits_from_state(self, state: Tensor, encoded: Tensor) -> Tensor:
         # (batch, h) x (batch, n, h) -> (batch, n) scaled dot product;

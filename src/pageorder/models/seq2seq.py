@@ -14,7 +14,7 @@ import numpy as np
 from ..numcore import Tensor, concat, no_grad, sinusoidal_positions
 from .base import LengthError, Model, ModelConfig, PeVariant
 from .pointer import _batch_select, _free_slots, _start_rows, greedy_decode
-from .transformer import DecoderCache, build_decoder, build_encoder, run_decoder, run_encoder
+from .transformer import DecoderCache, build_stack, run_decoder, run_encoder
 
 __all__ = ["Seq2SeqModel"]
 
@@ -28,8 +28,8 @@ class Seq2SeqModel(Model):
         if config.pe_variant is PeVariant.LEARNED:
             self._normal("pe.table", (config.max_len, h), std=0.02)
         self._sin_table = sinusoidal_positions(config.max_len, h, dtype=dtype)
-        build_encoder(self, "enc", h, config.layers)
-        build_decoder(self, "dec", h, config.layers)
+        build_stack(self, "enc", ("",))
+        build_stack(self, "dec", ("self.", "cross."))
         self._normal("dec.start", h, std=0.1)
         self._glorot("ptr.wq", (h, h))
         self._glorot("ptr.wk", (h, h))
@@ -54,14 +54,14 @@ class Seq2SeqModel(Model):
         pe = self._positions(n)
         if pe is not None:
             x = x + pe
-        return run_encoder(self, "enc", x, self.config.layers, self.config.heads)
+        return run_encoder(self, "enc", x)
 
     def _decode_states(self, memory: Tensor, dec_inputs: Tensor, cache: DecoderCache | None = None) -> Tensor:
         """Decoder states for ``dec_inputs``, the steps after those already in ``cache``."""
         pe = self._positions(dec_inputs.shape[-2], start=cache.steps if cache is not None else 0)
         x = dec_inputs if pe is None else dec_inputs + pe
         # called through the module name, so a wrapper bound there sees every decoder call
-        return run_decoder(self, "dec", x, memory, self.config.layers, self.config.heads, cache)
+        return run_decoder(self, "dec", x, memory, cache)
 
     def _pointer_logits(self, dec_states: Tensor, memory: Tensor) -> Tensor:
         q = dec_states @ self.params["ptr.wq"]

@@ -1,4 +1,7 @@
-"""Pre-norm transformer blocks bound to a model's parameter registry."""
+"""Pre-norm transformer blocks bound to a model's parameter registry.
+
+Stack shape (``layers``, ``heads``, ``hidden_dim``) comes from ``model.config``.
+"""
 
 from __future__ import annotations
 
@@ -9,61 +12,54 @@ from ..numcore import Tensor, concat, layer_norm, multi_head_attention
 FFN_MULT = 4
 
 
-def build_encoder(model, prefix: str, width: int, layers: int) -> None:
-    for i in range(layers):
+def build_stack(model, prefix: str, attentions: tuple[str, ...]) -> None:
+    """Register a stack of pre-norm layers under ``prefix``.
+
+    Each layer has, per entry of ``attentions``, a layer norm ``ln{j}`` and the
+    projections ``{attention}wq, wk, wv, wo``; then a last norm and the
+    feed-forward weights ``ffn.*``. A final ``ln_out`` follows the layers.
+    """
+    width = model.config.hidden_dim
+
+    def norm(name: str) -> None:
+        model._ones(f"{name}.g", width)
+        model._zeros(f"{name}.b", width)
+
+    for i in range(model.config.layers):
         p = f"{prefix}.layer{i}"
-        model._ones(f"{p}.ln1.g", width)
-        model._zeros(f"{p}.ln1.b", width)
-        for proj in ("wq", "wk", "wv", "wo"):
-            model._glorot(f"{p}.{proj}", (width, width))
-        model._ones(f"{p}.ln2.g", width)
-        model._zeros(f"{p}.ln2.b", width)
+        for j, attention in enumerate(attentions, start=1):
+            norm(f"{p}.ln{j}")
+            for proj in ("wq", "wk", "wv", "wo"):
+                model._glorot(f"{p}.{attention}{proj}", (width, width))
+        norm(f"{p}.ln{len(attentions) + 1}")
         model._glorot(f"{p}.ffn.w1", (width, FFN_MULT * width))
         model._zeros(f"{p}.ffn.b1", FFN_MULT * width)
         model._glorot(f"{p}.ffn.w2", (FFN_MULT * width, width))
         model._zeros(f"{p}.ffn.b2", width)
-    model._ones(f"{prefix}.ln_out.g", width)
-    model._zeros(f"{prefix}.ln_out.b", width)
+    norm(f"{prefix}.ln_out")
 
 
-def run_encoder(model, prefix: str, x: Tensor, layers: int, heads: int) -> tuple[Tensor, list[Tensor]]:
+def _norm(params: dict, name: str, x: Tensor) -> Tensor:
+    return layer_norm(x, params[f"{name}.g"], params[f"{name}.b"])
+
+
+def _feed_forward(params: dict, p: str, ln: str, x: Tensor) -> Tensor:
+    """The residual feed-forward sublayer of layer ``p``, behind its norm ``ln``."""
+    ffn = (_norm(params, f"{p}.{ln}", x) @ params[f"{p}.ffn.w1"] + params[f"{p}.ffn.b1"]).relu()
+    return x + ffn @ params[f"{p}.ffn.w2"] + params[f"{p}.ffn.b2"]
+
+
+def run_encoder(model, prefix: str, x: Tensor) -> tuple[Tensor, list[Tensor]]:
     """Self-attention stack; returns final states and per-layer attention."""
-    params = model.params
+    params, heads = model.params, model.config.heads
     attns: list[Tensor] = []
-    for i in range(layers):
+    for i in range(model.config.layers):
         p = f"{prefix}.layer{i}"
-        h = layer_norm(x, params[f"{p}.ln1.g"], params[f"{p}.ln1.b"])
-        q = h @ params[f"{p}.wq"]
-        k = h @ params[f"{p}.wk"]
-        v = h @ params[f"{p}.wv"]
-        mixed, attn = multi_head_attention(q, k, v, heads)
+        h = _norm(params, f"{p}.ln1", x)
+        mixed, attn = multi_head_attention(h @ params[f"{p}.wq"], h @ params[f"{p}.wk"], h @ params[f"{p}.wv"], heads)
         attns.append(attn)
-        x = x + mixed @ params[f"{p}.wo"]
-        h2 = layer_norm(x, params[f"{p}.ln2.g"], params[f"{p}.ln2.b"])
-        ffn = (h2 @ params[f"{p}.ffn.w1"] + params[f"{p}.ffn.b1"]).relu()
-        x = x + ffn @ params[f"{p}.ffn.w2"] + params[f"{p}.ffn.b2"]
-    return layer_norm(x, params[f"{prefix}.ln_out.g"], params[f"{prefix}.ln_out.b"]), attns
-
-
-def build_decoder(model, prefix: str, width: int, layers: int) -> None:
-    for i in range(layers):
-        p = f"{prefix}.layer{i}"
-        model._ones(f"{p}.ln1.g", width)
-        model._zeros(f"{p}.ln1.b", width)
-        for proj in ("self.wq", "self.wk", "self.wv", "self.wo"):
-            model._glorot(f"{p}.{proj}", (width, width))
-        model._ones(f"{p}.ln2.g", width)
-        model._zeros(f"{p}.ln2.b", width)
-        for proj in ("cross.wq", "cross.wk", "cross.wv", "cross.wo"):
-            model._glorot(f"{p}.{proj}", (width, width))
-        model._ones(f"{p}.ln3.g", width)
-        model._zeros(f"{p}.ln3.b", width)
-        model._glorot(f"{p}.ffn.w1", (width, FFN_MULT * width))
-        model._zeros(f"{p}.ffn.b1", FFN_MULT * width)
-        model._glorot(f"{p}.ffn.w2", (FFN_MULT * width, width))
-        model._zeros(f"{p}.ffn.b2", width)
-    model._ones(f"{prefix}.ln_out.g", width)
-    model._zeros(f"{prefix}.ln_out.b", width)
+        x = _feed_forward(params, p, "ln2", x + mixed @ params[f"{p}.wo"])
+    return _norm(params, f"{prefix}.ln_out", x), attns
 
 
 class DecoderCache:
@@ -74,15 +70,7 @@ class DecoderCache:
         self.layers: list[dict] = [{} for _ in range(layers)]
 
 
-def run_decoder(
-    model,
-    prefix: str,
-    x: Tensor,
-    memory: Tensor,
-    layers: int,
-    heads: int,
-    cache: DecoderCache | None = None,
-) -> Tensor:
+def run_decoder(model, prefix: str, x: Tensor, memory: Tensor, cache: DecoderCache | None = None) -> Tensor:
     """Causal self-attention plus cross-attention over encoder memory.
 
     Without ``cache`` ``x`` holds every decoder step (teacher forcing).
@@ -91,18 +79,16 @@ def run_decoder(
     memory's cross-attention keys and values are projected on the first
     call and reused after it.
     """
-    params = model.params
+    params, heads = model.params, model.config.heads
     past = cache.steps if cache is not None else 0
     steps = x.shape[-2]
     # query step past + i sees keys 0 .. past + i
     mask = np.tril(np.ones((steps, past + steps), dtype=bool), k=past)
-    for i in range(layers):
+    for i in range(model.config.layers):
         p = f"{prefix}.layer{i}"
         kept = cache.layers[i] if cache is not None else {}
-        h = layer_norm(x, params[f"{p}.ln1.g"], params[f"{p}.ln1.b"])
-        q = h @ params[f"{p}.self.wq"]
-        k = h @ params[f"{p}.self.wk"]
-        v = h @ params[f"{p}.self.wv"]
+        h = _norm(params, f"{p}.ln1", x)
+        q, k, v = h @ params[f"{p}.self.wq"], h @ params[f"{p}.self.wk"], h @ params[f"{p}.self.wv"]
         if "self" in kept:
             k = concat([kept["self"][0], k], axis=-2)
             v = concat([kept["self"][1], v], axis=-2)
@@ -110,17 +96,11 @@ def run_decoder(
         mixed, _ = multi_head_attention(q, k, v, heads, mask=mask)
         x = x + mixed @ params[f"{p}.self.wo"]
 
-        h2 = layer_norm(x, params[f"{p}.ln2.g"], params[f"{p}.ln2.b"])
-        qc = h2 @ params[f"{p}.cross.wq"]
+        qc = _norm(params, f"{p}.ln2", x) @ params[f"{p}.cross.wq"]
         if "cross" not in kept:
             kept["cross"] = (memory @ params[f"{p}.cross.wk"], memory @ params[f"{p}.cross.wv"])
-        kc, vc = kept["cross"]
-        mixed_c, _ = multi_head_attention(qc, kc, vc, heads)
-        x = x + mixed_c @ params[f"{p}.cross.wo"]
-
-        h3 = layer_norm(x, params[f"{p}.ln3.g"], params[f"{p}.ln3.b"])
-        ffn = (h3 @ params[f"{p}.ffn.w1"] + params[f"{p}.ffn.b1"]).relu()
-        x = x + ffn @ params[f"{p}.ffn.w2"] + params[f"{p}.ffn.b2"]
+        mixed, _ = multi_head_attention(qc, *kept["cross"], heads)
+        x = _feed_forward(params, p, "ln3", x + mixed @ params[f"{p}.cross.wo"])
     if cache is not None:
         cache.steps += steps
-    return layer_norm(x, params[f"{prefix}.ln_out.g"], params[f"{prefix}.ln_out.b"])
+    return _norm(params, f"{prefix}.ln_out", x)

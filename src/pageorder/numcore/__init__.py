@@ -21,7 +21,6 @@ from .tensor import (
     log_softmax,
     no_grad,
     softmax,
-    stack,
 )
 
 __all__ = [
@@ -31,7 +30,6 @@ __all__ = [
     "no_grad",
     "grad_enabled",
     "concat",
-    "stack",
     "softmax",
     "log_softmax",
     "RngStream",

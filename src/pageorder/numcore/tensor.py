@@ -21,7 +21,6 @@ __all__ = [
     "no_grad",
     "grad_enabled",
     "concat",
-    "stack",
     "softmax",
     "log_softmax",
 ]
@@ -349,27 +348,6 @@ class Tensor:
 
     # -- elementwise functions ------------------------------------------
 
-    def exp(self) -> "Tensor":
-        a = self
-        out_data = np.exp(a.data)
-
-        def _bwd(g: np.ndarray) -> None:
-            a._accumulate(g * out_data)
-
-        return Tensor._result(out_data, (a,), _bwd)
-
-    def log(self) -> "Tensor":
-        a = self
-        out_data = np.log(a.data)
-
-        def _bwd(g: np.ndarray) -> None:
-            a._accumulate(g / a.data)
-
-        return Tensor._result(out_data, (a,), _bwd)
-
-    def sqrt(self) -> "Tensor":
-        return self ** 0.5
-
     def tanh(self) -> "Tensor":
         a = self
         out_data = np.tanh(a.data)
@@ -426,18 +404,6 @@ def concat(tensors: Sequence[Tensor], axis: int = -1) -> Tensor:
             if t.requires_grad:
                 t._accumulate(g[tuple(sl)])
             offset += size
-
-    return Tensor._result(out_data, parts, _bwd)
-
-
-def stack(tensors: Sequence[Tensor], axis: int = 0) -> Tensor:
-    parts = list(tensors)
-    out_data = np.stack([t.data for t in parts], axis=axis)
-
-    def _bwd(g: np.ndarray) -> None:
-        for i, t in enumerate(parts):
-            if t.requires_grad:
-                t._accumulate(np.take(g, i, axis=axis))
 
     return Tensor._result(out_data, parts, _bwd)
 

@@ -62,6 +62,9 @@ class TestGen:
             {"train": {"lr": True}},
             {"corpus": {"length_weights": 1.0}},
             {"corpus": {"length_weights": ["a", 1, 1, 1, 1]}},
+            {"train": {"lr_final_stage": True}},
+            {"train": {"lr_final_stage": "fast"}},
+            {"embed": {"expected_dim": "64"}},
         ],
         ids=[
             "section_not_object",
@@ -71,6 +74,9 @@ class TestGen:
             "bool_for_float",
             "number_for_array",
             "string_in_number_array",
+            "bool_for_null_rate",
+            "string_for_null_rate",
+            "string_for_null_dim",
         ],
     )
     def test_wrong_json_type_is_usage_error(self, tmp_path, capsys, bad):
@@ -81,7 +87,7 @@ class TestGen:
         key = section if not isinstance(value, dict) else f"{section}.{next(iter(value))}"
         assert f"config key {key} " in capsys.readouterr().err
 
-    def test_int_where_float_and_any_where_null_are_accepted(self, tmp_path):
+    def test_int_where_float_and_number_where_null_are_accepted(self, tmp_path):
         cfg = tmp_path / "ok.json"
         cfg.write_text(json.dumps({**TINY_CONFIG, "train": {"lr": 1, "lr_final_stage": 5e-4}}))
         assert run_cli("gen", "--config", str(cfg), "--out", str(tmp_path / "o")) == 0
@@ -94,6 +100,15 @@ class TestGen:
         assert run_cli("gen", "--config", str(cfg), "--out", str(tmp_path / "again")) == 0
         again = (tmp_path / "again" / "effective_config.json").read_bytes()
         assert again == (workdir / "gen" / "effective_config.json").read_bytes()
+
+    def test_seed_flag_is_echoed_and_reproduces_the_corpus(self, workdir, tmp_path):
+        assert run_cli("gen", "--config", str(workdir / "cfg.json"), "--seed", "3", "--out", str(tmp_path / "s3")) == 0
+        echoed = json.loads((tmp_path / "s3" / "effective_config.json").read_text())
+        del echoed["run"]
+        cfg = tmp_path / "echoed.json"
+        cfg.write_text(json.dumps(echoed))
+        assert run_cli("gen", "--config", str(cfg), "--out", str(tmp_path / "again")) == 0
+        assert (tmp_path / "again" / "corpus.jsonl").read_bytes() == (tmp_path / "s3" / "corpus.jsonl").read_bytes()
 
     def test_missing_out_flag_exits_2(self, workdir, capsys):
         with pytest.raises(SystemExit) as exc:
@@ -115,6 +130,15 @@ class TestTrain:
         assert (out / "model.ckpt").exists()
         rows = read_training_log(out / "log.csv")
         assert [r["epoch"] for r in rows] == [0, 1]
+
+    def test_seed_flag_is_echoed(self, workdir, corpus_path, tmp_path):
+        out = tmp_path / "train"
+        code = run_cli(
+            "train", "--config", str(workdir / "cfg.json"), "--corpus", str(corpus_path),
+            "--arch", "pointer_mlp", "--seed", "5", "--out", str(out),
+        )
+        assert code == 0
+        assert json.loads((out / "effective_config.json").read_text())["train"]["seed"] == 5
 
     def test_curriculum_without_target_bucket_is_config_error(self, workdir, corpus_path, tmp_path):
         code = run_cli(
@@ -261,6 +285,15 @@ class _EmbedStub(BaseHTTPRequestHandler):
         pass
 
 
+@pytest.fixture
+def stub_endpoint(monkeypatch):
+    server = HTTPServer(("127.0.0.1", 0), _EmbedStub)
+    threading.Thread(target=server.serve_forever, daemon=True).start()
+    monkeypatch.setenv("EMBED_API_KEY", "secret")
+    yield f"http://127.0.0.1:{server.server_port}"
+    server.shutdown()
+
+
 class TestEmbedCommand:
     def test_missing_api_key_is_config_error(self, tmp_path, monkeypatch):
         monkeypatch.delenv("EMBED_API_KEY", raising=False)
@@ -269,21 +302,22 @@ class TestEmbedCommand:
         code = run_cli("embed", "--endpoint", "http://127.0.0.1:1", "--input", str(texts), "--out", str(tmp_path / "e.jsonl"))
         assert code == 2
 
-    def test_embeds_against_stub(self, tmp_path, monkeypatch):
-        server = HTTPServer(("127.0.0.1", 0), _EmbedStub)
-        threading.Thread(target=server.serve_forever, daemon=True).start()
-        try:
-            monkeypatch.setenv("EMBED_API_KEY", "secret")
-            texts = tmp_path / "texts.txt"
-            texts.write_text("alpha\nbeta\n")
-            out = tmp_path / "emb.jsonl"
-            code = run_cli("embed", "--endpoint", f"http://127.0.0.1:{server.server_port}", "--input", str(texts), "--out", str(out))
-            assert code == 0
-            rows = [json.loads(line) for line in out.read_text().splitlines()]
-            assert [r["text"] for r in rows] == ["alpha", "beta"]
-            assert rows[0]["embedding"] == [1.0, 2.0]
-        finally:
-            server.shutdown()
+    def test_embeds_against_stub(self, tmp_path, stub_endpoint):
+        texts = tmp_path / "texts.txt"
+        texts.write_text("alpha\nbeta\n")
+        out = tmp_path / "emb.jsonl"
+        code = run_cli("embed", "--endpoint", stub_endpoint, "--input", str(texts), "--out", str(out))
+        assert code == 0
+        rows = [json.loads(line) for line in out.read_text().splitlines()]
+        assert [r["text"] for r in rows] == ["alpha", "beta"]
+        assert rows[0]["embedding"] == [1.0, 2.0]
+
+    def test_seed_flag_is_usage_error(self, tmp_path, stub_endpoint):
+        texts = tmp_path / "texts.txt"
+        texts.write_text("alpha\n")
+        with pytest.raises(SystemExit) as exc:
+            run_cli("embed", "--seed", "1", "--endpoint", stub_endpoint, "--input", str(texts), "--out", str(tmp_path / "e.jsonl"))
+        assert exc.value.code == 2
 
     def test_unreachable_endpoint_is_runtime_error(self, tmp_path, monkeypatch):
         monkeypatch.setenv("EMBED_API_KEY", "secret")

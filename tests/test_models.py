@@ -45,6 +45,73 @@ class TestModelConfig:
         assert ModelConfig.from_dict(cfg.to_dict()) == cfg
 
 
+# Every parameter's name and shape in registration order, at input_dim 12,
+# hidden_dim 8 and two layers. Checkpoint layout and the order of Adam and
+# global-norm updates follow this order.
+REGISTRY = {
+    Arch.BILSTM_POS: [
+        ("layer0.fwd.wx", (12, 32)), ("layer0.fwd.wh", (8, 32)), ("layer0.fwd.b", (32,)),
+        ("layer0.bwd.wx", (12, 32)), ("layer0.bwd.wh", (8, 32)), ("layer0.bwd.b", (32,)),
+        ("layer1.fwd.wx", (16, 32)), ("layer1.fwd.wh", (8, 32)), ("layer1.fwd.b", (32,)),
+        ("layer1.bwd.wx", (16, 32)), ("layer1.bwd.wh", (8, 32)), ("layer1.bwd.b", (32,)), ("head.w", (16, 1)),
+        ("head.b", (1,)),
+    ],
+    Arch.POINTER_MLP: [
+        ("enc.w0", (12, 8)), ("enc.b0", (8,)), ("enc.w1", (8, 8)), ("enc.b1", (8,)), ("update.w0", (8, 8)),
+        ("update.b0", (8,)), ("update.w1", (8, 8)), ("update.b1", (8,)),
+    ],
+    Arch.POINTER_LSTM: [
+        ("enc.fwd.wx", (12, 32)), ("enc.fwd.wh", (8, 32)), ("enc.fwd.b", (32,)), ("enc.bwd.wx", (12, 32)),
+        ("enc.bwd.wh", (8, 32)), ("enc.bwd.b", (32,)), ("dec.wx", (16, 64)), ("dec.wh", (16, 64)), ("dec.b", (64,)),
+        ("dec.start", (16,)), ("attn.w_enc", (16, 8)), ("attn.w_dec", (16, 8)), ("attn.b", (8,)), ("attn.v", (8, 1)),
+    ],
+    Arch.SEQ2SEQ: [
+        ("input.w", (12, 8)), ("input.b", (8,)), ("pe.table", (25, 8)), ("enc.layer0.ln1.g", (8,)),
+        ("enc.layer0.ln1.b", (8,)), ("enc.layer0.wq", (8, 8)), ("enc.layer0.wk", (8, 8)), ("enc.layer0.wv", (8, 8)),
+        ("enc.layer0.wo", (8, 8)), ("enc.layer0.ln2.g", (8,)), ("enc.layer0.ln2.b", (8,)),
+        ("enc.layer0.ffn.w1", (8, 32)), ("enc.layer0.ffn.b1", (32,)), ("enc.layer0.ffn.w2", (32, 8)),
+        ("enc.layer0.ffn.b2", (8,)), ("enc.layer1.ln1.g", (8,)), ("enc.layer1.ln1.b", (8,)),
+        ("enc.layer1.wq", (8, 8)), ("enc.layer1.wk", (8, 8)), ("enc.layer1.wv", (8, 8)), ("enc.layer1.wo", (8, 8)),
+        ("enc.layer1.ln2.g", (8,)), ("enc.layer1.ln2.b", (8,)), ("enc.layer1.ffn.w1", (8, 32)),
+        ("enc.layer1.ffn.b1", (32,)), ("enc.layer1.ffn.w2", (32, 8)), ("enc.layer1.ffn.b2", (8,)),
+        ("enc.ln_out.g", (8,)), ("enc.ln_out.b", (8,)), ("dec.layer0.ln1.g", (8,)), ("dec.layer0.ln1.b", (8,)),
+        ("dec.layer0.self.wq", (8, 8)), ("dec.layer0.self.wk", (8, 8)), ("dec.layer0.self.wv", (8, 8)),
+        ("dec.layer0.self.wo", (8, 8)), ("dec.layer0.ln2.g", (8,)), ("dec.layer0.ln2.b", (8,)),
+        ("dec.layer0.cross.wq", (8, 8)), ("dec.layer0.cross.wk", (8, 8)), ("dec.layer0.cross.wv", (8, 8)),
+        ("dec.layer0.cross.wo", (8, 8)), ("dec.layer0.ln3.g", (8,)), ("dec.layer0.ln3.b", (8,)),
+        ("dec.layer0.ffn.w1", (8, 32)), ("dec.layer0.ffn.b1", (32,)), ("dec.layer0.ffn.w2", (32, 8)),
+        ("dec.layer0.ffn.b2", (8,)), ("dec.layer1.ln1.g", (8,)), ("dec.layer1.ln1.b", (8,)),
+        ("dec.layer1.self.wq", (8, 8)), ("dec.layer1.self.wk", (8, 8)), ("dec.layer1.self.wv", (8, 8)),
+        ("dec.layer1.self.wo", (8, 8)), ("dec.layer1.ln2.g", (8,)), ("dec.layer1.ln2.b", (8,)),
+        ("dec.layer1.cross.wq", (8, 8)), ("dec.layer1.cross.wk", (8, 8)), ("dec.layer1.cross.wv", (8, 8)),
+        ("dec.layer1.cross.wo", (8, 8)), ("dec.layer1.ln3.g", (8,)), ("dec.layer1.ln3.b", (8,)),
+        ("dec.layer1.ffn.w1", (8, 32)), ("dec.layer1.ffn.b1", (32,)), ("dec.layer1.ffn.w2", (32, 8)),
+        ("dec.layer1.ffn.b2", (8,)), ("dec.ln_out.g", (8,)), ("dec.ln_out.b", (8,)), ("dec.start", (8,)),
+        ("ptr.wq", (8, 8)), ("ptr.wk", (8, 8)),
+    ],
+    Arch.PAIRWISE_RANK: [
+        ("input.w", (12, 8)), ("input.b", (8,)), ("enc.layer0.ln1.g", (8,)), ("enc.layer0.ln1.b", (8,)),
+        ("enc.layer0.wq", (8, 8)), ("enc.layer0.wk", (8, 8)), ("enc.layer0.wv", (8, 8)), ("enc.layer0.wo", (8, 8)),
+        ("enc.layer0.ln2.g", (8,)), ("enc.layer0.ln2.b", (8,)), ("enc.layer0.ffn.w1", (8, 32)),
+        ("enc.layer0.ffn.b1", (32,)), ("enc.layer0.ffn.w2", (32, 8)), ("enc.layer0.ffn.b2", (8,)),
+        ("enc.layer1.ln1.g", (8,)), ("enc.layer1.ln1.b", (8,)), ("enc.layer1.wq", (8, 8)), ("enc.layer1.wk", (8, 8)),
+        ("enc.layer1.wv", (8, 8)), ("enc.layer1.wo", (8, 8)), ("enc.layer1.ln2.g", (8,)), ("enc.layer1.ln2.b", (8,)),
+        ("enc.layer1.ffn.w1", (8, 32)), ("enc.layer1.ffn.b1", (32,)), ("enc.layer1.ffn.w2", (32, 8)),
+        ("enc.layer1.ffn.b2", (8,)), ("enc.ln_out.g", (8,)), ("enc.ln_out.b", (8,)), ("scorer.w0", (8, 8)),
+        ("scorer.b0", (8,)), ("scorer.w1", (8, 8)), ("scorer.b1", (8,)), ("scorer.w2", (8, 8)), ("scorer.b2", (8,)),
+        ("scorer.w3", (8, 1)), ("scorer.b3", (1,)),
+    ],
+}
+
+
+class TestParameterRegistry:
+    @pytest.mark.parametrize("arch, pe", [(a, PeVariant.LEARNED) for a in Arch] + [(Arch.SEQ2SEQ, PeVariant.NONE)])
+    def test_names_shapes_and_order(self, arch, pe):
+        model = build_model(ModelConfig(arch=arch, input_dim=12, hidden_dim=8, layers=2, heads=2, pe_variant=pe))
+        expected = [entry for entry in REGISTRY[arch] if pe is PeVariant.LEARNED or entry[0] != "pe.table"]
+        assert [(name, p.data.shape) for name, p in model.params.items()] == expected
+
+
 class TestOrderingContracts:
     @pytest.mark.parametrize("arch", list(Arch))
     def test_valid_permutations_all_lengths(self, arch):

