@@ -14,7 +14,8 @@ from pathlib import Path
 
 from ..corpus import LengthBucket
 from ..errors import DomainError
-from .report import BUCKETS, EvalReport, atomic_write_text
+from ..fileio import atomic_write
+from .report import BUCKETS, EvalReport
 
 __all__ = ["emit_figures", "FIGURE_FILES", "read_figure_rows"]
 
@@ -34,7 +35,7 @@ def _write_rows(path: Path, header: list[str], rows: list[list]) -> None:
     writer = csv.writer(buf, lineterminator="\n")
     writer.writerow(header)
     writer.writerows(rows)
-    atomic_write_text(path, buf.getvalue())
+    atomic_write(path, buf.getvalue())
 
 
 def emit_figures(report: EvalReport, training_logs: dict, out_dir: str | Path) -> list[Path]:

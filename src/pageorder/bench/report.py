@@ -10,12 +10,12 @@ from __future__ import annotations
 
 import csv
 import io
-import os
 from dataclasses import dataclass
 from pathlib import Path
 
 from ..corpus import LengthBucket
 from ..errors import DomainError
+from ..fileio import atomic_write
 
 __all__ = ["ReportRow", "EvalReport", "REFERENCE_TABLE", "write_report_csv", "read_report_csv", "render_report_text"]
 
@@ -70,12 +70,6 @@ CSV_COLUMNS = (
 )
 
 
-def atomic_write_text(path: Path, text: str) -> None:
-    tmp = path.with_name(path.name + ".tmp")
-    tmp.write_text(text, encoding="utf-8")
-    os.replace(tmp, path)
-
-
 def write_report_csv(report: EvalReport, path: str | Path) -> None:
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
@@ -97,7 +91,7 @@ def write_report_csv(report: EvalReport, path: str | Path) -> None:
             record.append(repr(reference[0][i]) if reference else "")
         record.append(reference[1] if reference else "")
         writer.writerow(record)
-    atomic_write_text(Path(path), buf.getvalue())
+    atomic_write(path, buf.getvalue())
 
 
 def read_report_csv(path: str | Path) -> EvalReport:

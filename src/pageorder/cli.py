@@ -24,7 +24,6 @@ from .bench import (
     transfer_experiment,
     write_report_csv,
 )
-from .bench.report import atomic_write_text
 from .bench.run import ARCH_ROWS
 from .corpus import (
     CorpusConfig,
@@ -38,6 +37,7 @@ from .corpus import (
     split_corpus,
 )
 from .errors import ConfigError, DomainError
+from .fileio import atomic_write
 from .gradgate import run_gradient_gate
 from .models import ArchMismatchError, build_model, desk_config, load_checkpoint, save_checkpoint
 from .training import (
@@ -71,9 +71,9 @@ def _check_json_type(default, value, name: str) -> None:
     """``value`` must have ``default``'s JSON type, and each array item the type of the default's items.
 
     An integer fits where the default is a number. A null default stands
-    for an unset number, so it takes null or a number.
+    for an unset integer, so it takes null or an integer.
     """
-    expected = "number" if default is None else _JSON_TYPES[type(default)]
+    expected = "integer" if default is None else _JSON_TYPES[type(default)]
     got = _JSON_TYPES[type(value)]
     if got != expected and (expected, got) != ("number", "integer") and not (default is None and value is None):
         or_null = " or null" if default is None else ""
@@ -124,7 +124,7 @@ def _echo_config(config: dict, out_dir: Path, extras: dict | None = None) -> Non
     if extras:
         payload = {**payload, "run": extras}
     out_dir.mkdir(parents=True, exist_ok=True)
-    atomic_write_text(out_dir / "effective_config.json", json.dumps(payload, indent=2, sort_keys=True) + "\n")
+    atomic_write(out_dir / "effective_config.json", json.dumps(payload, indent=2, sort_keys=True) + "\n")
 
 
 def _corpus_config(config: dict) -> CorpusConfig:
@@ -230,7 +230,7 @@ def cmd_bench(args: argparse.Namespace) -> int:
         progress=lambda msg: print(msg, file=sys.stderr),
     )
     write_report_csv(result.report, out / "report.csv")
-    atomic_write_text(out / "report.txt", render_report_text(result.report))
+    atomic_write(out / "report.txt", render_report_text(result.report))
     logs_dir = out / "logs"
     logs_dir.mkdir(exist_ok=True)
     for name, history in result.logs.items():
@@ -252,7 +252,7 @@ def cmd_bench(args: argparse.Namespace) -> int:
             f"avg_distance,{comparison.short.avg_distance!r},{comparison.long.avg_distance!r},"
             f"{comparison.ratio!r},{comparison.reference_short.avg_distance!r},{comparison.reference_long.avg_distance!r},{comparison.reference_ratio!r}",
         ]
-        atomic_write_text(out / "locality.csv", "\n".join(lines) + "\n")
+        atomic_write(out / "locality.csv", "\n".join(lines) + "\n")
     _echo_config(config, out, {"command": "bench", "models": list(menu)})
     print(render_report_text(result.report))
     return 0
@@ -303,7 +303,7 @@ def cmd_transfer(args: argparse.Namespace) -> int:
         f"{result.tau_in_domain!r},{result.tau_transfer!r},{result.n_train_docs},"
         f"{result.reference_in_domain!r},{result.reference_transfer!r}",
     ]
-    atomic_write_text(out / "transfer.csv", "\n".join(lines) + "\n")
+    atomic_write(out / "transfer.csv", "\n".join(lines) + "\n")
     _echo_config(config, out, {"command": "transfer"})
     print(
         f"in-domain tau {result.tau_in_domain:.4f}, transfer tau {result.tau_transfer:.4f} "
@@ -314,6 +314,10 @@ def cmd_transfer(args: argparse.Namespace) -> int:
 
 def cmd_embed(args: argparse.Namespace) -> int:
     config = load_config(args.config)
+    for key in ("batch_size", "expected_dim"):
+        value = config["embed"][key]
+        if value is not None and value < 1:
+            raise ConfigError(f"embed.{key} must be at least 1, got {value}")
     endpoint = args.endpoint or config["embed"]["endpoint"]
     if not endpoint:
         raise ConfigError("no embedding endpoint configured")

@@ -123,13 +123,12 @@ def generate_corpus(cfg: CorpusConfig) -> list[Document]:
     return docs
 
 
-def shuffle_instance(doc: Document, seed: int | RngStream) -> ShuffledInstance:
+def shuffle_instance(doc: Document, seed: int) -> ShuffledInstance:
     """Apply one uniformly random permutation drawn from the seeded stream.
 
     The permutation depends on both the seed and the document id, so one
     experiment seed fixes a distinct shuffle for every document.
     """
-    stream = seed if isinstance(seed, RngStream) else RngStream(seed).split("shuffle").split(doc.doc_id)
-    perm = stream.permutation(doc.n_pages)
+    perm = RngStream(seed).split("shuffle").split(doc.doc_id).permutation(doc.n_pages)
     # slot k holds the page whose original position (true rank) is perm[k]
     return ShuffledInstance(doc_id=doc.doc_id, pages=doc.pages[perm], truth_rank=perm)

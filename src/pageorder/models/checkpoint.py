@@ -17,6 +17,7 @@ from pathlib import Path
 import numpy as np
 
 from ..errors import ConfigError
+from ..fileio import atomic_write
 from .base import Model, ModelConfig
 
 __all__ = [
@@ -54,7 +55,6 @@ def _config_bytes(config: ModelConfig) -> bytes:
 
 def save_checkpoint(model: Model, path: str | Path) -> None:
     """Serialize config and parameters; float32 data round-trips bit-exactly."""
-    path = Path(path)
     cfg = _config_bytes(model.config)
     out = bytearray()
     out += MAGIC
@@ -74,9 +74,7 @@ def save_checkpoint(model: Model, path: str | Path) -> None:
             out += struct.pack("<I", d)
         out += np.ascontiguousarray(tensor.data, dtype="<f4").tobytes()
     out += hashlib.sha256(bytes(out)).digest()
-    tmp = path.with_suffix(path.suffix + ".tmp")
-    tmp.write_bytes(bytes(out))
-    tmp.replace(path)
+    atomic_write(path, bytes(out))
 
 
 class _Reader:

@@ -9,7 +9,6 @@ from .loop import (
     fit,
     read_training_log,
     record_from_log_row,
-    route,
     write_training_log,
 )
 from .losses import ConsistencyError, loss_pairwise, loss_pointer, loss_position, make_pairwise_targets
@@ -22,7 +21,6 @@ __all__ = [
     "SpecialistEnsemble",
     "fit",
     "evaluate",
-    "route",
     "write_training_log",
     "read_training_log",
     "record_from_log_row",

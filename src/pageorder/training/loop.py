@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import csv
+import io
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -10,6 +11,7 @@ import numpy as np
 
 from ..corpus import Document, LengthBucket, ShuffledInstance, bucket_of, shuffle_instance
 from ..errors import ConfigError, DomainError
+from ..fileio import atomic_write
 from ..metrics import BucketMeans, mean_tau
 from ..models import Arch, Model
 from ..numcore import RngStream, Tensor, TrainingDivergedError, adam_step, clip_global_norm, init_adam
@@ -23,7 +25,6 @@ __all__ = [
     "SpecialistEnsemble",
     "fit",
     "evaluate",
-    "route",
     "write_training_log",
     "read_training_log",
 ]
@@ -34,13 +35,11 @@ class TrainConfig:
     epochs: int = 30
     batch_size: int = 16
     lr: float = 1e-3
-    lr_final_stage: float | None = None  # defaults to lr * stage scale
     clip_norm: float = 1.0
     strategy: Strategy = Strategy.UNIVERSAL
     target_bucket: LengthBucket | None = None
     weight_factor: float = 5.0
     seed: int = 0
-    reshuffle_per_epoch: bool = False
 
     def __post_init__(self):
         if self.weight_factor < 1.0:
@@ -50,9 +49,9 @@ class TrainConfig:
         if self.epochs < 1 or self.batch_size < 1:
             raise ConfigError("epochs and batch_size must be positive")
         # a negative step or clip bound flips the gradient, and zero freezes training
-        for name in ("lr", "clip_norm", "lr_final_stage"):
+        for name in ("lr", "clip_norm"):
             value = getattr(self, name)
-            if value is not None and not value > 0:
+            if not value > 0:
                 raise ConfigError(f"{name} must be positive, got {value}")
 
 
@@ -90,10 +89,9 @@ class SpecialistEnsemble:
     def param_count(self) -> int:
         return sum(m.param_count() for m in self.models.values())
 
-
-def route(ensemble: SpecialistEnsemble, instance: ShuffledInstance) -> Model:
-    """Pick the specialist whose bucket covers the instance length."""
-    return ensemble.models[bucket_of(instance.n_pages)]
+    def order_batch(self, pages: np.ndarray) -> np.ndarray:
+        """Order a ``(B, n, dim)`` stack with the specialist whose bucket covers ``n``."""
+        return self.models[bucket_of(pages.shape[1])].order_batch(pages)
 
 
 def _per_doc_loss(model: Model, pages: Tensor, truth: np.ndarray) -> Tensor:
@@ -113,20 +111,14 @@ def evaluate(model_or_ensemble, instances: list[ShuffledInstance]) -> BucketMean
     """Mean tau of greedy predictions, per bucket and overall.
 
     Instances of one length are ordered together by one ``order_batch``
-    call; an ensemble routes each such group to the specialist for its
-    length. Predictions keep the instance order.
+    call of the model or ensemble. Predictions keep the instance order.
     """
     groups: dict[int, list[int]] = {}
     for i, inst in enumerate(instances):
         groups.setdefault(inst.n_pages, []).append(i)
     predictions: list = [None] * len(instances)
     for group in groups.values():
-        model = (
-            route(model_or_ensemble, instances[group[0]])
-            if isinstance(model_or_ensemble, SpecialistEnsemble)
-            else model_or_ensemble
-        )
-        orders = model.order_batch(np.stack([instances[i].pages for i in group]))
+        orders = model_or_ensemble.order_batch(np.stack([instances[i].pages for i in group]))
         for i, order in zip(group, orders):
             predictions[i] = order
     return mean_tau(instances, predictions)
@@ -178,25 +170,16 @@ def fit(model: Model, train_docs: list[Document], val_docs: list[Document], cfg:
     epoch = 0
     for stage_idx, stage in enumerate(stages):
         stage_lr = cfg.lr * stage.lr_scale
-        if stage.lr_scale != 1.0 and cfg.lr_final_stage is not None:
-            stage_lr = cfg.lr_final_stage
         state.learning_rate = stage_lr
-        stage_positions = [i for i, d in enumerate(train_docs) if stage.contains(d.n_pages)]
-        if not stage_positions:
+        instances = [inst for inst in base_instances if stage.contains(inst.n_pages)]
+        if not instances:
             raise ConfigError(f"no training documents with {stage.min_len}-{stage.max_len} pages")
+        lengths = [inst.n_pages for inst in instances]
         for _ in range(stage.epochs):
-            if cfg.reshuffle_per_epoch:
-                epoch_rng = RngStream(cfg.seed).split("reshuffle").split(epoch)
-                instances = [
-                    shuffle_instance(train_docs[i], epoch_rng.split(train_docs[i].doc_id))
-                    for i in stage_positions
-                ]
-            else:
-                instances = [base_instances[i] for i in stage_positions]
-            lengths = [inst.n_pages for inst in instances]
             order = run_rng.split(f"order-ep{epoch}").permutation(len(instances))
             batches = _batches(lengths, cfg.batch_size, order)
 
+            # train_loss: the per-document losses averaged with their batch's weight
             total_weighted_loss = 0.0
             total_weight = 0.0
             seen_lengths: set[int] = set()
@@ -206,17 +189,13 @@ def fit(model: Model, train_docs: list[Document], val_docs: list[Document], cfg:
                 seen_lengths.add(n)
                 pages = Tensor(np.stack([inst.pages for inst in insts]).astype(model.dtype))
                 truth = np.stack([inst.truth_rank for inst in insts])
-                if cfg.strategy is Strategy.SPECIALIZED_DIRECT:
-                    weights = np.array(
-                        [specialization_weight(n, cfg.target_bucket, cfg.weight_factor) for _ in insts],
-                        dtype=model.dtype,
-                    )
-                else:
-                    weights = np.ones(len(insts), dtype=model.dtype)
+                weight = (
+                    specialization_weight(n, cfg.target_bucket, cfg.weight_factor)
+                    if cfg.strategy is Strategy.SPECIALIZED_DIRECT
+                    else 1.0
+                )
                 model.zero_grad()
-                per_doc = _per_doc_loss(model, pages, truth)
-                weight_sum = float(weights.sum())
-                batch_loss = (per_doc * weights).sum() * (1.0 / weight_sum)
+                batch_loss = _per_doc_loss(model, pages, truth).mean() * weight
                 loss_value = batch_loss.item()
                 if not np.isfinite(loss_value):
                     raise TrainingDivergedError(f"non-finite loss at epoch {epoch}")
@@ -226,8 +205,8 @@ def fit(model: Model, train_docs: list[Document], val_docs: list[Document], cfg:
                 grads = [p.grad if p.grad is not None else np.zeros_like(p.data) for p in params]
                 clip_global_norm(grads, cfg.clip_norm)
                 adam_step(params, grads, state)
-                total_weighted_loss += loss_value * weight_sum
-                total_weight += weight_sum
+                total_weighted_loss += loss_value * len(batch)
+                total_weight += weight * len(batch)
 
             val = evaluate(model, val_instances)
             record = EpochRecord(
@@ -260,25 +239,25 @@ LOG_COLUMNS = ["epoch", "stage", "stage_min_len", "stage_max_len", "lr", "train_
 
 
 def write_training_log(history: list[EpochRecord], path: str | Path) -> None:
-    """One CSV record per epoch; absent buckets stay empty."""
-    path = Path(path)
-    with path.open("w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(LOG_COLUMNS)
-        for r in history:
-            row = [
-                r.epoch,
-                r.stage,
-                r.stage_min_len,
-                r.stage_max_len,
-                repr(r.lr),
-                repr(r.train_loss),
-                repr(r.val_tau_overall),
-            ]
-            for bucket in LengthBucket:
-                value = r.val_tau_by_bucket.get(bucket)
-                row.append("" if value is None else repr(value))
-            writer.writerow(row)
+    """One CSV record per epoch (CRLF line ends); absent buckets stay empty. Written atomically."""
+    buf = io.StringIO()
+    writer = csv.writer(buf)
+    writer.writerow(LOG_COLUMNS)
+    for r in history:
+        row = [
+            r.epoch,
+            r.stage,
+            r.stage_min_len,
+            r.stage_max_len,
+            repr(r.lr),
+            repr(r.train_loss),
+            repr(r.val_tau_overall),
+        ]
+        for bucket in LengthBucket:
+            value = r.val_tau_by_bucket.get(bucket)
+            row.append("" if value is None else repr(value))
+        writer.writerow(row)
+    atomic_write(path, buf.getvalue())
 
 
 def record_from_log_row(row: dict) -> EpochRecord:

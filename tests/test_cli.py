@@ -58,24 +58,22 @@ class TestGen:
             {"train": 5},
             {"corpus": {"n_docs": "90"}},
             {"train": {"epochs": 2.0}},
-            {"train": {"reshuffle_per_epoch": "false"}},
             {"train": {"lr": True}},
             {"corpus": {"length_weights": 1.0}},
             {"corpus": {"length_weights": ["a", 1, 1, 1, 1]}},
-            {"train": {"lr_final_stage": True}},
-            {"train": {"lr_final_stage": "fast"}},
+            {"embed": {"expected_dim": True}},
+            {"embed": {"expected_dim": 64.5}},
             {"embed": {"expected_dim": "64"}},
         ],
         ids=[
             "section_not_object",
             "int_as_string",
             "float_for_int",
-            "string_for_bool",
             "bool_for_float",
             "number_for_array",
             "string_in_number_array",
-            "bool_for_null_rate",
-            "string_for_null_rate",
+            "bool_for_null_dim",
+            "number_for_null_dim",
             "string_for_null_dim",
         ],
     )
@@ -87,9 +85,9 @@ class TestGen:
         key = section if not isinstance(value, dict) else f"{section}.{next(iter(value))}"
         assert f"config key {key} " in capsys.readouterr().err
 
-    def test_int_where_float_and_number_where_null_are_accepted(self, tmp_path):
+    def test_int_where_float_and_integer_where_null_are_accepted(self, tmp_path):
         cfg = tmp_path / "ok.json"
-        cfg.write_text(json.dumps({**TINY_CONFIG, "train": {"lr": 1, "lr_final_stage": 5e-4}}))
+        cfg.write_text(json.dumps({**TINY_CONFIG, "train": {"lr": 1}, "embed": {"expected_dim": 64}}))
         assert run_cli("gen", "--config", str(cfg), "--out", str(tmp_path / "o")) == 0
 
     def test_effective_config_feeds_back_byte_identical(self, workdir, tmp_path):
@@ -273,7 +271,10 @@ class TestTransferCommand:
 
 
 class _EmbedStub(BaseHTTPRequestHandler):
+    posts = 0
+
     def do_POST(self):
+        type(self).posts += 1
         body = json.loads(self.rfile.read(int(self.headers["Content-Length"])))
         payload = json.dumps({"embeddings": [[1.0, 2.0] for _ in body["texts"]]}).encode()
         self.send_response(200)
@@ -318,6 +319,23 @@ class TestEmbedCommand:
         with pytest.raises(SystemExit) as exc:
             run_cli("embed", "--seed", "1", "--endpoint", stub_endpoint, "--input", str(texts), "--out", str(tmp_path / "e.jsonl"))
         assert exc.value.code == 2
+
+    @pytest.mark.parametrize(
+        "setting",
+        [{"batch_size": -1}, {"batch_size": 0}, {"expected_dim": 64.5}, {"expected_dim": -3}],
+        ids=lambda setting: "{}={}".format(*next(iter(setting.items()))),
+    )
+    def test_bad_embed_setting_is_usage_error(self, tmp_path, capsys, stub_endpoint, setting):
+        cfg = tmp_path / "embed.json"
+        cfg.write_text(json.dumps({"embed": setting}))
+        texts = tmp_path / "texts.txt"
+        texts.write_text("alpha\nbeta\ngamma\n")
+        out = tmp_path / "e.jsonl"
+        posts = _EmbedStub.posts
+        code = run_cli("embed", "--config", str(cfg), "--endpoint", stub_endpoint, "--input", str(texts), "--out", str(out))
+        assert code == 2
+        assert f"embed.{next(iter(setting))} " in capsys.readouterr().err
+        assert _EmbedStub.posts == posts and not out.exists()
 
     def test_unreachable_endpoint_is_runtime_error(self, tmp_path, monkeypatch):
         monkeypatch.setenv("EMBED_API_KEY", "secret")

@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -27,7 +29,6 @@ from pageorder.training import (
     loss_position,
     make_pairwise_targets,
     read_training_log,
-    route,
     specialization_weight,
     write_training_log,
 )
@@ -219,8 +220,6 @@ class TestTrainConfig:
             {"lr": 0.0},
             {"clip_norm": -1.0},
             {"clip_norm": 0.0},
-            {"lr_final_stage": -1e-4},
-            {"lr_final_stage": 0.0},
         ],
         ids=lambda knob: "{}={}".format(*next(iter(knob.items()))),
     )
@@ -275,6 +274,35 @@ class TestFit:
         )
         assert np.array_equal(res_u.val_tau_series, res_s.val_tau_series)
 
+    def test_specialist_weight_scales_the_target_bucket_gradient(self, small_corpus, monkeypatch):
+        import pageorder.training.loop as loop
+
+        train, val, _ = small_corpus
+        clip = loop.clip_global_norm
+
+        def pre_clip_norms(cfg):
+            norms = []
+
+            def recording_clip(grads, max_norm):
+                norms.append(clip(grads, max_norm))
+                return norms[-1]
+
+            monkeypatch.setattr(loop, "clip_global_norm", recording_clip)
+            fit(tiny(Arch.PAIRWISE_RANK, seed=8), train, val, cfg)
+            return norms
+
+        base = dict(epochs=1, batch_size=8, seed=5)
+        universal = pre_clip_norms(TrainConfig(**base))
+        specialized = pre_clip_norms(
+            TrainConfig(
+                **base, strategy=Strategy.SPECIALIZED_DIRECT, target_bucket=LengthBucket.B6_10, weight_factor=5.0
+            )
+        )
+        # batches run shortest first: the 2-5 page steps match bit for bit, the first 6-10 page step is 5x
+        first = next(i for i, (u, s) in enumerate(zip(universal, specialized)) if u != s)
+        assert first > 0
+        assert specialized[first] == pytest.approx(5.0 * universal[first], rel=1e-5)
+
     def test_curriculum_respects_stage_ranges(self, small_corpus):
         train, val, _ = small_corpus
         model = tiny(Arch.PAIRWISE_RANK, seed=9)
@@ -318,6 +346,24 @@ class TestFit:
         assert rows[0]["epoch"] == 0
         assert rows[1]["val_tau_overall"] == result.history[1].val_tau_overall
 
+    def test_failed_log_write_keeps_the_earlier_log(self, small_corpus, tmp_path):
+        train, val, _ = small_corpus
+        model = tiny(Arch.BILSTM_POS, seed=11)
+        history = fit(model, train, val, TrainConfig(epochs=2, batch_size=8, seed=7)).history
+        path = tmp_path / "log.csv"
+        write_training_log(history, path)
+        before = path.read_bytes()
+
+        class Unwritable(float):
+            def __repr__(self):
+                raise OSError("disk full")
+
+        # the second record fails after the header and the first record are formatted
+        broken = replace(history[1], train_loss=Unwritable(1.0))
+        with pytest.raises(OSError, match="disk full"):
+            write_training_log([history[0], broken], path)
+        assert path.read_bytes() == before
+
 
 class TestEvaluate:
     def _predictions(self, monkeypatch, model_or_ensemble, instances):
@@ -351,22 +397,20 @@ class TestEvaluate:
         _, val, test = small_corpus
         instances = [shuffle_instance(d, 4) for d in val + test]
         assert len({bucket_of(i.n_pages) for i in instances}) > 2
-        ensemble = SpecialistEnsemble(models={b: tiny(Arch.POINTER_MLP, seed=i) for i, b in enumerate(LengthBucket)})
-        predictions, _ = self._predictions(monkeypatch, ensemble, instances)
-        assert predictions == [route(ensemble, inst).order(inst.pages).tolist() for inst in instances]
+        models = {b: tiny(Arch.POINTER_MLP, seed=i) for i, b in enumerate(LengthBucket)}
+        predictions, _ = self._predictions(monkeypatch, SpecialistEnsemble(models=models), instances)
+        assert predictions == [models[bucket_of(inst.n_pages)].order(inst.pages).tolist() for inst in instances]
 
 
 class TestRouting:
-    def test_route_by_length(self, small_corpus):
+    @pytest.mark.parametrize("n, bucket", [(7, LengthBucket.B6_10), (25, LengthBucket.B21_25)])
+    def test_order_batch_by_length(self, n, bucket):
         models = {b: tiny(Arch.PAIRWISE_RANK, seed=i) for i, b in enumerate(LengthBucket)}
         ensemble = SpecialistEnsemble(models=models)
-        from pageorder.corpus import shuffle_instance
-
-        doc = Document(doc_id="d", pages=np.zeros((7, DIM), dtype=np.float32))
-        inst = shuffle_instance(doc, 1)
-        assert route(ensemble, inst) is models[LengthBucket.B6_10]
-        doc25 = Document(doc_id="e", pages=np.zeros((25, DIM), dtype=np.float32))
-        assert route(ensemble, shuffle_instance(doc25, 1)) is models[LengthBucket.B21_25]
+        pages = np.random.default_rng(n).normal(size=(3, n, DIM)).astype(np.float32)
+        expected = models[bucket].order_batch(pages)
+        assert np.array_equal(ensemble.order_batch(pages), expected)
+        assert all(not np.array_equal(models[b].order_batch(pages), expected) for b in models if b is not bucket)
 
     def test_missing_bucket_rejected(self):
         models = {b: tiny(Arch.PAIRWISE_RANK) for b in list(LengthBucket)[:-1]}
