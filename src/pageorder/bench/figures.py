@@ -41,8 +41,8 @@ def _write_rows(path: Path, header: list[str], rows: list[list]) -> None:
 def emit_figures(report: EvalReport, training_logs: dict, out_dir: str | Path) -> list[Path]:
     """Write the four figure-data files; returns their paths.
 
-    ``training_logs`` maps configuration name to a per-epoch record list
-    (either EpochRecord objects or dicts from read_training_log).
+    ``training_logs`` maps configuration name to its per-epoch log rows
+    (``fit(...).history`` or ``read_training_log``).
     """
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
@@ -86,10 +86,9 @@ def emit_figures(report: EvalReport, training_logs: dict, out_dir: str | Path) -
     rows4 = []
     for name in PE_VARIANTS:
         for record in training_logs.get(name, []):
-            epoch = record["epoch"] if isinstance(record, dict) else record.epoch
-            tau = record["val_tau_overall"] if isinstance(record, dict) else record.val_tau_overall
+            tau = record["val_tau_overall"]
             # negative validation tau marks a worse-than-random epoch
-            rows4.append([name, str(epoch), repr(tau), str(int(tau < 0.0))])
+            rows4.append([name, str(record["epoch"]), repr(tau), str(int(tau < 0.0))])
     _write_rows(paths[3], ["variant", "epoch", "val_tau", "worse_than_random"], rows4)
     return paths
 

@@ -194,16 +194,12 @@ def cmd_train(args: argparse.Namespace) -> int:
         model = build_model(model_cfg)
 
     result = fit(model, splits[0], splits[1], train_cfg)
-    offset = len(prior_history)
-    for record in result.history:
-        record.epoch += offset
+    for row in result.history:
+        row["epoch"] += len(prior_history)
     save_checkpoint(model, out / "model.ckpt")
-    from .training import record_from_log_row
-
-    merged = [record_from_log_row(row) for row in prior_history] + result.history
-    write_training_log(merged, out / "log.csv")
+    write_training_log(prior_history + result.history, out / "log.csv")
     _echo_config(config, out, {"command": "train", "arch": args.arch, "strategy": strategy.value})
-    best = max(r.val_tau_overall for r in result.history)
+    best = max(r["val_tau_overall"] for r in result.history)
     print(f"trained {args.arch} ({strategy.value}); best validation tau {best:.4f}")
     print(f"checkpoint: {out / 'model.ckpt'}; log: {out / 'log.csv'}")
     return 0
@@ -215,7 +211,9 @@ def cmd_bench(args: argparse.Namespace) -> int:
     splits = split_corpus(docs, seed=config["seed"])
     corpus_cfg = _corpus_config(config)
     train_cfg = _train_config(config, Strategy.UNIVERSAL, None)
-    menu = tuple(args.models.split(",")) if args.models else tuple(config["bench"]["models"])
+    if args.models:
+        config["bench"]["models"] = args.models.split(",")
+    menu = tuple(config["bench"]["models"])
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
 

@@ -14,7 +14,7 @@ import numpy as np
 from ..errors import DomainError
 from ..numcore import Tensor, no_grad
 from .base import Model, ModelConfig
-from .transformer import build_stack, run_encoder
+from .transformer import build_stack, encoder_attention, run_encoder
 
 __all__ = ["PairwiseScores", "PairwiseRankModel", "aggregate_scores"]
 
@@ -87,13 +87,7 @@ class PairwiseRankModel(Model):
             s, attns = self.score_matrix(Tensor(pages.reshape(1, n, -1)))
         return PairwiseScores(n=n, s=s.data[0].astype(np.float64)), [a.data[0] for a in attns]
 
-    def encoder_attention(self, pages: np.ndarray) -> np.ndarray:
-        """Stacked self-attention weights, shape (layers, heads, n, n)."""
-        pages = self._as_input(pages)
-        n = pages.shape[0]
-        with no_grad():
-            _, attns = self.encode(Tensor(pages.reshape(1, n, -1)))
-        return np.stack([a.data[0] for a in attns])
+    encoder_attention = encoder_attention
 
     def order(self, pages: np.ndarray) -> np.ndarray:
         return self.order_batch(self._as_input(pages)[None])[0]

@@ -14,7 +14,7 @@ import numpy as np
 from ..numcore import Tensor, concat, no_grad, sinusoidal_positions
 from .base import LengthError, Model, ModelConfig, PeVariant
 from .pointer import _batch_select, _free_slots, _start_rows, greedy_decode
-from .transformer import DecoderCache, build_stack, run_decoder, run_encoder
+from .transformer import DecoderCache, build_stack, encoder_attention, run_decoder, run_encoder
 
 __all__ = ["Seq2SeqModel"]
 
@@ -100,10 +100,4 @@ class Seq2SeqModel(Model):
 
             return greedy_decode(n, step)
 
-    def encoder_attention(self, pages: np.ndarray) -> np.ndarray:
-        """Stacked encoder self-attention weights, shape (layers, heads, n, n)."""
-        pages = self._as_input(pages)
-        n = pages.shape[0]
-        with no_grad():
-            _, attns = self.encode(Tensor(pages.reshape(1, n, -1)))
-        return np.stack([a.data[0] for a in attns])
+    encoder_attention = encoder_attention

@@ -7,7 +7,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from ..numcore import Tensor, concat, layer_norm, multi_head_attention
+from ..numcore import Tensor, concat, layer_norm, multi_head_attention, no_grad
 
 FFN_MULT = 4
 
@@ -60,6 +60,18 @@ def run_encoder(model, prefix: str, x: Tensor) -> tuple[Tensor, list[Tensor]]:
         attns.append(attn)
         x = _feed_forward(params, p, "ln2", x + mixed @ params[f"{p}.wo"])
     return _norm(params, f"{prefix}.ln_out", x), attns
+
+
+def encoder_attention(model, pages: np.ndarray) -> np.ndarray:
+    """Stacked encoder self-attention weights of one document, shape (layers, heads, n, n).
+
+    Bound as a method by the models whose ``encode`` runs this module's encoder.
+    """
+    pages = model._as_input(pages)
+    n = pages.shape[0]
+    with no_grad():
+        _, attns = model.encode(Tensor(pages.reshape(1, n, -1)))
+    return np.stack([a.data[0] for a in attns])
 
 
 class DecoderCache:

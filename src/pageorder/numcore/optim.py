@@ -15,34 +15,28 @@ class TrainingDivergedError(RuntimeError):
     """A gradient or loss became non-finite."""
 
 
+# moment decay rates and the denominator guard, the usual defaults
+BETA1 = 0.9
+BETA2 = 0.999
+EPSILON = 1e-8
+
+
 @dataclass
 class AdamState:
-    """Per-parameter moment estimates plus hyperparameters."""
+    """Per-parameter moment estimates plus the step size."""
 
     step_count: int
     first_moment: list[np.ndarray]
     second_moment: list[np.ndarray]
     learning_rate: float
-    beta1: float = 0.9
-    beta2: float = 0.999
-    epsilon: float = 1e-8
 
 
-def init_adam(
-    params: list[Tensor],
-    learning_rate: float = 1e-3,
-    beta1: float = 0.9,
-    beta2: float = 0.999,
-    epsilon: float = 1e-8,
-) -> AdamState:
+def init_adam(params: list[Tensor], learning_rate: float = 1e-3) -> AdamState:
     return AdamState(
         step_count=0,
         first_moment=[np.zeros_like(p.data) for p in params],
         second_moment=[np.zeros_like(p.data) for p in params],
         learning_rate=learning_rate,
-        beta1=beta1,
-        beta2=beta2,
-        epsilon=epsilon,
     )
 
 
@@ -74,15 +68,14 @@ def adam_step(params: list[Tensor], grads: list[np.ndarray], state: AdamState) -
             raise TrainingDivergedError("non-finite gradient")
     state.step_count += 1
     t = state.step_count
-    b1, b2 = state.beta1, state.beta2
-    correction1 = 1.0 - b1**t
-    correction2 = 1.0 - b2**t
+    correction1 = 1.0 - BETA1**t
+    correction2 = 1.0 - BETA2**t
     for p, g, m, v in zip(params, grads, state.first_moment, state.second_moment):
-        m *= b1
-        m += (1.0 - b1) * g
-        v *= b2
-        v += (1.0 - b2) * g * g
+        m *= BETA1
+        m += (1.0 - BETA1) * g
+        v *= BETA2
+        v += (1.0 - BETA2) * g * g
         m_hat = m / correction1
         v_hat = v / correction2
-        p.data -= (state.learning_rate * m_hat / (np.sqrt(v_hat) + state.epsilon)).astype(p.data.dtype)
+        p.data -= (state.learning_rate * m_hat / (np.sqrt(v_hat) + EPSILON)).astype(p.data.dtype)
     return params

@@ -237,11 +237,7 @@ class Tensor:
 
     __rmul__ = __mul__
 
-    def __truediv__(self, other) -> "Tensor":
-        if isinstance(other, Tensor):
-            if other.data.size != 1:
-                raise ShapeError("tensor division only supports scalar divisors")
-            return self * other ** -1.0
+    def __truediv__(self, other: float) -> "Tensor":
         return self * (1.0 / float(other))
 
     def __pow__(self, exponent: float) -> "Tensor":

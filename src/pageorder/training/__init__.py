@@ -1,14 +1,12 @@
 """Losses, training strategies, curriculum, and length-based routing."""
 
 from .loop import (
-    EpochRecord,
     FitResult,
     SpecialistEnsemble,
     TrainConfig,
     evaluate,
     fit,
     read_training_log,
-    record_from_log_row,
     write_training_log,
 )
 from .losses import ConsistencyError, loss_pairwise, loss_pointer, loss_position, make_pairwise_targets
@@ -16,14 +14,12 @@ from .schedule import CurriculumStage, Strategy, curriculum_schedule, specializa
 
 __all__ = [
     "TrainConfig",
-    "EpochRecord",
     "FitResult",
     "SpecialistEnsemble",
     "fit",
     "evaluate",
     "write_training_log",
     "read_training_log",
-    "record_from_log_row",
     "make_pairwise_targets",
     "loss_pairwise",
     "loss_pointer",

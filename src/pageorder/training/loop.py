@@ -20,7 +20,6 @@ from .schedule import CurriculumStage, Strategy, curriculum_schedule, specializa
 
 __all__ = [
     "TrainConfig",
-    "EpochRecord",
     "FitResult",
     "SpecialistEnsemble",
     "fit",
@@ -55,22 +54,27 @@ class TrainConfig:
                 raise ConfigError(f"{name} must be positive, got {value}")
 
 
-@dataclass
-class EpochRecord:
-    epoch: int
-    stage: int
-    stage_min_len: int
-    stage_max_len: int
-    lr: float
-    train_loss: float
-    val_tau_overall: float
-    val_tau_by_bucket: dict
-    lengths_seen: list[int]
+def _float_or_none(cell: str) -> float | None:
+    return float(cell) if cell else None
+
+
+# The per-epoch record, column -> cell parser: ``fit`` builds one row of these
+# columns per epoch, ``write_training_log`` writes it and ``read_training_log``
+# parses it back.
+_LOG_PARSERS = {
+    **dict.fromkeys(["epoch", "stage", "stage_min_len", "stage_max_len"], int),
+    **dict.fromkeys(["lr", "train_loss", "val_tau_overall"], float),
+    **{f"val_tau_{b.label}": _float_or_none for b in LengthBucket},
+}
+LOG_COLUMNS = list(_LOG_PARSERS)
 
 
 @dataclass
 class FitResult:
-    history: list[EpochRecord]
+    """``history`` holds one row per epoch: the ``LOG_COLUMNS`` values, ``None``
+    for a bucket without validation documents, plus the ``lengths_seen`` in batches."""
+
+    history: list[dict]
     val_tau_series: np.ndarray
     best_epoch: int
 
@@ -150,7 +154,7 @@ def fit(model: Model, train_docs: list[Document], val_docs: list[Document], cfg:
     """Train under the configured strategy; returns the best-validation snapshot.
 
     Validation tau is recorded after every epoch. Curriculum stages see
-    only documents inside their length range, and each epoch record keeps
+    only documents inside their length range, and each epoch's row keeps
     the set of lengths that actually entered batches for auditing.
     """
     if not train_docs or not val_docs:
@@ -165,7 +169,7 @@ def fit(model: Model, train_docs: list[Document], val_docs: list[Document], cfg:
     best_state: dict | None = None
     best_tau = -np.inf
     best_epoch = -1
-    history: list[EpochRecord] = []
+    history: list[dict] = []
 
     epoch = 0
     for stage_idx, stage in enumerate(stages):
@@ -209,18 +213,18 @@ def fit(model: Model, train_docs: list[Document], val_docs: list[Document], cfg:
                 total_weight += weight * len(batch)
 
             val = evaluate(model, val_instances)
-            record = EpochRecord(
-                epoch=epoch,
-                stage=stage_idx,
-                stage_min_len=stage.min_len,
-                stage_max_len=stage.max_len,
-                lr=stage_lr,
-                train_loss=total_weighted_loss / total_weight,
-                val_tau_overall=val.overall,
-                val_tau_by_bucket=dict(val.per_bucket),
-                lengths_seen=sorted(seen_lengths),
-            )
-            history.append(record)
+            row = {
+                "epoch": epoch,
+                "stage": stage_idx,
+                "stage_min_len": stage.min_len,
+                "stage_max_len": stage.max_len,
+                "lr": stage_lr,
+                "train_loss": total_weighted_loss / total_weight,
+                "val_tau_overall": val.overall,
+                **{f"val_tau_{b.label}": val.per_bucket.get(b) for b in LengthBucket},
+                "lengths_seen": sorted(seen_lengths),
+            }
+            history.append(row)
             if val.overall > best_tau:
                 best_tau = val.overall
                 best_epoch = epoch
@@ -229,73 +233,25 @@ def fit(model: Model, train_docs: list[Document], val_docs: list[Document], cfg:
 
     assert best_state is not None
     model.load_state_arrays(best_state)
-    series = np.array([r.val_tau_overall for r in history], dtype=np.float64)
+    series = np.array([r["val_tau_overall"] for r in history], dtype=np.float64)
     return FitResult(history=history, val_tau_series=series, best_epoch=best_epoch)
 
 
-LOG_COLUMNS = ["epoch", "stage", "stage_min_len", "stage_max_len", "lr", "train_loss", "val_tau_overall"] + [
-    f"val_tau_{b.label}" for b in LengthBucket
-]
-
-
-def write_training_log(history: list[EpochRecord], path: str | Path) -> None:
-    """One CSV record per epoch (CRLF line ends); absent buckets stay empty. Written atomically."""
+def write_training_log(history: list[dict], path: str | Path) -> None:
+    """One CSV record per epoch (CRLF line ends) of the ``LOG_COLUMNS``; other keys are
+    not logged and a ``None`` bucket stays empty. Written atomically."""
     buf = io.StringIO()
     writer = csv.writer(buf)
     writer.writerow(LOG_COLUMNS)
-    for r in history:
-        row = [
-            r.epoch,
-            r.stage,
-            r.stage_min_len,
-            r.stage_max_len,
-            repr(r.lr),
-            repr(r.train_loss),
-            repr(r.val_tau_overall),
-        ]
-        for bucket in LengthBucket:
-            value = r.val_tau_by_bucket.get(bucket)
-            row.append("" if value is None else repr(value))
-        writer.writerow(row)
+    for row in history:
+        writer.writerow(["" if row[c] is None else repr(row[c]) for c in LOG_COLUMNS])
     atomic_write(path, buf.getvalue())
 
 
-def record_from_log_row(row: dict) -> EpochRecord:
-    """Rebuild an EpochRecord from a parsed log row (lengths are not logged)."""
-    return EpochRecord(
-        epoch=row["epoch"],
-        stage=row["stage"],
-        stage_min_len=row["stage_min_len"],
-        stage_max_len=row["stage_max_len"],
-        lr=row["lr"],
-        train_loss=row["train_loss"],
-        val_tau_overall=row["val_tau_overall"],
-        val_tau_by_bucket={
-            b: row[f"val_tau_{b.label}"] for b in LengthBucket if row[f"val_tau_{b.label}"] is not None
-        },
-        lengths_seen=[],
-    )
-
-
 def read_training_log(path: str | Path) -> list[dict]:
-    """Parse a training log back into per-epoch dictionaries."""
+    """Parse a training log back into its per-epoch rows (without ``lengths_seen``)."""
     with Path(path).open("r", newline="", encoding="utf-8") as fh:
         reader = csv.DictReader(fh)
         if reader.fieldnames != LOG_COLUMNS:
             raise DomainError(f"unexpected training log columns: {reader.fieldnames}")
-        rows = []
-        for raw in reader:
-            row: dict = {
-                "epoch": int(raw["epoch"]),
-                "stage": int(raw["stage"]),
-                "stage_min_len": int(raw["stage_min_len"]),
-                "stage_max_len": int(raw["stage_max_len"]),
-                "lr": float(raw["lr"]),
-                "train_loss": float(raw["train_loss"]),
-                "val_tau_overall": float(raw["val_tau_overall"]),
-            }
-            for bucket in LengthBucket:
-                cell = raw[f"val_tau_{bucket.label}"]
-                row[f"val_tau_{bucket.label}"] = float(cell) if cell else None
-            rows.append(row)
-        return rows
+        return [{c: parse(raw[c]) for c, parse in _LOG_PARSERS.items()} for raw in reader]

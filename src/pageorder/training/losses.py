@@ -66,10 +66,11 @@ def loss_pointer(step_logits: Tensor, labels: np.ndarray, valid: np.ndarray) -> 
 
 
 def loss_position(scores: Tensor, truth_rank: np.ndarray) -> Tensor:
-    """Mean squared error against normalized true positions rank/(n-1)."""
+    """Mean squared error against normalized true positions rank/(n-1).
+
+    ``scores`` and ``truth_rank`` are (B, n); returns per-document losses (B,).
+    """
     truth = np.asarray(truth_rank)
-    if truth.ndim == 1:
-        truth = truth[None]
     b, n = scores.shape
     if n < 2:
         raise DomainError("position loss needs at least 2 pages")

@@ -18,7 +18,7 @@ from pageorder.bench import (
 from pageorder.corpus import CorpusConfig, LengthBucket, generate_corpus, split_corpus
 from pageorder.errors import ConfigError
 from pageorder.models import Arch, ModelConfig, build_model
-from pageorder.training import EpochRecord, TrainConfig
+from pageorder.training import TrainConfig
 
 DIM = 16
 
@@ -174,20 +174,7 @@ class TestFigures:
 
     def test_training_curve_rows_flag_negative_epochs(self, tmp_path):
         taus = [0.1, -0.05, 0.3]
-        history = [
-            EpochRecord(
-                epoch=i,
-                stage=0,
-                stage_min_len=2,
-                stage_max_len=25,
-                lr=1e-3,
-                train_loss=0.5,
-                val_tau_overall=tau,
-                val_tau_by_bucket={},
-                lengths_seen=[],
-            )
-            for i, tau in enumerate(taus)
-        ]
+        history = [{"epoch": i, "val_tau_overall": tau} for i, tau in enumerate(taus)]
         report = EvalReport(rows=[], corpus_digest="x", seeds={})
         emit_figures(report, {"seq2seq_learned": history}, tmp_path)
         rows = read_figure_rows(tmp_path / "figure4_training_stability.csv")

@@ -179,6 +179,23 @@ class TestTrain:
             assert all(name in err for name in named), err
             assert not (resumed / "effective_config.json").exists()
 
+    def test_target_bucket_label_and_enum_name_train_alike(self, workdir, corpus_path, tmp_path):
+        args = ("train", "--config", str(workdir / "cfg.json"), "--corpus", str(corpus_path), "--arch", "pointer_mlp")
+        for label in ("6-10", "B6_10"):
+            code = run_cli(
+                *args, "--strategy", "specialized_direct", "--target-bucket", label, "--out", str(tmp_path / label)
+            )
+            assert code == 0
+        assert (tmp_path / "6-10" / "log.csv").read_bytes() == (tmp_path / "B6_10" / "log.csv").read_bytes()
+
+    def test_unknown_target_bucket_is_usage_error(self, workdir, corpus_path, tmp_path, capsys):
+        code = run_cli(
+            "train", "--config", str(workdir / "cfg.json"), "--corpus", str(corpus_path), "--arch", "pointer_mlp",
+            "--strategy", "specialized_direct", "--target-bucket", "7-9", "--out", str(tmp_path / "t"),
+        )
+        assert code == 2
+        assert "'7-9'" in capsys.readouterr().err
+
     def test_wrong_arch_flag_exits_2(self, workdir, corpus_path, tmp_path):
         with pytest.raises(SystemExit) as exc:
             run_cli("train", "--config", str(workdir / "cfg.json"), "--corpus", str(corpus_path),
@@ -223,6 +240,15 @@ class TestBench:
         assert run_cli("figures", "--report", str(bench_out), "--out", str(out)) == 0
         for p in out.iterdir():
             assert (bench_out / "figures" / p.name).read_bytes() == p.read_bytes()
+
+    def test_models_flag_is_echoed_and_reproduces_the_report(self, bench_out, corpus_path, tmp_path):
+        echoed = json.loads((bench_out / "effective_config.json").read_text())
+        assert echoed["bench"]["models"] == ["random", "tsp_nn", "pairwise"]
+        del echoed["run"]
+        cfg = tmp_path / "echoed.json"
+        cfg.write_text(json.dumps(echoed))
+        assert run_cli("bench", "--config", str(cfg), "--corpus", str(corpus_path), "--out", str(tmp_path / "again")) == 0
+        assert (tmp_path / "again" / "report.csv").read_bytes() == (bench_out / "report.csv").read_bytes()
 
     def test_jobs_flag_does_not_change_outputs(self, workdir, corpus_path, tmp_path):
         outs = []

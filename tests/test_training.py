@@ -1,5 +1,3 @@
-from dataclasses import replace
-
 import numpy as np
 import pytest
 
@@ -320,8 +318,8 @@ class TestFit:
             bounds.extend([(stage.min_len, stage.max_len)] * stage.epochs)
         assert len(result.history) == 8
         for record, (lo, hi) in zip(result.history, bounds):
-            assert record.stage_min_len == lo and record.stage_max_len == hi
-            assert all(lo <= length <= hi for length in record.lengths_seen)
+            assert record["stage_min_len"] == lo and record["stage_max_len"] == hi
+            assert all(lo <= length <= hi for length in record["lengths_seen"])
 
     def test_returns_best_validation_snapshot(self, small_corpus):
         train, val, _ = small_corpus
@@ -335,16 +333,23 @@ class TestFit:
         with no_grad(), pytest.raises(TrainingDivergedError, match="epoch 0"):
             fit(model, train, val, TrainConfig(epochs=1, batch_size=8, seed=7))
 
-    def test_training_log_round_trip(self, small_corpus, tmp_path):
+    @pytest.mark.parametrize("strategy", list(Strategy), ids=lambda s: s.value)
+    def test_training_log_round_trip(self, small_corpus, tmp_path, strategy):
         train, val, _ = small_corpus
-        model = tiny(Arch.BILSTM_POS, seed=11)
-        result = fit(model, train, val, TrainConfig(epochs=2, batch_size=8, seed=7))
+        # no 21-25 page validation documents, so that bucket's cells are empty
+        val = [d for d in val if bucket_of(d.n_pages) is not LengthBucket.B21_25]
+        target = None if strategy is Strategy.UNIVERSAL else LengthBucket.B6_10
+        cfg = TrainConfig(epochs=4, batch_size=8, seed=7, strategy=strategy, target_bucket=target)
+        history = fit(tiny(Arch.BILSTM_POS, seed=11), train, val, cfg).history
         path = tmp_path / "log.csv"
-        write_training_log(result.history, path)
-        rows = read_training_log(path)
-        assert len(rows) == 2
-        assert rows[0]["epoch"] == 0
-        assert rows[1]["val_tau_overall"] == result.history[1].val_tau_overall
+        write_training_log(history, path)
+        assert [r["epoch"] for r in history] == [0, 1, 2, 3]
+        assert all(r["val_tau_21-25"] is None and r["val_tau_6-10"] is not None for r in history)
+        rows = [{k: v for k, v in r.items() if k != "lengths_seen"} for r in history]
+        assert read_training_log(path) == rows
+        # keys outside the log columns are not written
+        write_training_log(rows, tmp_path / "rows.csv")
+        assert (tmp_path / "rows.csv").read_bytes() == path.read_bytes()
 
     def test_failed_log_write_keeps_the_earlier_log(self, small_corpus, tmp_path):
         train, val, _ = small_corpus
@@ -359,7 +364,7 @@ class TestFit:
                 raise OSError("disk full")
 
         # the second record fails after the header and the first record are formatted
-        broken = replace(history[1], train_loss=Unwritable(1.0))
+        broken = {**history[1], "train_loss": Unwritable(1.0)}
         with pytest.raises(OSError, match="disk full"):
             write_training_log([history[0], broken], path)
         assert path.read_bytes() == before
