@@ -172,6 +172,8 @@ def cmd_train(args: argparse.Namespace) -> int:
     docs = load_corpus(args.corpus)
     splits = split_corpus(docs, seed=config["seed"])
     strategy = Strategy(args.strategy)
+    if args.target_bucket and strategy is Strategy.UNIVERSAL:
+        raise ConfigError("--target-bucket applies only to the specialized strategies, not universal")
     target = _bucket_from_label(args.target_bucket) if args.target_bucket else None
     train_cfg = _train_config(config, strategy, target)
     arch, pe = ARCH_ROWS[args.arch]
@@ -198,7 +200,10 @@ def cmd_train(args: argparse.Namespace) -> int:
         row["epoch"] += len(prior_history)
     save_checkpoint(model, out / "model.ckpt")
     write_training_log(prior_history + result.history, out / "log.csv")
-    _echo_config(config, out, {"command": "train", "arch": args.arch, "strategy": strategy.value})
+    run = {"command": "train", "arch": args.arch, "strategy": strategy.value}
+    if target is not None:
+        run["target_bucket"] = target.label
+    _echo_config(config, out, run)
     best = max(r["val_tau_overall"] for r in result.history)
     print(f"trained {args.arch} ({strategy.value}); best validation tau {best:.4f}")
     print(f"checkpoint: {out / 'model.ckpt'}; log: {out / 'log.csv'}")
@@ -357,7 +362,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_train.add_argument("--corpus", required=True)
     p_train.add_argument("--arch", required=True, choices=sorted(ARCH_ROWS))
     p_train.add_argument("--strategy", default="universal", choices=[s.value for s in Strategy])
-    p_train.add_argument("--target-bucket", default=None, help="bucket label, e.g. 6-10")
+    p_train.add_argument("--target-bucket", default=None, help="bucket label, e.g. 6-10; specialized strategies only")
     p_train.add_argument("--resume", default=None, help="checkpoint to continue from")
     p_train.add_argument("--out", required=True)
     p_train.set_defaults(fn=cmd_train)

@@ -99,6 +99,18 @@ def run_gradient_gate(tolerance: float = 1e-3, epsilon: float = 1e-5) -> GateRes
 
     result.add("attention", grad_check(attn_fn, [("q", q), ("k", k), ("v", v)], epsilon, tolerance))
 
+    # batched causal attention, 2 queries over 5 keys: the shape of a cached decoder step
+    qm = _t64(rng.split("attn_masked.q"), (2, 2, 8))
+    km = _t64(rng.split("attn_masked.k"), (2, 5, 8))
+    vm = _t64(rng.split("attn_masked.v"), (2, 5, 8))
+    causal = np.tril(np.ones((2, 5), dtype=bool), k=3)
+
+    def masked_attn_fn():
+        out, _ = multi_head_attention(qm, km, vm, heads=2, mask=causal)
+        return (out * out).sum()
+
+    result.add("attention_masked", grad_check(masked_attn_fn, [("q", qm), ("k", km), ("v", vm)], epsilon, tolerance))
+
     # layer norm
     xn = _t64(rng.split("ln.x"), (3, 7))
     gain = _t64(rng.split("ln.g"), 7)

@@ -20,7 +20,6 @@ from .tensor import (
     grad_enabled,
     log_softmax,
     no_grad,
-    softmax,
 )
 
 __all__ = [
@@ -30,7 +29,6 @@ __all__ = [
     "no_grad",
     "grad_enabled",
     "concat",
-    "softmax",
     "log_softmax",
     "RngStream",
     "glorot_uniform",

@@ -14,7 +14,7 @@ import numpy as np
 
 from ..errors import ConfigError
 from .rng import RngStream
-from .tensor import Tensor, concat, sigmoid_array, softmax
+from .tensor import Tensor, _unbroadcast, _valid_mask, concat, sigmoid_array
 
 __all__ = [
     "glorot_uniform",
@@ -34,12 +34,32 @@ def glorot_uniform(rng: RngStream, shape: tuple[int, int], dtype=np.float32) -> 
 
 
 def layer_norm(x: Tensor, gain: Tensor, bias: Tensor, eps: float = 1e-5) -> Tensor:
-    """Normalize over the last axis, then scale and shift."""
-    mu = x.mean(axis=-1, keepdims=True)
-    centered = x - mu
-    var = (centered * centered).mean(axis=-1, keepdims=True)
-    normed = centered * (var + eps) ** -0.5
-    return normed * gain + bias
+    """Normalize over the last axis, then scale and shift.
+
+    Recorded as one graph node. The forward runs the numpy expressions of the
+    composite ``mean``/``-``/``**`` form in its order, so the values are
+    bitwise those of that form. The backward is the closed form of Ba et al.
+    (arXiv:1607.06450): with ``dn = g * gain`` and ``n`` the normalized input,
+    ``dx = rstd * (dn - mean(dn) - n * mean(dn * n))``.
+    """
+    data, dtype = x.data, x.data.dtype.type
+    inv_width = dtype(1.0 / data.shape[-1])
+    centered = data + data.sum(axis=-1, keepdims=True) * inv_width * dtype(-1)
+    var = (centered * centered).sum(axis=-1, keepdims=True) * inv_width
+    rstd = (var + dtype(eps)) ** -0.5
+    normed = centered * rstd
+
+    def _bwd(g: np.ndarray) -> None:
+        if gain.requires_grad:
+            gain._accumulate(_unbroadcast(g * normed, gain.shape))
+        if bias.requires_grad:
+            bias._accumulate(_unbroadcast(g, bias.shape))
+        if x.requires_grad:
+            dn = g * gain.data
+            mean_dn = dn.mean(axis=-1, keepdims=True)
+            x._accumulate(rstd * (dn - mean_dn - normed * (dn * normed).mean(axis=-1, keepdims=True)))
+
+    return Tensor._result(normed * gain.data + bias.data, (x, gain, bias), _bwd)
 
 
 def multi_head_attention(
@@ -53,33 +73,51 @@ def multi_head_attention(
 
     ``q``, ``k``, ``v`` have shape ``(..., n, d)`` with ``d`` divisible by
     ``heads``. ``mask`` is boolean, True where attending is allowed, and
-    broadcasts against the score shape ``(..., heads, n_q, n_k)``.
+    broadcasts against the score shape ``(..., heads, n_q, n_k)``; masked
+    weights come out exactly 0, and a fully masked row raises
+    DegenerateMaskError.
 
-    Returns the merged output ``(..., n, d)`` and the attention weights
-    ``(..., heads, n_q, n_k)`` for locality analysis.
+    Returns the merged output ``(..., n_q, d)`` and the attention weights
+    ``(..., heads, n_q, n_k)`` for locality analysis. The output is one
+    graph node: the split, scores, masked softmax, mixing and merge run in
+    numpy, and the backward reuses the saved weights ``P``
+    (``dS = P * (gV^T - rowsum(P * gV^T))``), as FlashAttention
+    (arXiv:2205.14135) does without tiling. The weights carry no gradient.
     """
     d = q.shape[-1]
     if d % heads != 0:
         raise ConfigError(f"model width {d} is not divisible by {heads} heads")
     dh = d // heads
 
-    def split_heads(t: Tensor) -> Tensor:
-        n = t.shape[-2]
-        lead = t.shape[:-2]
-        parted = t.reshape(*lead, n, heads, dh)
-        axes = tuple(range(len(lead))) + (len(lead) + 1, len(lead), len(lead) + 2)
-        return parted.transpose(axes)
+    def split_heads(a: np.ndarray) -> np.ndarray:
+        """``(..., n, d)`` -> ``(..., heads, n, dh)``, a view."""
+        return np.swapaxes(a.reshape(*a.shape[:-1], heads, dh), -3, -2)
 
-    qh, kh, vh = split_heads(q), split_heads(k), split_heads(v)
-    kt_axes = tuple(range(kh.ndim - 2)) + (kh.ndim - 1, kh.ndim - 2)
-    scores = (qh @ kh.transpose(kt_axes)) * (1.0 / np.sqrt(dh))
-    attn = softmax(scores, mask=None if mask is None else np.asarray(mask, dtype=bool))
-    mixed = attn @ vh
+    def merge_heads(a: np.ndarray) -> np.ndarray:
+        """``(..., heads, n, dh)`` -> ``(..., n, d)``, the inverse of ``split_heads``."""
+        return np.swapaxes(a, -3, -2).reshape(*a.shape[:-3], a.shape[-2], d)
 
-    lead = q.shape[:-2]
-    back_axes = tuple(range(len(lead))) + (len(lead) + 1, len(lead), len(lead) + 2)
-    merged = mixed.transpose(back_axes).reshape(*lead, q.shape[-2], d)
-    return merged, attn
+    qh, kh, vh = split_heads(q.data), split_heads(k.data), split_heads(v.data)
+    scale = q.data.dtype.type(1.0 / np.sqrt(dh))
+    scores = np.matmul(qh, np.swapaxes(kh, -1, -2)) * scale
+    valid = _valid_mask(mask, scores.shape)
+    logits = scores if valid is None else np.where(valid, scores, -np.inf)
+    expd = np.exp(logits - logits.max(axis=-1, keepdims=True))
+    probs = (expd / expd.sum(axis=-1, keepdims=True)).astype(scores.dtype, copy=False)
+
+    def _bwd(g: np.ndarray) -> None:
+        gh = split_heads(g)
+        if v.requires_grad:
+            v._accumulate(_unbroadcast(merge_heads(np.matmul(np.swapaxes(probs, -1, -2), gh)), v.shape))
+        # masked weights are exactly 0, so their score gradients are too
+        dprobs = np.matmul(gh, np.swapaxes(vh, -1, -2))
+        dscores = probs * (dprobs - (dprobs * probs).sum(axis=-1, keepdims=True)) * scale
+        if q.requires_grad:
+            q._accumulate(_unbroadcast(merge_heads(np.matmul(dscores, kh)), q.shape))
+        if k.requires_grad:
+            k._accumulate(_unbroadcast(merge_heads(np.matmul(np.swapaxes(dscores, -1, -2), qh)), k.shape))
+
+    return Tensor._result(merge_heads(np.matmul(probs, vh)), (q, k, v), _bwd), Tensor(probs)
 
 
 @dataclass

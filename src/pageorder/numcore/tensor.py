@@ -21,7 +21,6 @@ __all__ = [
     "no_grad",
     "grad_enabled",
     "concat",
-    "softmax",
     "log_softmax",
 ]
 
@@ -411,26 +410,6 @@ def _valid_mask(mask: np.ndarray | None, shape: tuple[int, ...]) -> np.ndarray |
     if not valid.any(axis=-1).all():
         raise DegenerateMaskError("softmax row with every entry masked")
     return valid
-
-
-def softmax(x: Tensor, mask: np.ndarray | None = None) -> Tensor:
-    """Numerically stable softmax over the last axis.
-
-    ``mask`` is boolean with True marking entries that participate; masked
-    entries come out exactly 0. A fully masked row raises
-    DegenerateMaskError.
-    """
-    valid = _valid_mask(mask, x.shape)
-    logits = x.data if valid is None else np.where(valid, x.data, -np.inf)
-    shifted = logits - logits.max(axis=-1, keepdims=True)
-    expd = np.exp(shifted)
-    out_data = (expd / expd.sum(axis=-1, keepdims=True)).astype(x.data.dtype, copy=False)
-
-    def _bwd(g: np.ndarray) -> None:
-        inner = (g * out_data).sum(axis=-1, keepdims=True)
-        x._accumulate(out_data * (g - inner))
-
-    return Tensor._result(out_data, (x,), _bwd)
 
 
 def log_softmax(x: Tensor, mask: np.ndarray | None = None) -> Tensor:

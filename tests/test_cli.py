@@ -196,6 +196,27 @@ class TestTrain:
         assert code == 2
         assert "'7-9'" in capsys.readouterr().err
 
+    def test_target_bucket_under_universal_is_usage_error(self, workdir, corpus_path, tmp_path, capsys):
+        out = tmp_path / "t"
+        code = run_cli(
+            "train", "--config", str(workdir / "cfg.json"), "--corpus", str(corpus_path), "--arch", "pointer_mlp",
+            "--target-bucket", "21-25", "--out", str(out),
+        )
+        assert code == 2
+        assert "--target-bucket" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_specialist_run_echoes_its_target_bucket(self, workdir, corpus_path, tmp_path):
+        out = tmp_path / "t"
+        code = run_cli(
+            "train", "--config", str(workdir / "cfg.json"), "--corpus", str(corpus_path), "--arch", "pointer_mlp",
+            "--strategy", "specialized_direct", "--target-bucket", "B6_10", "--out", str(out),
+        )
+        assert code == 0
+        assert json.loads((out / "effective_config.json").read_text())["run"] == {
+            "command": "train", "arch": "pointer_mlp", "strategy": "specialized_direct", "target_bucket": "6-10",
+        }
+
     def test_wrong_arch_flag_exits_2(self, workdir, corpus_path, tmp_path):
         with pytest.raises(SystemExit) as exc:
             run_cli("train", "--config", str(workdir / "cfg.json"), "--corpus", str(corpus_path),
@@ -276,7 +297,10 @@ class TestBench:
 class TestGradcheckCommand:
     def test_gate_passes(self, capsys):
         assert run_cli("gradcheck") == 0
-        assert "gradient gate passed" in capsys.readouterr().out
+        out = capsys.readouterr().out
+        assert "gradient gate passed" in out
+        checked = [line.split()[0] for line in out.splitlines()[:-1]]
+        assert {"attention", "attention_masked", "layer_norm"} <= set(checked), checked
 
     def test_impossible_tolerance_fails(self, capsys):
         assert run_cli("gradcheck", "--tolerance", "0") == 1

@@ -435,3 +435,48 @@ class TestCheckpoints:
         save_checkpoint(model, path)
         restored = load_checkpoint(path)
         assert restored.param_count() == model.param_count()
+
+
+class TestGraphNodeCounts:
+    """Graph nodes one seq2seq forward records, written out so that a fused op cannot silently come apart."""
+
+    @staticmethod
+    def _count_nodes(monkeypatch) -> list[int]:
+        calls = [0]
+        record = Tensor._result
+
+        def counted(data, parents, backward):
+            calls[0] += 1
+            return record(data, parents, backward)
+
+        monkeypatch.setattr(Tensor, "_result", staticmethod(counted))
+        return calls
+
+    def test_teacher_logits(self, monkeypatch):
+        model = build_model(tiny_config(Arch.SEQ2SEQ, layers=2))
+        stack = np.random.default_rng(17).normal(size=(2, 5, DIM)).astype(np.float32)
+        truth = np.stack([np.arange(5), np.arange(5)[::-1]])
+        calls = self._count_nodes(monkeypatch)
+        model.teacher_logits(Tensor(stack), truth)
+        assert calls[0] == 87
+
+    def test_cached_greedy_decoder_step(self, monkeypatch):
+        import pageorder.models.seq2seq as seq2seq_mod
+
+        model = build_model(tiny_config(Arch.SEQ2SEQ, layers=2))
+        calls = self._count_nodes(monkeypatch)
+        per_step = []
+
+        def counting_decode(n, step):
+            def counted_step(prev):
+                before = calls[0]
+                logits = step(prev)
+                per_step.append(calls[0] - before)
+                return logits
+
+            return greedy_decode(n, counted_step)
+
+        monkeypatch.setattr(seq2seq_mod, "greedy_decode", counting_decode)
+        model.order_batch(np.random.default_rng(18).normal(size=(2, 5, DIM)).astype(np.float32))
+        # the first step projects the memory's cross-attention keys and values and has no cache to extend
+        assert per_step == [51] + [50] * 4

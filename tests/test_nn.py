@@ -1,8 +1,11 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from pageorder.errors import ConfigError
 from pageorder.numcore import (
+    DegenerateMaskError,
     LstmParams,
     RngStream,
     Tensor,
@@ -14,7 +17,7 @@ from pageorder.numcore import (
     multi_head_attention,
     sinusoidal_positions,
 )
-from pageorder.numcore.tensor import _unbroadcast
+from pageorder.numcore.tensor import _unbroadcast, _valid_mask
 
 
 def t64(arr):
@@ -65,6 +68,188 @@ class TestMultiHeadAttention:
 
         report = grad_check(f, [("q", q), ("k", k), ("v", v)], epsilon=1e-6, tolerance=1e-6)
         assert report.passed, report.summary()
+
+
+def attention_weights(logits, mask=None) -> np.ndarray:
+    """Weights of one-head, width-1 attention whose scores are ``logits (rows, m)``: the softmax of each row.
+
+    Every query is 1 and the keys are the logits, so with a scale of
+    1/sqrt(1) the scores are the logits themselves.
+    """
+    logits = np.atleast_2d(logits)
+    q = Tensor(np.ones((len(logits), 1, 1), dtype=logits.dtype))
+    k = Tensor(logits[..., None])
+    mask = None if mask is None else np.atleast_2d(mask)[:, None, None, :]
+    _, attn = multi_head_attention(q, k, k, heads=1, mask=mask)
+    return attn.data[:, 0, 0]
+
+
+class TestAttentionSoftmax:
+    """The masked softmax inside attention, seen through its weights."""
+
+    def test_no_overflow_on_huge_logits(self):
+        weights = attention_weights(np.array([1000.0, 0.0]))[0]
+        assert np.isfinite(weights).all()
+        assert weights[0] == pytest.approx(1.0)
+        assert weights[1] == pytest.approx(0.0, abs=1e-30)
+
+    def test_single_survivor_mask(self):
+        weights = attention_weights(np.array([3.0, 5.0]), mask=np.array([True, False]))[0]
+        assert weights[0] == 1.0
+        assert weights[1] == 0.0
+
+    def test_fully_masked_row_rejected(self):
+        with pytest.raises(DegenerateMaskError):
+            attention_weights(np.zeros((2, 3)), mask=np.array([[True, True, True], [False, False, False]]))
+
+    @given(st.lists(st.floats(-30, 30), min_size=2, max_size=8))
+    @settings(max_examples=50, deadline=None)
+    def test_rows_sum_to_one(self, logits):
+        weights = attention_weights(np.array(logits, dtype=np.float32))
+        assert abs(weights.sum() - 1.0) < 1e-6
+
+    def test_masked_entries_exactly_zero(self):
+        logits = np.random.default_rng(3).normal(size=(4, 6)).astype(np.float32)
+        mask = np.random.default_rng(4).random((4, 6)) > 0.4
+        mask[:, 0] = True
+        weights = attention_weights(logits, mask=mask)
+        assert (weights[~mask] == 0.0).all()
+        assert np.allclose(weights.sum(axis=-1), 1.0, atol=1e-6)
+
+    def test_masked_gradients(self):
+        rng = np.random.default_rng(8)
+        q, k, v = (t64(rng.normal(size=(2, 3, 4))) for _ in range(3))
+        mask = np.array([[True, False, True], [False, True, True], [True, True, False]])
+
+        def f():
+            out, _ = multi_head_attention(q, k, v, heads=2, mask=mask)
+            return (out * out).sum() + (out * 0.25).sum()
+
+        report = grad_check(f, [("q", q), ("k", k), ("v", v)], epsilon=1e-6, tolerance=1e-7)
+        assert report.passed, report.summary()
+
+
+def _softmax(x: Tensor, mask: np.ndarray | None = None) -> Tensor:
+    """The masked softmax as one Tensor op over the last axis, masked entries exactly 0."""
+    valid = _valid_mask(mask, x.shape)
+    logits = x.data if valid is None else np.where(valid, x.data, -np.inf)
+    expd = np.exp(logits - logits.max(axis=-1, keepdims=True))
+    out_data = (expd / expd.sum(axis=-1, keepdims=True)).astype(x.data.dtype, copy=False)
+
+    def _bwd(g: np.ndarray) -> None:
+        x._accumulate(out_data * (g - (g * out_data).sum(axis=-1, keepdims=True)))
+
+    return Tensor._result(out_data, (x,), _bwd)
+
+
+def _composite_attention(q: Tensor, k: Tensor, v: Tensor, heads: int, mask=None) -> tuple[Tensor, Tensor]:
+    """The reference: attention built from Tensor reshapes, transposes, matmuls and ``_softmax``."""
+    d = q.shape[-1]
+    dh = d // heads
+
+    def head_axes(lead: int) -> tuple[int, ...]:
+        return tuple(range(lead)) + (lead + 1, lead, lead + 2)
+
+    def split_heads(t: Tensor) -> Tensor:
+        lead = t.shape[:-2]
+        return t.reshape(*lead, t.shape[-2], heads, dh).transpose(head_axes(len(lead)))
+
+    qh, kh, vh = split_heads(q), split_heads(k), split_heads(v)
+    scores = (qh @ kh.transpose(tuple(range(kh.ndim - 2)) + (kh.ndim - 1, kh.ndim - 2))) * (1.0 / np.sqrt(dh))
+    attn = _softmax(scores, mask=mask)
+    lead = q.shape[:-2]
+    merged = (attn @ vh).transpose(head_axes(len(lead))).reshape(*lead, q.shape[-2], d)
+    return merged, attn
+
+
+def _composite_layer_norm(x: Tensor, gain: Tensor, bias: Tensor, eps: float = 1e-5) -> Tensor:
+    """The reference: layer norm built from Tensor mean, subtraction and power."""
+    mu = x.mean(axis=-1, keepdims=True)
+    centered = x - mu
+    var = (centered * centered).mean(axis=-1, keepdims=True)
+    return centered * (var + eps) ** -0.5 * gain + bias
+
+
+def _input_grads(out: Tensor, inputs: list[Tensor], weights: np.ndarray) -> list[np.ndarray]:
+    """Gradients of a weighted loss on ``out`` with respect to ``inputs``, accumulated from zero."""
+    for t in inputs:
+        t.zero_grad()
+    (out * Tensor(weights) + out * out).sum().backward()
+    return [t.grad.copy() for t in inputs]
+
+
+# (q lead shape, n_q, n_k, heads, mask): unbatched, batched, a key mask,
+# and a causal mask with fewer queries than keys (a cached decoder step)
+ATTENTION_CASES = {
+    "unbatched_1head": ((), 4, 4, 1, None),
+    "unbatched_4heads": ((), 5, 5, 4, None),
+    "batched_1head": ((3,), 4, 4, 1, None),
+    "batched_4heads": ((3,), 4, 4, 4, None),
+    "key_mask": ((3,), 4, 4, 4, np.array([True, True, False, True])),
+    "causal_cached_step": ((2,), 2, 5, 4, np.tril(np.ones((2, 5), dtype=bool), k=3)),
+}
+
+
+class TestFusedAttentionMatchesComposite:
+    @pytest.mark.parametrize("case", list(ATTENTION_CASES))
+    def test_float64_outputs_and_gradients(self, case):
+        lead, n_q, n_k, heads, mask = ATTENTION_CASES[case]
+        rng = RngStream(41).split(case)
+        q = t64(rng.split("q").normal((*lead, n_q, 8), dtype=np.float64))
+        k = t64(rng.split("k").normal((*lead, n_k, 8), dtype=np.float64))
+        v = t64(rng.split("v").normal((*lead, n_k, 8), dtype=np.float64))
+        weights = rng.split("loss").normal((*lead, n_q, 8), dtype=np.float64)
+        out, attn = multi_head_attention(q, k, v, heads, mask=mask)
+        want_out, want_attn = _composite_attention(q, k, v, heads, mask=mask)
+        np.testing.assert_allclose(out.data, want_out.data, rtol=0, atol=1e-12)
+        np.testing.assert_allclose(attn.data, want_attn.data, rtol=0, atol=1e-12)
+        grads, want_grads = (_input_grads(o, [q, k, v], weights) for o in (out, want_out))
+        for name, got, want in zip("qkv", grads, want_grads):
+            np.testing.assert_allclose(got, want, rtol=0, atol=1e-12, err_msg=name)
+
+    @pytest.mark.parametrize("case", list(ATTENTION_CASES))
+    def test_float32_forward_is_bitwise_the_composite(self, case):
+        lead, n_q, n_k, heads, mask = ATTENTION_CASES[case]
+        rng = RngStream(42).split(case)
+        q = Tensor(rng.split("q").normal((*lead, n_q, 8)), requires_grad=True)
+        k = Tensor(rng.split("k").normal((*lead, n_k, 8)), requires_grad=True)
+        v = Tensor(rng.split("v").normal((*lead, n_k, 8)), requires_grad=True)
+        out, attn = multi_head_attention(q, k, v, heads, mask=mask)
+        want_out, want_attn = _composite_attention(q, k, v, heads, mask=mask)
+        assert out.dtype == np.float32
+        assert np.array_equal(out.data, want_out.data)
+        assert np.array_equal(attn.data, want_attn.data)
+
+    def test_weights_carry_no_gradient(self):
+        q = Tensor(np.ones((3, 4), dtype=np.float32), requires_grad=True)
+        out, attn = multi_head_attention(q, q, q, heads=2)
+        assert out.requires_grad
+        assert not attn.requires_grad
+
+
+class TestFusedLayerNormMatchesComposite:
+    @pytest.mark.parametrize("shape", [(4, 8), (3, 4, 8)], ids=["unbatched", "batched"])
+    def test_float64_outputs_and_gradients(self, shape):
+        rng = RngStream(43).split(str(shape))
+        x = t64(rng.split("x").normal(shape, std=2.0, dtype=np.float64))
+        gain = t64(rng.split("g").normal(8, dtype=np.float64))
+        bias = t64(rng.split("b").normal(8, dtype=np.float64))
+        weights = rng.split("loss").normal(shape, dtype=np.float64)
+        out, want_out = layer_norm(x, gain, bias), _composite_layer_norm(x, gain, bias)
+        np.testing.assert_allclose(out.data, want_out.data, rtol=0, atol=1e-12)
+        grads, want_grads = (_input_grads(o, [x, gain, bias], weights) for o in (out, want_out))
+        for name, got, want in zip(("x", "g", "b"), grads, want_grads):
+            np.testing.assert_allclose(got, want, rtol=0, atol=1e-12, err_msg=name)
+
+    @pytest.mark.parametrize("shape", [(4, 8), (3, 4, 8)], ids=["unbatched", "batched"])
+    def test_float32_forward_is_bitwise_the_composite(self, shape):
+        rng = RngStream(44).split(str(shape))
+        x = Tensor(rng.split("x").normal(shape, std=2.0), requires_grad=True)
+        gain = Tensor(rng.split("g").normal(8), requires_grad=True)
+        bias = Tensor(rng.split("b").normal(8), requires_grad=True)
+        out = layer_norm(x, gain, bias)
+        assert out.dtype == np.float32
+        assert np.array_equal(out.data, _composite_layer_norm(x, gain, bias).data)
 
 
 class TestLstm:

@@ -2,11 +2,8 @@ import threading
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
 from pageorder.numcore import (
-    DegenerateMaskError,
     ShapeError,
     Tensor,
     concat,
@@ -14,7 +11,6 @@ from pageorder.numcore import (
     grad_enabled,
     log_softmax,
     no_grad,
-    softmax,
 )
 
 
@@ -64,41 +60,6 @@ class TestMatmul:
         assert np.allclose(w.grad, expected)
 
 
-class TestSoftmax:
-    def test_uniform_on_equal_logits(self):
-        out = softmax(Tensor(np.zeros(3)))
-        assert np.allclose(out.data, np.full(3, 1.0 / 3.0))
-
-    def test_no_overflow_on_huge_logits(self):
-        out = softmax(Tensor(np.array([1000.0, 0.0])))
-        assert np.isfinite(out.data).all()
-        assert out.data[0] == pytest.approx(1.0)
-        assert out.data[1] == pytest.approx(0.0, abs=1e-30)
-
-    def test_single_survivor_mask(self):
-        out = softmax(Tensor(np.array([3.0, 5.0])), mask=np.array([True, False]))
-        assert out.data[0] == 1.0
-        assert out.data[1] == 0.0
-
-    def test_fully_masked_row_rejected(self):
-        with pytest.raises(DegenerateMaskError):
-            softmax(Tensor(np.zeros((2, 3))), mask=np.array([[True, True, True], [False, False, False]]))
-
-    @given(st.lists(st.floats(-30, 30), min_size=2, max_size=8))
-    @settings(max_examples=50, deadline=None)
-    def test_rows_sum_to_one(self, logits):
-        out = softmax(Tensor(np.array(logits, dtype=np.float32)))
-        assert abs(out.data.sum() - 1.0) < 1e-6
-
-    def test_masked_entries_exactly_zero(self):
-        x = Tensor(np.random.default_rng(3).normal(size=(4, 6)).astype(np.float32))
-        mask = np.random.default_rng(4).random((4, 6)) > 0.4
-        mask[:, 0] = True
-        out = softmax(x, mask=mask)
-        assert (out.data[~mask] == 0.0).all()
-        assert np.allclose(out.data.sum(axis=-1), 1.0, atol=1e-6)
-
-
 class TestElementwiseGradients:
     """Every primitive's backward pass against central differences."""
 
@@ -116,7 +77,6 @@ class TestElementwiseGradients:
             lambda x: x.reshape(6).sum(),
             lambda x: x.transpose((1, 0)).sum(axis=0).sum(),
             lambda x: x[1:, :].sum(),
-            lambda x: softmax(x).sum(axis=-1).mean() + (softmax(x) * softmax(x)).sum(),
             lambda x: (log_softmax(x) * 0.25).sum(),
         ],
     )
@@ -257,5 +217,5 @@ class TestGraphMechanics:
 
     def test_values_stay_finite(self):
         x = Tensor(np.array([60.0, -60.0], dtype=np.float32), requires_grad=True)
-        for out in (x.sigmoid(), x.softplus(), softmax(x), x.tanh()):
+        for out in (x.sigmoid(), x.softplus(), x.tanh()):
             assert np.isfinite(out.data).all()
