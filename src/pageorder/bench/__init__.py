@@ -1,6 +1,6 @@
 """Experiment orchestration, reporting and figure-data emission."""
 
-from .figures import FIGURE_FILES, emit_figures, read_figure_rows
+from .figures import FIGURE_FILES, emit_figures
 from .report import (
     REFERENCE_TABLE,
     EvalReport,
@@ -34,6 +34,5 @@ __all__ = [
     "read_report_csv",
     "render_report_text",
     "emit_figures",
-    "read_figure_rows",
     "FIGURE_FILES",
 ]

@@ -13,11 +13,10 @@ import io
 from pathlib import Path
 
 from ..corpus import LengthBucket
-from ..errors import DomainError
 from ..fileio import atomic_write
 from .report import BUCKETS, EvalReport
 
-__all__ = ["emit_figures", "FIGURE_FILES", "read_figure_rows"]
+__all__ = ["emit_figures", "FIGURE_FILES"]
 
 FIGURE_FILES = (
     "figure1_tau_by_method_and_length.csv",
@@ -91,12 +90,3 @@ def emit_figures(report: EvalReport, training_logs: dict, out_dir: str | Path) -
             rows4.append([name, str(record["epoch"]), repr(tau), str(int(tau < 0.0))])
     _write_rows(paths[3], ["variant", "epoch", "val_tau", "worse_than_random"], rows4)
     return paths
-
-
-def read_figure_rows(path: str | Path) -> list[dict]:
-    """Parse any emitted figure file back into dictionaries."""
-    with Path(path).open("r", newline="", encoding="utf-8") as fh:
-        reader = csv.DictReader(fh)
-        if reader.fieldnames is None:
-            raise DomainError(f"{path} has no header")
-        return list(reader)

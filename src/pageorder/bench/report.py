@@ -53,12 +53,6 @@ class EvalReport:
     corpus_digest: str
     seeds: dict
 
-    def row(self, name: str) -> ReportRow:
-        for r in self.rows:
-            if r.name == name:
-                return r
-        raise DomainError(f"no report row named {name}")
-
 
 CSV_COLUMNS = (
     ["model"]

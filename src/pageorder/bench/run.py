@@ -33,22 +33,21 @@ __all__ = [
     "locality_experiment",
 ]
 
-MENU = (
-    "random",
-    "greedy_nn",
-    "tsp_nn",
-    "bilstm_pos",
-    "pointer_mlp",
-    "pointer_lstm",
-    "seq2seq_learned",
-    "seq2seq_sinusoidal",
-    "seq2seq_none",
-    "pairwise",
-    "specialized_direct",
-    "specialized_curriculum",
-)
-
 HEURISTIC_ROWS = ("random", "greedy_nn", "tsp_nn")
+
+# Row name -> (architecture, positional encoding); the encoding matters only for seq2seq.
+ARCH_ROWS = {
+    "bilstm_pos": (Arch.BILSTM_POS, PeVariant.LEARNED),
+    "pointer_mlp": (Arch.POINTER_MLP, PeVariant.LEARNED),
+    "pointer_lstm": (Arch.POINTER_LSTM, PeVariant.LEARNED),
+    "seq2seq_learned": (Arch.SEQ2SEQ, PeVariant.LEARNED),
+    "seq2seq_sinusoidal": (Arch.SEQ2SEQ, PeVariant.SINUSOIDAL),
+    "seq2seq_none": (Arch.SEQ2SEQ, PeVariant.NONE),
+    "pairwise": (Arch.PAIRWISE_RANK, PeVariant.LEARNED),
+}
+
+# Every row: the heuristics, one model per architecture row, then a pairwise specialist ensemble per strategy.
+MENU = HEURISTIC_ROWS + tuple(ARCH_ROWS) + tuple(s.value for s in Strategy if s is not Strategy.UNIVERSAL)
 
 REFERENCE_TRANSFER_IN_DOMAIN = 0.8817
 REFERENCE_TRANSFER = 0.1618
@@ -93,9 +92,8 @@ def _heuristic_predict(name: str, inst: ShuffledInstance, eval_seed: int) -> np.
         return order_random(inst.n_pages, RngStream(eval_seed).split("random-baseline").split(inst.doc_id))
     if name == "greedy_nn":
         return order_greedy_nn(inst.pages, RngStream(eval_seed).split("greedy-start").split(inst.doc_id))
-    if name == "tsp_nn":
-        return order_tsp_nn(inst.pages)
-    raise ConfigError(f"unknown heuristic {name}")
+    # tsp_nn, the last of HEURISTIC_ROWS
+    return order_tsp_nn(inst.pages)
 
 
 def _train_single(row: tuple[Arch, PeVariant], splits, train_cfg: TrainConfig, input_dim: int, seed: int):
@@ -116,18 +114,6 @@ def _train_specialists(splits, train_cfg: TrainConfig, strategy: Strategy, input
         models[bucket] = model
         logs[bucket.label] = result.history
     return SpecialistEnsemble(models=models), logs
-
-
-# Row name -> (architecture, positional encoding); the encoding matters only for seq2seq.
-ARCH_ROWS = {
-    "bilstm_pos": (Arch.BILSTM_POS, PeVariant.LEARNED),
-    "pointer_mlp": (Arch.POINTER_MLP, PeVariant.LEARNED),
-    "pointer_lstm": (Arch.POINTER_LSTM, PeVariant.LEARNED),
-    "seq2seq_learned": (Arch.SEQ2SEQ, PeVariant.LEARNED),
-    "seq2seq_sinusoidal": (Arch.SEQ2SEQ, PeVariant.SINUSOIDAL),
-    "seq2seq_none": (Arch.SEQ2SEQ, PeVariant.NONE),
-    "pairwise": (Arch.PAIRWISE_RANK, PeVariant.LEARNED),
-}
 
 
 def run_benchmark(

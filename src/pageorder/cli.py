@@ -137,6 +137,13 @@ def _train_config(config: dict, strategy: Strategy, target: LengthBucket | None)
     return TrainConfig(strategy=strategy, target_bucket=target, **config["train"])
 
 
+def _reject_ignored_weight_factor(config: dict, run: str) -> None:
+    """``train.weight_factor`` weights only ``specialized_direct`` training, so ``run`` would ignore a non-default value."""
+    value = config["train"]["weight_factor"]
+    if value != DEFAULT_CONFIG["train"]["weight_factor"]:
+        raise ConfigError(f"train.weight_factor {value} applies only to the specialized_direct strategy, not {run}")
+
+
 def _bucket_from_label(label: str) -> LengthBucket:
     for bucket in LengthBucket:
         if bucket.label == label or bucket.name == label:
@@ -174,6 +181,8 @@ def cmd_train(args: argparse.Namespace) -> int:
     strategy = Strategy(args.strategy)
     if args.target_bucket and strategy is Strategy.UNIVERSAL:
         raise ConfigError("--target-bucket applies only to the specialized strategies, not universal")
+    if strategy is not Strategy.SPECIALIZED_DIRECT:
+        _reject_ignored_weight_factor(config, strategy.value)
     target = _bucket_from_label(args.target_bucket) if args.target_bucket else None
     train_cfg = _train_config(config, strategy, target)
     arch, pe = ARCH_ROWS[args.arch]
@@ -289,6 +298,7 @@ def cmd_gradcheck(args: argparse.Namespace) -> int:
 
 def cmd_transfer(args: argparse.Namespace) -> int:
     config = _config_with_seed(args, "train")
+    _reject_ignored_weight_factor(config, "transfer")
     docs = load_corpus(args.corpus)
     splits = split_corpus(docs, seed=config["seed"])
     train_cfg = _train_config(config, Strategy.UNIVERSAL, None)

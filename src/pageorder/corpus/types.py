@@ -92,8 +92,3 @@ class ShuffledInstance:
     @property
     def n_pages(self) -> int:
         return self.pages.shape[0]
-
-    def restore_original(self) -> np.ndarray:
-        """Re-sort pages by truth rank, recovering the document's page order."""
-        order = np.argsort(self.truth_rank, kind="stable")
-        return self.pages[order]

@@ -19,7 +19,6 @@ from .numcore import (
     layer_norm,
     multi_head_attention,
 )
-from .training import loss_pairwise, loss_pointer, loss_position, make_pairwise_targets
 
 __all__ = ["run_gradient_gate", "GateResult"]
 
@@ -92,10 +91,11 @@ def run_gradient_gate(tolerance: float = 1e-3, epsilon: float = 1e-5) -> GateRes
     q = _t64(rng.split("attn.q"), (4, 8))
     k = _t64(rng.split("attn.k"), (4, 8))
     v = _t64(rng.split("attn.v"), (4, 8))
+    out_weights = Tensor(rng.split("attn.w").normal((4, 8), dtype=np.float64))
 
     def attn_fn():
-        out, attn = multi_head_attention(q, k, v, heads=2)
-        return (out * out).sum() + attn.sum(axis=-1).mean()
+        out, _ = multi_head_attention(q, k, v, heads=2)
+        return (out * out).sum() + (out * out_weights).sum()
 
     result.add("attention", grad_check(attn_fn, [("q", q), ("k", k), ("v", v)], epsilon, tolerance))
 
@@ -128,36 +128,14 @@ def run_gradient_gate(tolerance: float = 1e-3, epsilon: float = 1e-5) -> GateRes
         grad_check(lambda: (table[idx] ** 2.0).sum(), [("table", table)], epsilon, tolerance),
     )
 
-    # pairwise ranking loss on a 3-page toy document
-    pw = _tiny_model(Arch.PAIRWISE_RANK)
-    pages3 = rng.split("pw.pages").normal((1, 3, DIM), dtype=np.float64)
-    truth3 = np.array([[2, 0, 1]])
-
-    def pairwise_fn():
-        s, _ = pw.score_matrix(Tensor(pages3))
-        return loss_pairwise(s, make_pairwise_targets(truth3)).sum()
-
-    result.add("loss_pairwise", grad_check(pairwise_fn, pw.named_parameters(), epsilon, tolerance))
-
-    # pointer loss through the recurrent pointer decoder, 4-page toy
-    ptr = _tiny_model(Arch.POINTER_LSTM)
-    pages4 = rng.split("ptr.pages").normal((1, 4, DIM), dtype=np.float64)
-    truth4 = np.array([[1, 3, 0, 2]])
-
-    def pointer_fn():
-        logits, sel, valid = ptr.teacher_logits(Tensor(pages4), truth4)
-        return loss_pointer(logits, sel, valid).sum()
-
-    result.add("loss_pointer", grad_check(pointer_fn, ptr.named_parameters(), epsilon, tolerance))
-
-    # position regression loss through the bidirectional scorer, 5-page toy
-    blm = _tiny_model(Arch.BILSTM_POS)
-    pages5 = rng.split("blm.pages").normal((1, 5, DIM), dtype=np.float64)
-    truth5 = np.array([[4, 2, 0, 1, 3]])
-
-    def position_fn():
-        return loss_position(blm.position_scores(Tensor(pages5)), truth5).sum()
-
-    result.add("loss_position", grad_check(position_fn, blm.named_parameters(), epsilon, tolerance))
+    # every architecture's own training loss on a batch of two 4-page toy documents
+    truth = np.array([[1, 3, 0, 2], [2, 0, 3, 1]])
+    for arch in Arch:
+        model = _tiny_model(arch)
+        pages = Tensor(rng.split(f"loss_{arch.value}.pages").normal((2, 4, DIM), dtype=np.float64))
+        result.add(
+            f"loss_{arch.value}",
+            grad_check(lambda: model.loss(pages, truth).sum(), model.named_parameters(), epsilon, tolerance),
+        )
 
     return result

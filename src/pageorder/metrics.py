@@ -20,7 +20,6 @@ __all__ = [
     "kendall_tau",
     "mean_tau",
     "attention_locality",
-    "stability_sigma",
 ]
 
 
@@ -129,11 +128,3 @@ def attention_locality(attn, window: int = 2) -> LocalityStats:
         local_fraction=float(np.concatenate(fractions).mean()),
         avg_distance=float(np.concatenate(distances).mean()),
     )
-
-
-def stability_sigma(val_taus_per_epoch) -> float:
-    """Population standard deviation of a per-epoch validation tau series."""
-    series = np.asarray(val_taus_per_epoch, dtype=np.float64)
-    if series.ndim != 1 or series.shape[0] < 2:
-        raise DomainError("stability sigma needs at least 2 epochs")
-    return float(series.std(ddof=0))

@@ -151,7 +151,14 @@ class Model:
                 raise ConfigError(f"shape mismatch for {name}")
             self.params[name].data = arr.astype(self.dtype, copy=True)
 
-    # -- inference interface ---------------------------------------------
+    # -- the protocol: a training loss and batched inference ---------------
+
+    def loss(self, pages: Tensor, truth_rank: np.ndarray) -> Tensor:
+        """Per-document training losses ``(B,)`` of a ``(B, n, dim)`` stack of same-length documents.
+
+        ``truth_rank[b, k]`` is the true rank of the page in slot ``k`` of document ``b``.
+        """
+        raise NotImplementedError
 
     def order(self, pages: np.ndarray) -> np.ndarray:
         """Predicted reading order of one ``(n, dim)`` document as slot indices."""

@@ -10,6 +10,7 @@ import numpy as np
 
 from ..numcore import LstmParams, Tensor, bidirectional_encode, no_grad
 from .base import Model, ModelConfig
+from .losses import loss_position
 
 __all__ = ["BilstmPositionModel", "ordering_from_scores"]
 
@@ -40,6 +41,9 @@ class BilstmPositionModel(Model):
             x = bidirectional_encode(x, fwd, bwd)
         out = x @ self.params["head.w"] + self.params["head.b"]
         return out.reshape(out.shape[0], out.shape[1])
+
+    def loss(self, pages: Tensor, truth_rank: np.ndarray) -> Tensor:
+        return loss_position(self.position_scores(pages), truth_rank)
 
     def order(self, pages: np.ndarray) -> np.ndarray:
         return self.order_batch(self._as_input(pages)[None])[0]

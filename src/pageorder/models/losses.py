@@ -15,27 +15,21 @@ class ConsistencyError(RuntimeError):
 
 
 def make_pairwise_targets(truth_rank: np.ndarray) -> np.ndarray:
-    """y[i, j] answers: does the page in slot j come after the one in slot i?
+    """y[b, i, j] answers: does the page in slot j come after the one in slot i?
 
-    Accepts a single (n,) permutation or a batch (B, n); the diagonal is
-    always False and y[i, j] xor y[j, i] holds off the diagonal.
+    ``truth_rank`` is a batch (B, n) of permutations; the diagonal is
+    always False and y[b, i, j] xor y[b, j, i] holds off the diagonal.
     """
     tr = np.asarray(truth_rank)
-    single = tr.ndim == 1
-    if single:
-        tr = tr[None, :]
-    y = tr[:, None, :] > tr[:, :, None]
-    return y[0] if single else y
+    return tr[:, None, :] > tr[:, :, None]
 
 
 def loss_pairwise(s: Tensor, y: np.ndarray) -> Tensor:
     """Mean binary cross-entropy of sigmoid(s) against y over off-diagonal pairs.
 
-    ``s`` is (B, n, n) logits; returns per-document losses (B,).
+    ``s`` is (B, n, n) logits and ``y`` (B, n, n) targets; returns per-document losses (B,).
     """
     y = np.asarray(y)
-    if y.ndim == 2:
-        y = y[None]
     b, n = s.shape[0], s.shape[1]
     if y.shape != (b, n, n):
         raise DomainError(f"targets shape {y.shape} != scores shape {(b, n, n)}")

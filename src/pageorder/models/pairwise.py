@@ -14,6 +14,7 @@ import numpy as np
 from ..errors import DomainError
 from ..numcore import Tensor, no_grad
 from .base import Model, ModelConfig
+from .losses import loss_pairwise, make_pairwise_targets
 from .transformer import build_stack, encoder_attention, run_encoder
 
 __all__ = ["PairwiseScores", "PairwiseRankModel", "aggregate_scores"]
@@ -80,12 +81,9 @@ class PairwiseRankModel(Model):
         diff = encoded.reshape(b, 1, n, h) - encoded.reshape(b, n, 1, h)  # [b, i, j] = enc_j - enc_i
         return self._run_dense_stack("scorer", diff, SCORER_LAYERS).reshape(b, n, n), attns
 
-    def pairwise_scores(self, pages: np.ndarray) -> tuple[PairwiseScores, list[np.ndarray]]:
-        pages = self._as_input(pages)
-        n = pages.shape[0]
-        with no_grad():
-            s, attns = self.score_matrix(Tensor(pages.reshape(1, n, -1)))
-        return PairwiseScores(n=n, s=s.data[0].astype(np.float64)), [a.data[0] for a in attns]
+    def loss(self, pages: Tensor, truth_rank: np.ndarray) -> Tensor:
+        s, _ = self.score_matrix(pages)
+        return loss_pairwise(s, make_pairwise_targets(truth_rank))
 
     encoder_attention = encoder_attention
 

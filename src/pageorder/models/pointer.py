@@ -14,8 +14,9 @@ import numpy as np
 
 from ..numcore import Tensor, bidirectional_encode, concat, lstm_sequence, no_grad
 from .base import Model, ModelConfig
+from .losses import loss_pointer
 
-__all__ = ["PointerMlpModel", "PointerLstmModel", "greedy_decode"]
+__all__ = ["PointerModel", "PointerMlpModel", "PointerLstmModel", "greedy_decode"]
 
 NEG_INF = -1e30
 
@@ -57,7 +58,18 @@ def _free_slots(truth_rank: np.ndarray) -> np.ndarray:
     return truth_rank[:, None, :] >= np.arange(truth_rank.shape[1])[:, None]
 
 
-class PointerMlpModel(Model):
+class PointerModel(Model):
+    """Base of the models that pick one slot per step, trained by teacher-forced cross-entropy.
+
+    A subclass defines ``teacher_logits(pages, truth_rank)``, returning the
+    step logits, the true slot of each step and the still-free slots.
+    """
+
+    def loss(self, pages: Tensor, truth_rank: np.ndarray) -> Tensor:
+        return loss_pointer(*self.teacher_logits(pages, truth_rank))
+
+
+class PointerMlpModel(PointerModel):
     """Feedforward pointer: no memory of selections before the last one."""
 
     def __init__(self, config: ModelConfig, dtype=np.float32):
@@ -109,7 +121,7 @@ class PointerMlpModel(Model):
             return greedy_decode(n, step)
 
 
-class PointerLstmModel(Model):
+class PointerLstmModel(PointerModel):
     """Recurrent pointer: bidirectional encoder, additive attention decoder."""
 
     def __init__(self, config: ModelConfig, dtype=np.float32):

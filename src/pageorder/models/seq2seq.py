@@ -12,14 +12,14 @@ from __future__ import annotations
 import numpy as np
 
 from ..numcore import Tensor, concat, no_grad, sinusoidal_positions
-from .base import LengthError, Model, ModelConfig, PeVariant
-from .pointer import _batch_select, _free_slots, _start_rows, greedy_decode
+from .base import LengthError, ModelConfig, PeVariant
+from .pointer import PointerModel, _batch_select, _free_slots, _start_rows, greedy_decode
 from .transformer import DecoderCache, build_stack, encoder_attention, run_decoder, run_encoder
 
 __all__ = ["Seq2SeqModel"]
 
 
-class Seq2SeqModel(Model):
+class Seq2SeqModel(PointerModel):
     def __init__(self, config: ModelConfig, dtype=np.float32):
         super().__init__(config, dtype)
         h = config.hidden_dim

@@ -1,5 +1,6 @@
-"""Losses, training strategies, curriculum, and length-based routing."""
+"""The fit loop, training strategies and the length curriculum; re-exports the models' losses."""
 
+from ..models.losses import ConsistencyError, loss_pairwise, loss_pointer, loss_position, make_pairwise_targets
 from .loop import (
     FitResult,
     SpecialistEnsemble,
@@ -9,7 +10,6 @@ from .loop import (
     read_training_log,
     write_training_log,
 )
-from .losses import ConsistencyError, loss_pairwise, loss_pointer, loss_position, make_pairwise_targets
 from .schedule import CurriculumStage, Strategy, curriculum_schedule, specialization_weight
 
 __all__ = [

@@ -13,9 +13,8 @@ from ..corpus import Document, LengthBucket, ShuffledInstance, bucket_of, shuffl
 from ..errors import ConfigError, DomainError
 from ..fileio import atomic_write
 from ..metrics import BucketMeans, mean_tau
-from ..models import Arch, Model
+from ..models import Model
 from ..numcore import RngStream, Tensor, TrainingDivergedError, adam_step, clip_global_norm, init_adam
-from .losses import loss_pairwise, loss_pointer, loss_position, make_pairwise_targets
 from .schedule import CurriculumStage, Strategy, curriculum_schedule, specialization_weight
 
 __all__ = [
@@ -96,19 +95,6 @@ class SpecialistEnsemble:
     def order_batch(self, pages: np.ndarray) -> np.ndarray:
         """Order a ``(B, n, dim)`` stack with the specialist whose bucket covers ``n``."""
         return self.models[bucket_of(pages.shape[1])].order_batch(pages)
-
-
-def _per_doc_loss(model: Model, pages: Tensor, truth: np.ndarray) -> Tensor:
-    arch = model.config.arch
-    if arch is Arch.PAIRWISE_RANK:
-        s, _ = model.score_matrix(pages)
-        return loss_pairwise(s, make_pairwise_targets(truth))
-    if arch is Arch.BILSTM_POS:
-        return loss_position(model.position_scores(pages), truth)
-    if arch in (Arch.POINTER_MLP, Arch.POINTER_LSTM, Arch.SEQ2SEQ):
-        logits, sel, valid = model.teacher_logits(pages, truth)
-        return loss_pointer(logits, sel, valid)
-    raise ConfigError(f"no training path for {arch}")
 
 
 def evaluate(model_or_ensemble, instances: list[ShuffledInstance]) -> BucketMeans:
@@ -199,7 +185,7 @@ def fit(model: Model, train_docs: list[Document], val_docs: list[Document], cfg:
                     else 1.0
                 )
                 model.zero_grad()
-                batch_loss = _per_doc_loss(model, pages, truth).mean() * weight
+                batch_loss = model.loss(pages, truth).mean() * weight
                 loss_value = batch_loss.item()
                 if not np.isfinite(loss_value):
                     raise TrainingDivergedError(f"non-finite loss at epoch {epoch}")

@@ -5,6 +5,7 @@ The expensive resources (default corpus, 30-epoch training run) come from
 session fixtures in conftest.py and are shared across criteria.
 """
 
+import csv
 import itertools
 import json
 import time
@@ -12,7 +13,7 @@ import time
 import numpy as np
 import pytest
 
-from pageorder.bench import FIGURE_FILES, MENU, read_figure_rows, read_report_csv
+from pageorder.bench import FIGURE_FILES, MENU, read_report_csv
 from pageorder.cli import main as cli_main
 from pageorder.corpus import CorpusConfig, LengthBucket, generate_corpus, split_corpus
 from pageorder.gradgate import run_gradient_gate
@@ -25,6 +26,7 @@ from pageorder.models import (
     build_model,
     desk_config,
 )
+from pageorder.numcore import Tensor, no_grad
 from pageorder.training import Strategy, TrainConfig, evaluate, fit
 from tests.conftest import ACCEPT_EVAL_SEED
 
@@ -37,6 +39,13 @@ def _verdict(number: int, name: str, ok: bool, started: float, detail: str = "")
     suffix = f"  ({detail})" if detail else ""
     print(f"ACCEPTANCE {number:02d} {name}: {status} [{elapsed:.1f}s]{suffix}")
     assert ok, f"criterion {number} ({name}) failed{suffix}"
+
+
+def pairwise_score_matrix(model, pages: np.ndarray) -> np.ndarray:
+    """The pairwise model's (n, n) score matrix of one (n, dim) document."""
+    with no_grad():
+        s, _ = model.score_matrix(Tensor(pages[None]))
+    return s.data[0]
 
 
 def brute_force_tau(pred, truth_rank):
@@ -128,11 +137,11 @@ class TestAcceptance:
         ok = True
         for n in (3, 4):
             pages = np.random.default_rng(n).normal(size=(n, 16)).astype(np.float64)
-            base, _ = model.pairwise_scores(pages)
+            base = pairwise_score_matrix(model, pages)
             for perm in itertools.permutations(range(n)):
                 perm = np.asarray(perm)
-                permuted, _ = model.pairwise_scores(pages[perm])
-                if not np.allclose(permuted.s, base.s[np.ix_(perm, perm)], atol=1e-9):
+                permuted = pairwise_score_matrix(model, pages[perm])
+                if not np.allclose(permuted, base[np.ix_(perm, perm)], atol=1e-9):
                     ok = False
         ok = ok and time.time() - started < 30.0
         _verdict(5, "pairwise-equivariance", ok, started, "exhaustive at n=3 and n=4")
@@ -297,7 +306,8 @@ class TestAcceptance:
         )
         figures_ok = True
         for name in FIGURE_FILES:
-            rows = read_figure_rows(tmp_path / "bench" / "figures" / name)
+            with (tmp_path / "bench" / "figures" / name).open(newline="", encoding="utf-8") as fh:
+                rows = list(csv.DictReader(fh))
             if name.startswith("figure1"):
                 by_model: dict = {}
                 for row in rows:

@@ -1,3 +1,5 @@
+import csv
+
 import numpy as np
 import pytest
 
@@ -8,7 +10,6 @@ from pageorder.bench import (
     ReportRow,
     emit_figures,
     locality_experiment,
-    read_figure_rows,
     read_report_csv,
     render_report_text,
     run_benchmark,
@@ -21,6 +22,15 @@ from pageorder.models import Arch, ModelConfig, build_model
 from pageorder.training import TrainConfig
 
 DIM = 16
+
+
+def figure_rows(path) -> list[dict]:
+    with open(path, newline="", encoding="utf-8") as fh:
+        return list(csv.DictReader(fh))
+
+
+def report_row(bench, name: str):
+    return next(r for r in bench.report.rows if r.name == name)
 
 
 @pytest.fixture(scope="module")
@@ -48,8 +58,8 @@ class TestRunBenchmark:
         assert [r.name for r in small_bench.report.rows] == ["random", "tsp_nn", "pairwise"]
 
     def test_param_counts_are_computed(self, small_bench):
-        assert small_bench.report.row("random").param_count == 0
-        pairwise = small_bench.report.row("pairwise")
+        assert report_row(small_bench, "random").param_count == 0
+        pairwise = report_row(small_bench, "pairwise")
         assert pairwise.param_count == small_bench.models["pairwise"].param_count()
 
     def test_docs_per_bucket_match_test_split(self, small_bench, tiny_splits):
@@ -58,7 +68,7 @@ class TestRunBenchmark:
         assert total == len(splits[2])
 
     def test_random_row_near_zero(self, small_bench):
-        assert abs(small_bench.report.row("random").tau_overall) < 0.25  # tiny test split
+        assert abs(report_row(small_bench, "random").tau_overall) < 0.25  # tiny test split
 
     def test_unknown_config_rejected(self, tiny_splits):
         splits, digest = tiny_splits
@@ -130,7 +140,7 @@ class TestFigures:
         ]
 
     def test_grouped_bar_data_round_trips_report(self, small_bench, figure_dir):
-        rows = read_figure_rows(figure_dir / "figure1_tau_by_method_and_length.csv")
+        rows = figure_rows(figure_dir / "figure1_tau_by_method_and_length.csv")
         by_model: dict = {}
         for row in rows:
             by_model.setdefault(row["model"], {})[row["bucket"]] = float(row["tau"])
@@ -139,7 +149,7 @@ class TestFigures:
                 assert by_model[report_row.name][bucket.label] == tau
 
     def test_scatter_rows_and_diagonal_flag(self, small_bench, figure_dir):
-        rows = read_figure_rows(figure_dir / "figure2_short_vs_long.csv")
+        rows = figure_rows(figure_dir / "figure2_short_vs_long.csv")
         assert {r["model"] for r in rows} <= {r.name for r in small_bench.report.rows}
         for row in rows:
             expected = int(float(row["tau_long"]) < float(row["tau_short"]))
@@ -164,7 +174,7 @@ class TestFigures:
             )
         report = EvalReport(rows=rows, corpus_digest="x", seeds={})
         emit_figures(report, {}, tmp_path)
-        parsed = read_figure_rows(tmp_path / "figure3_pe_ablation.csv")
+        parsed = figure_rows(tmp_path / "figure3_pe_ablation.csv")
         learned = [r for r in parsed if r["variant"] == "seq2seq_learned"]
         assert all(float(r["relative_improvement"]) == 0.0 for r in learned)
         sin_last = [
@@ -177,7 +187,7 @@ class TestFigures:
         history = [{"epoch": i, "val_tau_overall": tau} for i, tau in enumerate(taus)]
         report = EvalReport(rows=[], corpus_digest="x", seeds={})
         emit_figures(report, {"seq2seq_learned": history}, tmp_path)
-        rows = read_figure_rows(tmp_path / "figure4_training_stability.csv")
+        rows = figure_rows(tmp_path / "figure4_training_stability.csv")
         assert [(r["variant"], int(r["epoch"]), float(r["val_tau"])) for r in rows] == [
             ("seq2seq_learned", 0, 0.1),
             ("seq2seq_learned", 1, -0.05),

@@ -6,6 +6,7 @@ from http.server import BaseHTTPRequestHandler, HTTPServer
 import pytest
 
 from pageorder.cli import main
+from pageorder.models import Arch
 from pageorder.training import read_training_log
 
 
@@ -17,6 +18,13 @@ TINY_CONFIG = {
     "corpus": {"n_docs": 100, "dim": 16, "chrono_dim": 4, "seed": 5},
     "train": {"epochs": 2, "batch_size": 8},
 }
+
+
+def weight_factor_config(tmp_path, value) -> str:
+    """``TINY_CONFIG`` with ``train.weight_factor`` set to ``value``."""
+    cfg = tmp_path / "weighted.json"
+    cfg.write_text(json.dumps({**TINY_CONFIG, "train": {**TINY_CONFIG["train"], "weight_factor": value}}))
+    return str(cfg)
 
 
 @pytest.fixture(scope="module")
@@ -217,6 +225,39 @@ class TestTrain:
             "command": "train", "arch": "pointer_mlp", "strategy": "specialized_direct", "target_bucket": "6-10",
         }
 
+    @pytest.mark.parametrize(
+        "strategy_flags",
+        [(), ("--strategy", "specialized_curriculum", "--target-bucket", "6-10")],
+        ids=["universal", "specialized_curriculum"],
+    )
+    def test_weight_factor_outside_specialized_direct_is_usage_error(
+        self, corpus_path, tmp_path, capsys, strategy_flags
+    ):
+        out = tmp_path / "t"
+        code = run_cli(
+            "train", "--config", weight_factor_config(tmp_path, 3.0), "--corpus", str(corpus_path),
+            "--arch", "pointer_mlp", *strategy_flags, "--out", str(out),
+        )
+        assert code == 2
+        assert "train.weight_factor" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_weight_factor_is_accepted_where_it_applies(self, corpus_path, tmp_path):
+        direct = tmp_path / "direct"
+        code = run_cli(
+            "train", "--config", weight_factor_config(tmp_path, 3.0), "--corpus", str(corpus_path),
+            "--arch", "pointer_mlp", "--strategy", "specialized_direct", "--target-bucket", "6-10",
+            "--out", str(direct),
+        )
+        assert code == 0
+        assert json.loads((direct / "effective_config.json").read_text())["train"]["weight_factor"] == 3.0
+        # the default value, written out, changes nothing, so a universal run accepts it
+        code = run_cli(
+            "train", "--config", weight_factor_config(tmp_path, 5.0), "--corpus", str(corpus_path),
+            "--arch", "pointer_mlp", "--out", str(tmp_path / "universal"),
+        )
+        assert code == 0
+
     def test_wrong_arch_flag_exits_2(self, workdir, corpus_path, tmp_path):
         with pytest.raises(SystemExit) as exc:
             run_cli("train", "--config", str(workdir / "cfg.json"), "--corpus", str(corpus_path),
@@ -301,6 +342,7 @@ class TestGradcheckCommand:
         assert "gradient gate passed" in out
         checked = [line.split()[0] for line in out.splitlines()[:-1]]
         assert {"attention", "attention_masked", "layer_norm"} <= set(checked), checked
+        assert [name for name in checked if name.startswith("loss_")] == [f"loss_{arch.value}" for arch in Arch]
 
     def test_impossible_tolerance_fails(self, capsys):
         assert run_cli("gradcheck", "--tolerance", "0") == 1
@@ -318,6 +360,16 @@ class TestTransferCommand:
         assert lines[0] == "tau_in_domain,tau_transfer,n_train_docs,reference_in_domain,reference_transfer"
         cells = lines[1].split(",")
         assert cells[3] == "0.8817" and cells[4] == "0.1618"
+
+    def test_weight_factor_is_usage_error(self, corpus_path, tmp_path, capsys):
+        out = tmp_path / "transfer"
+        code = run_cli(
+            "transfer", "--config", weight_factor_config(tmp_path, 3.0), "--corpus", str(corpus_path),
+            "--out", str(out),
+        )
+        assert code == 2
+        assert "train.weight_factor" in capsys.readouterr().err
+        assert not out.exists()
 
 
 class _EmbedStub(BaseHTTPRequestHandler):

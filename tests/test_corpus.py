@@ -156,7 +156,8 @@ class TestShuffle:
         rng = np.random.default_rng(0)
         doc = Document(doc_id="d", pages=rng.normal(size=(7, 5)).astype(np.float32))
         inst = shuffle_instance(doc, 123)
-        assert np.array_equal(inst.restore_original(), doc.pages)
+        # sorting the slots by true rank recovers the document's page order
+        assert np.array_equal(inst.pages[np.argsort(inst.truth_rank, kind="stable")], doc.pages)
 
     def test_fixed_seed_reproducible(self):
         doc = Document(doc_id="d", pages=np.random.default_rng(1).normal(size=(9, 3)).astype(np.float32))

@@ -5,12 +5,7 @@ from hypothesis import strategies as st
 
 from pageorder.corpus import LengthBucket, ShuffledInstance
 from pageorder.errors import DomainError
-from pageorder.metrics import (
-    attention_locality,
-    kendall_tau,
-    mean_tau,
-    stability_sigma,
-)
+from pageorder.metrics import attention_locality, kendall_tau, mean_tau
 
 
 def brute_force_tau(pred, truth_rank):
@@ -184,19 +179,3 @@ class TestAttentionLocality:
         layer2 = np.full((2, 4, 4), 0.25)
         stats = attention_locality([layer1, layer2], window=3)
         assert stats.local_fraction == 1.0
-
-
-class TestStabilitySigma:
-    def test_constant_series(self):
-        assert stability_sigma([0.4, 0.4, 0.4]) == pytest.approx(0.0, abs=1e-12)
-
-    def test_two_point_series(self):
-        assert stability_sigma([0.0, 1.0]) == pytest.approx(0.5)
-
-    def test_population_not_sample(self):
-        series = [0.1, 0.5, 0.9]
-        assert stability_sigma(series) == pytest.approx(np.std(series, ddof=0))
-
-    def test_too_short_rejected(self):
-        with pytest.raises(DomainError):
-            stability_sigma([0.5])

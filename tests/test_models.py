@@ -25,6 +25,15 @@ from pageorder.numcore import Tensor
 DIM = 16
 
 
+def score_matrix(model, pages: np.ndarray) -> np.ndarray:
+    """The pairwise model's (n, n) score matrix of one (n, dim) document."""
+    from pageorder.numcore import no_grad
+
+    with no_grad():
+        s, _ = model.score_matrix(Tensor(pages[None]))
+    return s.data[0]
+
+
 def tiny_config(arch, **kw):
     defaults = dict(input_dim=DIM, hidden_dim=16, layers=1, heads=2, seed=5)
     defaults.update(kw)
@@ -337,30 +346,30 @@ class TestPairwise:
         model = build_model(tiny_config(Arch.PAIRWISE_RANK))
         rng = np.random.default_rng(7)
         for n in (2, 7, 25):
-            scores, attns = model.pairwise_scores(rng.normal(size=(n, DIM)).astype(np.float32))
-            assert scores.s.shape == (n, n)
-            off = scores.s[~np.eye(n, dtype=bool)]
+            s = score_matrix(model, rng.normal(size=(n, DIM)).astype(np.float32))
+            assert s.shape == (n, n)
+            off = s[~np.eye(n, dtype=bool)]
             assert np.isfinite(off).all()
 
     @pytest.mark.parametrize("n", [3, 4])
     def test_encoder_and_scorer_equivariance(self, n):
         model = build_model(tiny_config(Arch.PAIRWISE_RANK), dtype=np.float64)
         pages = np.random.default_rng(8).normal(size=(n, DIM)).astype(np.float64)
-        base, _ = model.pairwise_scores(pages)
+        base = score_matrix(model, pages)
         for perm in itertools.permutations(range(n)):
             perm = np.asarray(perm)
-            permuted, _ = model.pairwise_scores(pages[perm])
+            permuted = score_matrix(model, pages[perm])
             # s_perm[a, b] scores pages (perm[a], perm[b])
-            assert np.allclose(permuted.s, base.s[np.ix_(perm, perm)], atol=1e-9)
+            assert np.allclose(permuted, base[np.ix_(perm, perm)], atol=1e-9)
 
     def test_identical_pages_give_antisymmetric_differences(self):
         model = build_model(tiny_config(Arch.PAIRWISE_RANK), dtype=np.float64)
         page = np.random.default_rng(9).normal(size=(1, DIM)).astype(np.float64)
         pages = np.vstack([page, page, np.random.default_rng(10).normal(size=(1, DIM))]).astype(np.float64)
-        scores, _ = model.pairwise_scores(pages)
+        s = score_matrix(model, pages)
         # pages 0 and 1 are identical: d_02 = d_12, so rows/cols agree
-        assert scores.s[0, 2] == pytest.approx(scores.s[1, 2], abs=1e-9)
-        assert scores.s[2, 0] == pytest.approx(scores.s[2, 1], abs=1e-9)
+        assert s[0, 2] == pytest.approx(s[1, 2], abs=1e-9)
+        assert s[2, 0] == pytest.approx(s[2, 1], abs=1e-9)
 
 
 class TestAggregateScores:
@@ -389,13 +398,12 @@ class TestCheckpoints:
         model = build_model(tiny_config(Arch.PAIRWISE_RANK))
         pages = np.random.default_rng(11).normal(size=(6, DIM)).astype(np.float32)
         before = model.order(pages)
-        scores_before, _ = model.pairwise_scores(pages)
+        scores_before = score_matrix(model, pages)
         path = tmp_path / "model.ckpt"
         save_checkpoint(model, path)
         restored = load_checkpoint(path)
         assert np.array_equal(restored.order(pages), before)
-        scores_after, _ = restored.pairwise_scores(pages)
-        assert np.array_equal(scores_before.s, scores_after.s)
+        assert np.array_equal(score_matrix(restored, pages), scores_before)
 
     def test_parameters_bit_identical(self, tmp_path):
         model = build_model(tiny_config(Arch.POINTER_LSTM))

@@ -1,3 +1,8 @@
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -12,7 +17,7 @@ from pageorder.corpus import (
 )
 from pageorder.metrics import mean_tau
 from pageorder.errors import ConfigError, DomainError
-from pageorder.models import Arch, ModelConfig, build_model
+from pageorder.models import Arch, Model, ModelConfig, build_model
 from pageorder.numcore import Tensor, TrainingDivergedError, grad_check, no_grad
 from pageorder.training import (
     ConsistencyError,
@@ -43,40 +48,51 @@ def tiny(arch, seed=3, dtype=np.float32, **kw):
 
 class TestPairwiseTargets:
     def test_identity_truth(self):
-        y = make_pairwise_targets(np.array([0, 1]))
+        (y,) = make_pairwise_targets(np.array([[0, 1]]))
         assert y[0, 1] and not y[1, 0] and not y[0, 0]
 
     def test_swapped_truth(self):
-        y = make_pairwise_targets(np.array([1, 0]))
+        (y,) = make_pairwise_targets(np.array([[1, 0]]))
         assert y[1, 0] and not y[0, 1]
 
     def test_antisymmetric_off_diagonal(self):
         rng = np.random.default_rng(0)
         for _ in range(20):
             n = int(rng.integers(2, 12))
-            y = make_pairwise_targets(rng.permutation(n))
+            (y,) = make_pairwise_targets(rng.permutation(n)[None])
             assert not y.diagonal().any()
             off = ~np.eye(n, dtype=bool)
             assert (y ^ y.T)[off].all()
+
+    def test_batch_row_per_document(self):
+        truth = np.array([[0, 1, 2], [2, 0, 1]])
+        y = make_pairwise_targets(truth)
+        assert y.shape == (2, 3, 3)
+        for b in range(2):
+            assert np.array_equal(y[b], truth[b][None, :] > truth[b][:, None])
 
 
 class TestLossPairwise:
     def test_zero_scores_give_ln2(self):
         s = Tensor(np.zeros((1, 3, 3), dtype=np.float64))
-        y = make_pairwise_targets(np.array([0, 1, 2]))
+        y = make_pairwise_targets(np.array([[0, 1, 2]]))
         assert loss_pairwise(s, y).item() == pytest.approx(np.log(2.0))
 
     def test_confident_correct_scores_vanish(self):
-        truth = np.array([0, 1, 2])
-        y = make_pairwise_targets(truth)
+        y = make_pairwise_targets(np.array([[0, 1, 2]]))
         s = np.where(y, 50.0, -50.0).astype(np.float64)
-        loss = loss_pairwise(Tensor(s[None]), y)
+        loss = loss_pairwise(Tensor(s), y)
         assert loss.item() == pytest.approx(0.0, abs=1e-6)
+
+    def test_target_shape_must_match_scores(self):
+        s = Tensor(np.zeros((1, 3, 3), dtype=np.float64))
+        with pytest.raises(DomainError):
+            loss_pairwise(s, np.zeros((3, 3), dtype=bool))
 
     def test_gradient_against_finite_differences(self):
         model = tiny(Arch.PAIRWISE_RANK, dtype=np.float64)
         pages = np.random.default_rng(1).normal(size=(1, 3, DIM))
-        y = make_pairwise_targets(np.array([2, 0, 1]))
+        y = make_pairwise_targets(np.array([[2, 0, 1]]))
 
         def f():
             s, _ = model.score_matrix(Tensor(pages))
@@ -405,6 +421,61 @@ class TestEvaluate:
         models = {b: tiny(Arch.POINTER_MLP, seed=i) for i, b in enumerate(LengthBucket)}
         predictions, _ = self._predictions(monkeypatch, SpecialistEnsemble(models=models), instances)
         assert predictions == [models[bucket_of(inst.n_pages)].order(inst.pages).tolist() for inst in instances]
+
+
+class LinearScorer(Model):
+    """The model protocol at its smallest: one linear layer scores each page, trained by position regression."""
+
+    def __init__(self, input_dim: int):
+        super().__init__(ModelConfig(arch=Arch.BILSTM_POS, input_dim=input_dim, seed=4))
+        self._glorot("w", (input_dim, 1))
+
+    def _scores(self, pages: Tensor) -> Tensor:
+        out = pages @ self.params["w"]
+        return out.reshape(out.shape[0], out.shape[1])
+
+    def loss(self, pages: Tensor, truth_rank: np.ndarray) -> Tensor:
+        return loss_position(self._scores(pages), truth_rank)
+
+    def order_batch(self, pages: np.ndarray) -> np.ndarray:
+        with no_grad():
+            scores = self._scores(Tensor(self._as_input(pages, batched=True))).data
+        return np.argsort(scores, axis=-1, kind="stable")
+
+
+class TestModelProtocol:
+    def test_loss_and_order_batch_are_all_fit_and_evaluate_need(self, small_corpus):
+        train, val, test = small_corpus
+        model = LinearScorer(DIM)
+        start = model.params["w"].data.copy()
+        result = fit(model, train, val, TrainConfig(epochs=3, batch_size=8, seed=7))
+        assert len(result.history) == 3
+        assert np.isfinite([r["train_loss"] for r in result.history]).all()
+        assert not np.array_equal(model.params["w"].data, start)
+        tau = evaluate(model, [shuffle_instance(d, 4) for d in test]).overall
+        assert np.isfinite(tau)
+
+    @pytest.mark.parametrize("arch", list(Arch), ids=lambda a: a.value)
+    def test_loss_is_one_value_per_document(self, arch):
+        model = tiny(arch, dtype=np.float64)
+        rng = np.random.default_rng(5)
+        pages = rng.normal(size=(3, 5, DIM))
+        truth = np.stack([rng.permutation(5) for _ in range(3)])
+        batched = model.loss(Tensor(pages), truth).data
+        alone = [model.loss(Tensor(pages[b : b + 1]), truth[b : b + 1]).item() for b in range(3)]
+        assert batched.shape == (3,)
+        assert np.allclose(batched, alone, rtol=1e-12, atol=0.0)
+
+
+@pytest.mark.parametrize("first", ["pageorder.models", "pageorder.training"])
+def test_either_package_imports_first(first):
+    """The models own the losses and training imports them, so neither import order can cycle."""
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    env = {**os.environ, "PYTHONPATH": src + os.pathsep + os.environ.get("PYTHONPATH", "")}
+    code = f"import {first}; import pageorder.models, pageorder.training; print(pageorder.training.loss_pointer.__module__)"
+    done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=120)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.strip() == "pageorder.models.losses"
 
 
 class TestRouting:
