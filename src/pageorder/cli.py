@@ -228,6 +228,8 @@ def cmd_bench(args: argparse.Namespace) -> int:
     if args.models:
         config["bench"]["models"] = args.models.split(",")
     menu = tuple(config["bench"]["models"])
+    if "specialized_direct" not in menu:
+        _reject_ignored_weight_factor(config, "a bench menu without it")
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
 

@@ -43,7 +43,8 @@ def init_adam(params: list[Tensor], learning_rate: float = 1e-3) -> AdamState:
 def global_norm(grads: list[np.ndarray]) -> float:
     total = 0.0
     for g in grads:
-        total += float(np.sum(g.astype(np.float64) ** 2))
+        sq = g.astype(np.float64)  # always a copy, so squaring it in place leaves ``g`` alone
+        total += float(np.sum(np.square(sq, out=sq)))
     return float(np.sqrt(total))
 
 
@@ -58,7 +59,14 @@ def clip_global_norm(grads: list[np.ndarray], max_norm: float) -> float:
 
 
 def adam_step(params: list[Tensor], grads: list[np.ndarray], state: AdamState) -> list[Tensor]:
-    """Bias-corrected adaptive-moment update, applied in place."""
+    """Bias-corrected adaptive-moment update, applied in place.
+
+    Each parameter's update runs the expression form ``m_hat = m / c1``,
+    ``v_hat = v / c2``, ``p -= lr * m_hat / (sqrt(v_hat) + eps)`` operation by
+    operation in that order, so every bit is that form's, but writes into
+    two scratch buffers sized to the largest gradient instead of allocating
+    a temporary per operation.
+    """
     if len(params) != len(grads) or len(params) != len(state.first_moment):
         raise ShapeError("params, grads and state must be aligned")
     for p, g in zip(params, grads):
@@ -70,12 +78,28 @@ def adam_step(params: list[Tensor], grads: list[np.ndarray], state: AdamState) -
     t = state.step_count
     correction1 = 1.0 - BETA1**t
     correction2 = 1.0 - BETA2**t
+    lr = state.learning_rate
+    # one buffer pair per dtype: a gradient's terms round in its dtype, the step in the parameter's
+    sizes: dict[np.dtype, int] = {}
+    for p, g in zip(params, grads):
+        for dtype in (g.dtype, p.data.dtype):
+            sizes[dtype] = max(sizes.get(dtype, 0), g.size)
+    scratch = {dtype: (np.empty(size, dtype), np.empty(size, dtype)) for dtype, size in sizes.items()}
     for p, g, m, v in zip(params, grads, state.first_moment, state.second_moment):
+        denom, step = (buf[: g.size].reshape(g.shape) for buf in scratch[p.data.dtype])
+        term = denom if g.dtype == p.data.dtype else scratch[g.dtype][0][: g.size].reshape(g.shape)
+        np.multiply(g, 1.0 - BETA1, out=term)
         m *= BETA1
-        m += (1.0 - BETA1) * g
+        m += term
+        np.multiply(g, 1.0 - BETA2, out=term)
+        term *= g
         v *= BETA2
-        v += (1.0 - BETA2) * g * g
-        m_hat = m / correction1
-        v_hat = v / correction2
-        p.data -= (state.learning_rate * m_hat / (np.sqrt(v_hat) + EPSILON)).astype(p.data.dtype)
+        v += term
+        np.divide(v, correction2, out=denom)
+        np.sqrt(denom, out=denom)
+        denom += EPSILON
+        np.divide(m, correction1, out=step)
+        step *= lr
+        step /= denom
+        p.data -= step
     return params

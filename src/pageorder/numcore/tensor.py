@@ -133,6 +133,16 @@ class Tensor:
         else:
             self.grad += g
 
+    def _adopt(self, g: np.ndarray) -> None:
+        """``_accumulate`` for a freshly computed ``g`` that nothing else holds: the first is kept, not copied.
+
+        A strided ``g`` or one of another dtype is copied as ``_accumulate`` would.
+        """
+        if self.grad is None and g.flags.c_contiguous and g.dtype == self.data.dtype:
+            self.grad = g
+        else:
+            self._accumulate(g)
+
     @staticmethod
     def _result(data: np.ndarray, parents: Sequence["Tensor"], backward) -> "Tensor":
         out = Tensor(data)
@@ -285,9 +295,9 @@ class Tensor:
         def _bwd(g: np.ndarray) -> None:
             g2 = g.reshape(-1, m)
             if a.requires_grad:
-                a._accumulate((g2 @ b.data.T).reshape(a.shape))
+                a._adopt((g2 @ b.data.T).reshape(a.shape))
             if b.requires_grad:
-                b._accumulate(a2.T @ g2)
+                b._adopt(a2.T @ g2)
 
         return Tensor._result(out_data, (a, b), _bwd)
 

@@ -327,6 +327,32 @@ class TestBench:
         for rel in ["report.csv"] + [f"logs/{name}" for name in logs]:
             assert (outs[0] / rel).read_bytes() == (outs[1] / rel).read_bytes(), rel
 
+    def test_weight_factor_without_specialized_direct_is_usage_error(self, corpus_path, tmp_path, capsys):
+        out = tmp_path / "b"
+        code = run_cli(
+            "bench", "--config", weight_factor_config(tmp_path, 3.0), "--corpus", str(corpus_path),
+            "--models", "pairwise", "--out", str(out),
+        )
+        assert code == 2
+        assert "train.weight_factor" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_weight_factor_reaches_a_menu_with_specialized_direct(self, corpus_path, tmp_path, monkeypatch, capsys):
+        # the value must pass the check and reach the benchmark; running it would train five specialists
+        seen = {}
+
+        def stop_at_benchmark(splits, menu, train_cfg, **kwargs):
+            seen.update(menu=menu, weight_factor=train_cfg.weight_factor)
+            raise RuntimeError("benchmark reached")
+
+        monkeypatch.setattr("pageorder.cli.run_benchmark", stop_at_benchmark)
+        code = run_cli(
+            "bench", "--config", weight_factor_config(tmp_path, 3.0), "--corpus", str(corpus_path),
+            "--models", "random,specialized_direct", "--out", str(tmp_path / "b"),
+        )
+        assert code == 1 and "benchmark reached" in capsys.readouterr().err
+        assert seen == {"menu": ("random", "specialized_direct"), "weight_factor": 3.0}
+
     def test_unknown_model_name_exits_2(self, workdir, corpus_path, tmp_path):
         code = run_cli(
             "bench", "--config", str(workdir / "cfg.json"), "--corpus", str(corpus_path),

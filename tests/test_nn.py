@@ -4,6 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from pageorder.errors import ConfigError
+from pageorder.models import Arch, build_model, desk_config
 from pageorder.numcore import (
     DegenerateMaskError,
     LstmParams,
@@ -419,3 +420,26 @@ class TestFlattenedMatmul:
         want_gb = _unbroadcast(np.matmul(np.swapaxes(a.data, -1, -2), g), b_shape)
         np.testing.assert_allclose(a.grad, want_ga, rtol=0, atol=1e-12)
         np.testing.assert_allclose(b.grad, want_gb, rtol=0, atol=1e-12)
+
+
+@pytest.mark.parametrize("arch", list(Arch), ids=lambda a: a.value)
+def test_parameter_grads_own_their_memory_and_match_copied_grads(arch, monkeypatch):
+    """Adopted GEMM and LSTM gradients alias no other gradient or weight, and change no bit."""
+    model = build_model(desk_config(arch, 12, seed=2))
+    rng = np.random.default_rng(6)
+    pages = rng.normal(size=(3, 6, 12)).astype(np.float32)
+    truth = np.stack([rng.permutation(6) for _ in range(3)])
+
+    def grads() -> list[np.ndarray]:
+        model.zero_grad()
+        model.loss(Tensor(pages), truth).mean().backward()
+        return [p.grad for p in model.parameters()]
+
+    adopted = grads()
+    arrays = [p.data for p in model.parameters()]
+    assert all(g is not None for g in adopted)
+    for i, g in enumerate(adopted):
+        assert not any(np.shares_memory(g, other) for other in adopted[i + 1 :] + arrays), i
+    monkeypatch.setattr(Tensor, "_adopt", Tensor._accumulate)
+    for got, want in zip(adopted, grads()):
+        assert np.array_equal(got, want)

@@ -1,6 +1,9 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
+from pageorder.models import Arch, build_model, desk_config
 from pageorder.numcore import (
     RngStream,
     Tensor,
@@ -11,6 +14,7 @@ from pageorder.numcore import (
     grad_check,
     init_adam,
 )
+from pageorder.numcore.optim import BETA1, BETA2, EPSILON
 
 
 class TestAdam:
@@ -53,6 +57,75 @@ class TestAdam:
             assert state.step_count == expected
 
 
+def reference_adam_step(data, grads, first, second, step_count, learning_rate) -> int:
+    """Kingma & Ba's update written as plain expressions, one temporary each, in ``adam_step``'s order."""
+    step_count += 1
+    correction1 = 1.0 - BETA1**step_count
+    correction2 = 1.0 - BETA2**step_count
+    for p, g, m, v in zip(data, grads, first, second):
+        m *= BETA1
+        m += (1.0 - BETA1) * g
+        v *= BETA2
+        v += (1.0 - BETA2) * g * g
+        m_hat = m / correction1
+        v_hat = v / correction2
+        p -= (learning_rate * m_hat / (np.sqrt(v_hat) + EPSILON)).astype(p.dtype)
+    return step_count
+
+
+class TestAdamMatchesReference:
+    SHAPES = [(3, 5), (7,), (1,), (2, 3, 4), (), (11, 13)]
+
+    def _gradients(self, rng, step: int, dtype) -> list[np.ndarray]:
+        if step == 1:
+            return [np.zeros(shape, dtype=dtype) for shape in self.SHAPES]
+        grads = [rng.normal(scale=3.0, size=shape).astype(dtype) for shape in self.SHAPES]
+        if step >= 3:
+            assert clip_global_norm(grads, 0.5) > 0.5  # clipped in place, as fit does
+        return grads
+
+    @pytest.mark.parametrize(
+        "dtype,grad_dtype",
+        [(np.float32, np.float32), (np.float64, np.float64), (np.float32, np.float64)],
+        ids=["float32", "float64", "float64-grads-for-float32"],
+    )
+    def test_five_steps_are_bitwise_the_expression_form(self, dtype, grad_dtype):
+        rng = np.random.default_rng(12)
+        params = [Tensor(rng.normal(size=shape).astype(dtype), requires_grad=True) for shape in self.SHAPES]
+        state = init_adam(params, learning_rate=3e-3)
+        data = [p.data.copy() for p in params]
+        first = [np.zeros_like(d) for d in data]
+        second = [np.zeros_like(d) for d in data]
+        step_count = 0
+        for step in range(5):
+            grads = self._gradients(rng, step, grad_dtype)
+            kept = [g.copy() for g in grads]
+            adam_step(params, grads, state)
+            step_count = reference_adam_step(data, kept, first, second, step_count, 3e-3)
+            assert all(np.array_equal(g, k) for g, k in zip(grads, kept)), "adam_step wrote into a gradient"
+        assert state.step_count == step_count == 5
+        for p, want, m, v, got_m, got_v in zip(params, data, first, second, state.first_moment, state.second_moment):
+            assert p.data.dtype == dtype and got_m.dtype == dtype and got_v.dtype == dtype
+            assert np.array_equal(p.data, want)
+            assert np.array_equal(got_m, m)
+            assert np.array_equal(got_v, v)
+
+    def test_one_step_peaks_below_three_largest_parameters(self):
+        # two scratch buffers of the largest gradient's size, not one temporary per expression
+        params = build_model(desk_config(Arch.POINTER_LSTM, 64, seed=0)).parameters()
+        rng = np.random.default_rng(0)
+        grads = [rng.normal(size=p.shape).astype(p.data.dtype) for p in params]
+        state = init_adam(params)
+        largest = max(p.data.nbytes for p in params)
+        tracemalloc.start()
+        try:
+            adam_step(params, grads, state)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 3 * largest, f"peak {peak / largest:.2f}x the largest parameter"
+
+
 class TestClipping:
     def test_norm_below_threshold_untouched(self):
         g = [np.array([0.6, 0.0]), np.array([0.8])]
@@ -65,6 +138,16 @@ class TestClipping:
         clip_global_norm(g, 1.0)
         assert np.allclose(g[0], [0.6, 0.8])
         assert global_norm(g) == pytest.approx(1.0)
+
+    def test_global_norm_is_bitwise_the_float64_sum_of_squares(self):
+        rng = np.random.default_rng(3)
+        grads = [rng.normal(size=(17, 9)).astype(np.float32), rng.normal(size=(5,)), rng.normal(size=(4, 3, 2))]
+        kept = [g.copy() for g in grads]
+        total = 0.0
+        for g in grads:
+            total += float(np.sum(g.astype(np.float64) ** 2))
+        assert global_norm(grads) == float(np.sqrt(total))
+        assert all(np.array_equal(g, k) for g, k in zip(grads, kept)), "global_norm wrote into a gradient"
 
 
 class TestRngStream:

@@ -60,6 +60,47 @@ class TestMatmul:
         assert np.allclose(w.grad, expected)
 
 
+class TestAdoptedGradients:
+    """GEMM gradients become ``.grad`` without a copy; adoption must never alias or change a result."""
+
+    def test_weight_shared_by_two_flat_products_sums_both_gradients(self):
+        rng = np.random.default_rng(40)
+        w = Tensor(rng.normal(size=(5, 3)).astype(np.float32), requires_grad=True)
+        xs = [Tensor(rng.normal(size=shape).astype(np.float32)) for shape in [(2, 4, 5), (3, 1, 5)]]
+        rs = [rng.normal(size=x.shape[:-1] + (3,)).astype(np.float32) for x in xs]
+        alone = []
+        for x, r in zip(xs, rs):
+            w.zero_grad()
+            ((x @ w) * Tensor(r)).sum().backward()
+            alone.append(w.grad.copy())
+        w.zero_grad()
+        (((xs[0] @ w) * Tensor(rs[0])).sum() + ((xs[1] @ w) * Tensor(rs[1])).sum()).backward()
+        assert np.array_equal(w.grad, alone[0] + alone[1])
+
+    def test_float32_weight_keeps_float32_grad_from_float64_activation(self):
+        rng = np.random.default_rng(41)
+        w = Tensor(rng.normal(size=(4, 2)).astype(np.float32), requires_grad=True)
+        x = t64(rng.normal(size=(3, 5, 4)))
+        (x @ w).sum().backward()
+        assert w.grad.dtype == np.float32
+        assert np.array_equal(w.grad, (x.data.reshape(-1, 4).T @ np.ones((15, 2))).astype(np.float32))
+        assert x.grad.dtype == np.float64
+
+    def test_adopt_copies_what_it_cannot_own(self):
+        t = Tensor(np.zeros((3, 4), dtype=np.float32), requires_grad=True)
+        strided = np.ones((4, 3), dtype=np.float32).T
+        t._adopt(strided)
+        assert t.grad.flags.c_contiguous and not np.shares_memory(t.grad, strided)
+        other = Tensor(np.zeros((3, 4), dtype=np.float32), requires_grad=True)
+        wide = np.ones((3, 4), dtype=np.float64)
+        other._adopt(wide)
+        assert other.grad.dtype == np.float32
+        fresh = np.ones((3, 4), dtype=np.float32)
+        t._adopt(fresh)  # a second gradient adds into the first, never replaces it
+        assert np.array_equal(t.grad, np.full((3, 4), 2.0, dtype=np.float32))
+        assert not np.shares_memory(t.grad, fresh)
+
+
 class TestElementwiseGradients:
     """Every primitive's backward pass against central differences."""
 
