@@ -9,7 +9,7 @@ comparison between short and long specialists.
 from __future__ import annotations
 
 import zlib
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -68,8 +68,6 @@ class TransferResult:
     tau_in_domain: float
     tau_transfer: float
     n_train_docs: int
-    reference_in_domain: float = REFERENCE_TRANSFER_IN_DOMAIN
-    reference_transfer: float = REFERENCE_TRANSFER
 
 
 @dataclass
@@ -77,10 +75,6 @@ class LocalityComparison:
     short: LocalityStats
     long: LocalityStats
     ratio: float
-    window: int
-    reference_short: LocalityStats = field(default=REFERENCE_LOCAL_SHORT)
-    reference_long: LocalityStats = field(default=REFERENCE_LOCAL_LONG)
-    reference_ratio: float = REFERENCE_LOCALITY_RATIO
 
 
 def _config_seed(name: str, base: int) -> int:
@@ -212,7 +206,6 @@ def locality_experiment(
     test_docs: list[Document],
     *,
     eval_seed: int,
-    window: int = 2,
 ) -> LocalityComparison:
     """Compare encoder attention locality of a short vs a long specialist.
 
@@ -225,14 +218,12 @@ def locality_experiment(
     for doc in test_docs:
         bucket = bucket_of(doc.n_pages)
         if bucket is LengthBucket.B2_5:
-            inst = shuffle_instance(doc, eval_seed)
-            short_stacks.append(short_model.encoder_attention(inst.pages))
+            short_stacks.append(short_model.encoder_attention(shuffle_instance(doc, eval_seed).pages))
         elif bucket is LengthBucket.B21_25:
-            inst = shuffle_instance(doc, eval_seed)
-            long_stacks.append(long_model.encoder_attention(inst.pages))
+            long_stacks.append(long_model.encoder_attention(shuffle_instance(doc, eval_seed).pages))
     if not short_stacks or not long_stacks:
         raise ConfigError("need test documents in both the 2-5 and 21-25 buckets")
-    stats_short = attention_locality(short_stacks, window=window)
-    stats_long = attention_locality(long_stacks, window=window)
+    stats_short = attention_locality(short_stacks)
+    stats_long = attention_locality(long_stacks)
     ratio = stats_long.avg_distance / stats_short.avg_distance if stats_short.avg_distance > 0 else float("inf")
-    return LocalityComparison(short=stats_short, long=stats_long, ratio=ratio, window=window)
+    return LocalityComparison(short=stats_short, long=stats_long, ratio=ratio)

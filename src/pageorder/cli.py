@@ -24,7 +24,14 @@ from .bench import (
     transfer_experiment,
     write_report_csv,
 )
-from .bench.run import ARCH_ROWS
+from .bench.run import (
+    ARCH_ROWS,
+    REFERENCE_LOCAL_LONG,
+    REFERENCE_LOCAL_SHORT,
+    REFERENCE_LOCALITY_RATIO,
+    REFERENCE_TRANSFER,
+    REFERENCE_TRANSFER_IN_DOMAIN,
+)
 from .corpus import (
     CorpusConfig,
     EmbedServiceError,
@@ -111,11 +118,21 @@ def load_config(path: str | None) -> dict:
     return _merge_section(defaults, raw, "")
 
 
+def _reject_negative_seeds(config: dict, path: str = "") -> None:
+    """Every ``seed`` or ``*_seed`` key must hold a non-negative integer, as the random streams require."""
+    for key, value in config.items():
+        if isinstance(value, dict):
+            _reject_negative_seeds(value, f"{path}{key}.")
+        elif (key == "seed" or key.endswith("_seed")) and value < 0:
+            raise ConfigError(f"config key {path}{key} must be a non-negative integer, got {value}")
+
+
 def _config_with_seed(args: argparse.Namespace, section: str) -> dict:
     """The command's config, with ``--seed`` (when given) written into ``{section}.seed``, so the echo records it."""
     config = load_config(args.config)
     if args.seed is not None:
         config[section]["seed"] = args.seed
+    _reject_negative_seeds(config)
     return config
 
 
@@ -262,9 +279,10 @@ def cmd_bench(args: argparse.Namespace) -> int:
         lines = [
             "metric,short,long,ratio,reference_short,reference_long,reference_ratio",
             f"local_fraction,{comparison.short.local_fraction!r},{comparison.long.local_fraction!r},"
-            f",{comparison.reference_short.local_fraction!r},{comparison.reference_long.local_fraction!r},",
+            f",{REFERENCE_LOCAL_SHORT.local_fraction!r},{REFERENCE_LOCAL_LONG.local_fraction!r},",
             f"avg_distance,{comparison.short.avg_distance!r},{comparison.long.avg_distance!r},"
-            f"{comparison.ratio!r},{comparison.reference_short.avg_distance!r},{comparison.reference_long.avg_distance!r},{comparison.reference_ratio!r}",
+            f"{comparison.ratio!r},{REFERENCE_LOCAL_SHORT.avg_distance!r},{REFERENCE_LOCAL_LONG.avg_distance!r},"
+            f"{REFERENCE_LOCALITY_RATIO!r}",
         ]
         atomic_write(out / "locality.csv", "\n".join(lines) + "\n")
     _echo_config(config, out, {"command": "bench", "models": list(menu)})
@@ -316,13 +334,13 @@ def cmd_transfer(args: argparse.Namespace) -> int:
     lines = [
         "tau_in_domain,tau_transfer,n_train_docs,reference_in_domain,reference_transfer",
         f"{result.tau_in_domain!r},{result.tau_transfer!r},{result.n_train_docs},"
-        f"{result.reference_in_domain!r},{result.reference_transfer!r}",
+        f"{REFERENCE_TRANSFER_IN_DOMAIN!r},{REFERENCE_TRANSFER!r}",
     ]
     atomic_write(out / "transfer.csv", "\n".join(lines) + "\n")
     _echo_config(config, out, {"command": "transfer"})
     print(
         f"in-domain tau {result.tau_in_domain:.4f}, transfer tau {result.tau_transfer:.4f} "
-        f"(reference: {result.reference_in_domain} -> {result.reference_transfer})"
+        f"(reference: {REFERENCE_TRANSFER_IN_DOMAIN} -> {REFERENCE_TRANSFER})"
     )
     return 0
 
@@ -349,9 +367,10 @@ def cmd_embed(args: argparse.Namespace) -> int:
     )
     out = Path(args.out)
     out.parent.mkdir(parents=True, exist_ok=True)
-    with out.open("w", encoding="utf-8") as fh:
-        for text, vector in zip(texts, vectors):
-            fh.write(json.dumps({"text": text, "embedding": [float(x) for x in vector]}) + "\n")
+    lines = [
+        json.dumps({"text": text, "embedding": [float(x) for x in vector]}) + "\n" for text, vector in zip(texts, vectors)
+    ]
+    atomic_write(out, "".join(lines))
     print(f"embedded {len(texts)} texts -> {out}")
     return 0
 

@@ -13,6 +13,7 @@ from pathlib import Path
 import numpy as np
 
 from ..errors import DomainError
+from ..fileio import atomic_write
 from ..numcore import RngStream
 from .types import Document
 
@@ -32,16 +33,12 @@ class SplitError(ValueError):
 
 
 def save_corpus(docs: list[Document], path: str | Path) -> None:
-    """Write documents as JSON Lines with shortest round-trip decimals."""
-    path = Path(path)
-    with path.open("w", encoding="utf-8") as fh:
-        for doc in docs:
-            record = {
-                "doc_id": doc.doc_id,
-                "dim": doc.dim,
-                "pages": [[float(x) for x in page] for page in doc.pages],
-            }
-            fh.write(json.dumps(record, separators=(",", ":")) + "\n")
+    """Write documents as JSON Lines with shortest round-trip decimals, replacing ``path`` whole."""
+    lines = []
+    for doc in docs:
+        record = {"doc_id": doc.doc_id, "dim": doc.dim, "pages": [[float(x) for x in page] for page in doc.pages]}
+        lines.append(json.dumps(record, separators=(",", ":")) + "\n")
+    atomic_write(path, "".join(lines))
 
 
 def load_corpus(path: str | Path) -> list[Document]:
@@ -60,7 +57,10 @@ def load_corpus(path: str | Path) -> list[Document]:
                 raise CorpusParseError(f"line {lineno}: invalid JSON ({exc.msg})") from exc
             if not isinstance(record, dict) or not {"doc_id", "dim", "pages"} <= set(record):
                 raise CorpusParseError(f"line {lineno}: missing doc_id/dim/pages")
-            pages = np.asarray(record["pages"], dtype=np.float32)
+            try:
+                pages = np.asarray(record["pages"], dtype=np.float32)
+            except (TypeError, ValueError) as exc:
+                raise CorpusParseError(f"line {lineno}: pages must be equal-length lists of numbers ({exc})") from exc
             if pages.ndim != 2 or pages.shape[1] != record["dim"]:
                 raise CorpusParseError(f"line {lineno}: pages do not match declared dim {record['dim']}")
             if corpus_dim is None:
@@ -76,25 +76,24 @@ def load_corpus(path: str | Path) -> list[Document]:
     return docs
 
 
-def split_corpus(
-    docs: list[Document],
-    fractions: tuple[float, float, float] = (0.70, 0.15, 0.15),
-    seed: int = 0,
-) -> tuple[list[Document], list[Document], list[Document]]:
+# train, validation and test shares of a split
+SPLIT_FRACTIONS = (0.70, 0.15, 0.15)
+
+
+def split_corpus(docs: list[Document], seed: int = 0) -> tuple[list[Document], list[Document], list[Document]]:
     """Disjoint, exhaustive train/val/test split.
 
     Seeded shuffle then contiguous slicing; val and test get floor(n*f)
-    documents each and the remainder goes to train.
+    documents each, f their ``SPLIT_FRACTIONS`` share, and the remainder
+    goes to train.
     """
-    if abs(sum(fractions) - 1.0) > 1e-9:
-        raise DomainError(f"fractions must sum to 1, got {fractions}")
     if len(docs) < 3:
         raise SplitError(f"cannot split {len(docs)} documents three ways")
     n = len(docs)
     order = RngStream(seed).split("split").permutation(n)
     shuffled = [docs[i] for i in order]
-    n_val = int(np.floor(n * fractions[1]))
-    n_test = int(np.floor(n * fractions[2]))
+    n_val = int(np.floor(n * SPLIT_FRACTIONS[1]))
+    n_test = int(np.floor(n * SPLIT_FRACTIONS[2]))
     n_train = n - n_val - n_test
     return (
         shuffled[:n_train],

@@ -39,22 +39,23 @@ def cosine_similarity_matrix(pages: np.ndarray) -> np.ndarray:
     return sim
 
 
-def _greedy_from(sim: np.ndarray, start: int) -> tuple[np.ndarray, float]:
-    """Nearest-neighbor chain from a start page; ties go to the lowest slot."""
-    n = sim.shape[0]
-    visited = np.zeros(n, dtype=bool)
-    order = [start]
-    visited[start] = True
-    total_distance = 0.0
-    current = start
-    for _ in range(n - 1):
-        candidates = np.where(~visited, sim[current], -np.inf)
-        nxt = int(np.argmax(candidates))  # argmax returns the lowest index on ties
+def _nearest_neighbour_walks(sim: np.ndarray, starts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Nearest-neighbour chains from every page in ``starts`` at once; ties go to the lowest slot.
+
+    Returns the chains ``(len(starts), n)`` and each one's total distance, the sum of ``1 - sim`` along it.
+    """
+    walks = np.arange(len(starts))
+    orders = np.empty((len(starts), sim.shape[0]), dtype=np.int64)
+    orders[:, 0] = starts
+    visited = np.zeros(orders.shape, dtype=bool)
+    visited[walks, starts] = True
+    total_distance = np.zeros(len(starts))
+    for step in range(1, orders.shape[1]):
+        current = orders[:, step - 1]
+        nxt = orders[:, step] = np.argmax(np.where(visited, -np.inf, sim[current]), axis=1)  # lowest index on ties
         total_distance += 1.0 - sim[current, nxt]
-        order.append(nxt)
-        visited[nxt] = True
-        current = nxt
-    return np.asarray(order, dtype=np.int64), total_distance
+        visited[walks, nxt] = True
+    return orders, total_distance
 
 
 def order_greedy_nn(pages: np.ndarray, seed: int | RngStream) -> np.ndarray:
@@ -63,9 +64,8 @@ def order_greedy_nn(pages: np.ndarray, seed: int | RngStream) -> np.ndarray:
     _require_pages(pages.shape[0])
     stream = seed if isinstance(seed, RngStream) else RngStream(seed).split("greedy-start")
     start = int(stream.integers(0, pages.shape[0]))
-    sim = cosine_similarity_matrix(pages)
-    order, _ = _greedy_from(sim, start)
-    return order
+    orders, _ = _nearest_neighbour_walks(cosine_similarity_matrix(pages), np.array([start]))
+    return orders[0]
 
 
 def order_tsp_nn(pages: np.ndarray) -> np.ndarray:
@@ -77,13 +77,5 @@ def order_tsp_nn(pages: np.ndarray) -> np.ndarray:
     pages = np.asarray(pages)
     n = pages.shape[0]
     _require_pages(n)
-    sim = cosine_similarity_matrix(pages)
-    best_order: np.ndarray | None = None
-    best_cost = np.inf
-    for start in range(n):
-        order, cost = _greedy_from(sim, start)
-        if cost < best_cost:
-            best_cost = cost
-            best_order = order
-    assert best_order is not None
-    return best_order
+    orders, total_distance = _nearest_neighbour_walks(cosine_similarity_matrix(pages), np.arange(n))
+    return orders[int(np.argmin(total_distance))]  # the first minimum, so the lowest start on ties

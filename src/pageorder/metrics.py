@@ -20,7 +20,11 @@ __all__ = [
     "kendall_tau",
     "mean_tau",
     "attention_locality",
+    "LOCALITY_WINDOW",
 ]
+
+# attention to a page at most this many positions away counts as local
+LOCALITY_WINDOW = 2
 
 
 @dataclass(frozen=True)
@@ -101,14 +105,13 @@ def mean_tau(instances, predictions) -> BucketMeans:
     return BucketMeans(per_bucket=per_bucket, counts=counts, overall=overall)
 
 
-def attention_locality(attn, window: int = 2) -> LocalityStats:
-    """Fraction of attention mass within ``window`` positions, plus mean distance.
+def attention_locality(stacks: list[np.ndarray]) -> LocalityStats:
+    """Fraction of attention mass within ``LOCALITY_WINDOW`` positions, plus mean distance.
 
-    ``attn`` is one array of shape (..., n, n) or a sequence of such
-    stacks (e.g. one per layer). Every row must be a probability
-    distribution; averaging is uniform over all rows, heads and layers.
+    ``stacks`` holds arrays of shape (..., n, n), e.g. one per document.
+    Every row must be a probability distribution; averaging is uniform over
+    all rows, heads and layers.
     """
-    stacks = [np.asarray(attn)] if not isinstance(attn, (list, tuple)) else [np.asarray(a) for a in attn]
     fractions = []
     distances = []
     for stack in stacks:
@@ -121,7 +124,7 @@ def attention_locality(attn, window: int = 2) -> LocalityStats:
             raise DomainError("attention rows must sum to 1")
         dist = np.abs(np.arange(n)[:, None] - np.arange(n)[None, :])
         tiled = np.tile(dist, (rows.shape[0] // n, 1))
-        local = (tiled <= window)
+        local = (tiled <= LOCALITY_WINDOW)
         fractions.append((rows * local).sum(axis=-1))
         distances.append((rows * tiled).sum(axis=-1))
     return LocalityStats(

@@ -161,8 +161,12 @@ class Model:
         raise NotImplementedError
 
     def order(self, pages: np.ndarray) -> np.ndarray:
-        """Predicted reading order of one ``(n, dim)`` document as slot indices."""
-        raise NotImplementedError
+        """Predicted reading order of one ``(n, dim)`` document as slot indices.
+
+        Each architecture binds it as ``order = Model.order``, so every class
+        has its own ``order`` entry for a profiler to wrap.
+        """
+        return self.order_batch(self._as_input(pages)[None])[0]
 
     def order_batch(self, pages: np.ndarray) -> np.ndarray:
         """Predicted reading orders ``(B, n)`` of a ``(B, n, dim)`` stack of same-length documents."""

@@ -45,8 +45,7 @@ class BilstmPositionModel(Model):
     def loss(self, pages: Tensor, truth_rank: np.ndarray) -> Tensor:
         return loss_position(self.position_scores(pages), truth_rank)
 
-    def order(self, pages: np.ndarray) -> np.ndarray:
-        return self.order_batch(self._as_input(pages)[None])[0]
+    order = Model.order
 
     def order_batch(self, pages: np.ndarray) -> np.ndarray:
         pages = self._as_input(pages, batched=True)

@@ -93,7 +93,7 @@ class _Reader:
         return struct.unpack(fmt, self.take(struct.calcsize(fmt)))
 
 
-def load_checkpoint(path: str | Path, dtype=np.float32) -> Model:
+def load_checkpoint(path: str | Path) -> Model:
     """Rebuild the model from a checkpoint, verifying integrity end to end."""
     from . import build_model
 
@@ -116,7 +116,7 @@ def load_checkpoint(path: str | Path, dtype=np.float32) -> Model:
         raise CheckpointDigestError("config digest mismatch")
     config = ModelConfig.from_dict(json.loads(cfg_raw.decode("utf-8")))
 
-    model = build_model(config, dtype=dtype)
+    model = build_model(config)
     (n_params,) = reader.unpack("<I")
     state: dict[str, np.ndarray] = {}
     for _ in range(n_params):
@@ -125,7 +125,6 @@ def load_checkpoint(path: str | Path, dtype=np.float32) -> Model:
         (rank,) = reader.unpack("<B")
         dims = tuple(reader.unpack("<" + "I" * rank)) if rank else ()
         count = int(np.prod(dims)) if dims else 1
-        data = np.frombuffer(reader.take(4 * count), dtype="<f4").reshape(dims)
-        state[name] = data.astype(np.float32)
-    model.load_state_arrays({k: v.astype(dtype) for k, v in state.items()})
+        state[name] = np.frombuffer(reader.take(4 * count), dtype="<f4").reshape(dims)
+    model.load_state_arrays(state)  # copies each array into the model's float32
     return model

@@ -87,8 +87,7 @@ class PairwiseRankModel(Model):
 
     encoder_attention = encoder_attention
 
-    def order(self, pages: np.ndarray) -> np.ndarray:
-        return self.order_batch(self._as_input(pages)[None])[0]
+    order = Model.order
 
     def order_batch(self, pages: np.ndarray) -> np.ndarray:
         pages = self._as_input(pages, batched=True)

@@ -104,8 +104,7 @@ class PointerMlpModel(PointerModel):
         logits = (state_seq @ kt) * (1.0 / np.sqrt(self.config.hidden_dim))
         return logits, sel, _free_slots(truth_rank)
 
-    def order(self, pages: np.ndarray) -> np.ndarray:
-        return self.order_batch(self._as_input(pages)[None])[0]
+    order = Model.order
 
     def order_batch(self, pages: np.ndarray) -> np.ndarray:
         pages = self._as_input(pages, batched=True)
@@ -159,8 +158,7 @@ class PointerLstmModel(PointerModel):
         states, _ = lstm_sequence(inputs, self._dec)
         return self._attention_logits(encoded_proj, states), sel, _free_slots(truth_rank)
 
-    def order(self, pages: np.ndarray) -> np.ndarray:
-        return self.order_batch(self._as_input(pages)[None])[0]
+    order = Model.order
 
     def order_batch(self, pages: np.ndarray) -> np.ndarray:
         pages = self._as_input(pages, batched=True)

@@ -12,7 +12,7 @@ from __future__ import annotations
 import numpy as np
 
 from ..numcore import Tensor, concat, no_grad, sinusoidal_positions
-from .base import LengthError, ModelConfig, PeVariant
+from .base import LengthError, Model, ModelConfig, PeVariant
 from .pointer import PointerModel, _batch_select, _free_slots, _start_rows, greedy_decode
 from .transformer import DecoderCache, build_stack, encoder_attention, run_decoder, run_encoder
 
@@ -56,9 +56,9 @@ class Seq2SeqModel(PointerModel):
             x = x + pe
         return run_encoder(self, "enc", x)
 
-    def _decode_states(self, memory: Tensor, dec_inputs: Tensor, cache: DecoderCache | None = None) -> Tensor:
+    def _decode_states(self, memory: Tensor, dec_inputs: Tensor, cache: DecoderCache) -> Tensor:
         """Decoder states for ``dec_inputs``, the steps after those already in ``cache``."""
-        pe = self._positions(dec_inputs.shape[-2], start=cache.steps if cache is not None else 0)
+        pe = self._positions(dec_inputs.shape[-2], start=cache.steps)
         x = dec_inputs if pe is None else dec_inputs + pe
         # called through the module name, so a wrapper bound there sees every decoder call
         return run_decoder(self, "dec", x, memory, cache)
@@ -75,11 +75,11 @@ class Seq2SeqModel(PointerModel):
         sel = np.argsort(truth_rank, axis=-1, kind="stable")
         start = _start_rows(self.params["dec.start"], pages.shape[0])
         dec_inputs = concat([start, _batch_select(memory, sel[:, :-1])], axis=1)
-        logits = self._pointer_logits(self._decode_states(memory, dec_inputs), memory)
+        states = self._decode_states(memory, dec_inputs, DecoderCache(self.config.layers))
+        logits = self._pointer_logits(states, memory)
         return logits, sel, _free_slots(truth_rank)
 
-    def order(self, pages: np.ndarray) -> np.ndarray:
-        return self.order_batch(self._as_input(pages)[None])[0]
+    order = Model.order
 
     def order_batch(self, pages: np.ndarray) -> np.ndarray:
         """Greedy pointer decode, one decoder row per document per step (K/V cached)."""

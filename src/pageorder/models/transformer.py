@@ -82,23 +82,23 @@ class DecoderCache:
         self.layers: list[dict] = [{} for _ in range(layers)]
 
 
-def run_decoder(model, prefix: str, x: Tensor, memory: Tensor, cache: DecoderCache | None = None) -> Tensor:
+def run_decoder(model, prefix: str, x: Tensor, memory: Tensor, cache: DecoderCache) -> Tensor:
     """Causal self-attention plus cross-attention over encoder memory.
 
-    Without ``cache`` ``x`` holds every decoder step (teacher forcing).
-    With one, ``x`` holds only the steps after ``cache.steps``: their
-    self-attention keys and values are appended to the cache, and the
-    memory's cross-attention keys and values are projected on the first
-    call and reused after it.
+    ``x`` holds the decoder steps after the ``cache.steps`` already in
+    ``cache``: their self-attention keys and values are appended to the
+    cache, and the memory's cross-attention keys and values are projected on
+    the first call and reused after it. Teacher forcing passes every step
+    with a fresh cache.
     """
     params, heads = model.params, model.config.heads
-    past = cache.steps if cache is not None else 0
+    past = cache.steps
     steps = x.shape[-2]
     # query step past + i sees keys 0 .. past + i
     mask = np.tril(np.ones((steps, past + steps), dtype=bool), k=past)
     for i in range(model.config.layers):
         p = f"{prefix}.layer{i}"
-        kept = cache.layers[i] if cache is not None else {}
+        kept = cache.layers[i]
         h = _norm(params, f"{p}.ln1", x)
         q, k, v = h @ params[f"{p}.self.wq"], h @ params[f"{p}.self.wk"], h @ params[f"{p}.self.wv"]
         if "self" in kept:
@@ -113,6 +113,5 @@ def run_decoder(model, prefix: str, x: Tensor, memory: Tensor, cache: DecoderCac
             kept["cross"] = (memory @ params[f"{p}.cross.wk"], memory @ params[f"{p}.cross.wv"])
         mixed, _ = multi_head_attention(qc, *kept["cross"], heads)
         x = _feed_forward(params, p, "ln3", x + mixed @ params[f"{p}.cross.wo"])
-    if cache is not None:
-        cache.steps += steps
+    cache.steps += steps
     return _norm(params, f"{prefix}.ln_out", x)

@@ -7,6 +7,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
+from ..errors import ConfigError
 from .tensor import Tensor
 
 __all__ = ["ParamCheck", "GradCheckReport", "grad_check"]
@@ -58,6 +59,8 @@ def grad_check(
     in place one element at a time. Use float64 parameters for trustworthy
     results. Relative error is |a - n| / max(|a|, |n|, 1).
     """
+    if not 0.0 <= tolerance < np.inf:  # no error exceeds NaN or infinity
+        raise ConfigError(f"tolerance must be a finite non-negative number, got {tolerance}")
     params = list(named_params)
     for _, p in params:
         p.zero_grad()

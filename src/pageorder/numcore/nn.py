@@ -26,6 +26,9 @@ __all__ = [
     "sinusoidal_positions",
 ]
 
+# added to the variance in ``layer_norm`` before the inverse square root
+LAYER_NORM_EPS = 1e-5
+
 
 def glorot_uniform(rng: RngStream, shape: tuple[int, int], dtype=np.float32) -> np.ndarray:
     fan_in, fan_out = shape[0], shape[-1]
@@ -33,7 +36,7 @@ def glorot_uniform(rng: RngStream, shape: tuple[int, int], dtype=np.float32) -> 
     return rng.uniform(shape, -limit, limit, dtype=dtype)
 
 
-def layer_norm(x: Tensor, gain: Tensor, bias: Tensor, eps: float = 1e-5) -> Tensor:
+def layer_norm(x: Tensor, gain: Tensor, bias: Tensor) -> Tensor:
     """Normalize over the last axis, then scale and shift.
 
     Recorded as one graph node. The forward runs the numpy expressions of the
@@ -46,7 +49,7 @@ def layer_norm(x: Tensor, gain: Tensor, bias: Tensor, eps: float = 1e-5) -> Tens
     inv_width = dtype(1.0 / data.shape[-1])
     centered = data + data.sum(axis=-1, keepdims=True) * inv_width * dtype(-1)
     var = (centered * centered).sum(axis=-1, keepdims=True) * inv_width
-    rstd = (var + dtype(eps)) ** -0.5
+    rstd = (var + dtype(LAYER_NORM_EPS)) ** -0.5
     normed = centered * rstd
 
     def _bwd(g: np.ndarray) -> None:

@@ -72,6 +72,8 @@ def adam_step(params: list[Tensor], grads: list[np.ndarray], state: AdamState) -
     for p, g in zip(params, grads):
         if p.data.shape != g.shape:
             raise ShapeError(f"gradient shape {g.shape} does not match parameter {p.data.shape}")
+        if p.data.dtype != g.dtype:
+            raise ShapeError(f"gradient dtype {g.dtype} does not match parameter {p.data.dtype}")
         if not np.isfinite(g).all():
             raise TrainingDivergedError("non-finite gradient")
     state.step_count += 1
@@ -79,22 +81,20 @@ def adam_step(params: list[Tensor], grads: list[np.ndarray], state: AdamState) -
     correction1 = 1.0 - BETA1**t
     correction2 = 1.0 - BETA2**t
     lr = state.learning_rate
-    # one buffer pair per dtype: a gradient's terms round in its dtype, the step in the parameter's
+    # one buffer pair per dtype, sized to that dtype's largest gradient
     sizes: dict[np.dtype, int] = {}
-    for p, g in zip(params, grads):
-        for dtype in (g.dtype, p.data.dtype):
-            sizes[dtype] = max(sizes.get(dtype, 0), g.size)
+    for g in grads:
+        sizes[g.dtype] = max(sizes.get(g.dtype, 0), g.size)
     scratch = {dtype: (np.empty(size, dtype), np.empty(size, dtype)) for dtype, size in sizes.items()}
     for p, g, m, v in zip(params, grads, state.first_moment, state.second_moment):
-        denom, step = (buf[: g.size].reshape(g.shape) for buf in scratch[p.data.dtype])
-        term = denom if g.dtype == p.data.dtype else scratch[g.dtype][0][: g.size].reshape(g.shape)
-        np.multiply(g, 1.0 - BETA1, out=term)
+        denom, step = (buf[: g.size].reshape(g.shape) for buf in scratch[g.dtype])
+        np.multiply(g, 1.0 - BETA1, out=denom)
         m *= BETA1
-        m += term
-        np.multiply(g, 1.0 - BETA2, out=term)
-        term *= g
+        m += denom
+        np.multiply(g, 1.0 - BETA2, out=denom)
+        denom *= g
         v *= BETA2
-        v += term
+        v += denom
         np.divide(v, correction2, out=denom)
         np.sqrt(denom, out=denom)
         denom += EPSILON

@@ -192,15 +192,8 @@ class Tensor:
             return self.data.dtype.type(other)
         return None
 
-    def _add_scalar(self, s) -> "Tensor":
-        return Tensor._result(self.data + s, (self,), self._accumulate)
-
     def __add__(self, other) -> "Tensor":
-        s = self._scalar(other)
-        if s is not None:
-            return self._add_scalar(s)
-        other = self._coerce(other)
-        a, b = self, other
+        a, b = self, self._coerce(other)
         out_data = a.data + b.data
 
         def _bwd(g: np.ndarray) -> None:
@@ -217,9 +210,6 @@ class Tensor:
         return self * -1.0
 
     def __sub__(self, other) -> "Tensor":
-        s = self._scalar(other)
-        if s is not None:
-            return self._add_scalar(-s)
         return self + (-self._coerce(other))
 
     def __rsub__(self, other) -> "Tensor":

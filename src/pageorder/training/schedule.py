@@ -37,7 +37,7 @@ class CurriculumStage:
         return self.min_len <= length <= self.max_len
 
 
-def specialization_weight(doc_len: int, target_bucket: LengthBucket, factor: float = 5.0) -> float:
+def specialization_weight(doc_len: int, target_bucket: LengthBucket, factor: float) -> float:
     """Loss weight: ``factor`` inside the target bucket, 1.0 everywhere else."""
     return float(factor) if bucket_of(doc_len) is target_bucket else 1.0
 

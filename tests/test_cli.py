@@ -125,6 +125,35 @@ class TestGen:
         assert run_cli("gen", "--config", str(tmp_path / "nope.json"), "--out", str(tmp_path / "o")) == 2
 
 
+class TestNegativeSeeds:
+    COMMANDS = ["gen", "train", "bench", "transfer"]
+
+    @staticmethod
+    def argv(command, corpus_path, out) -> list[str]:
+        inputs = [] if command == "gen" else ["--corpus", str(corpus_path)]
+        arch = ["--arch", "pointer_mlp"] if command == "train" else []
+        return [command, *inputs, *arch, "--out", str(out)]
+
+    @pytest.mark.parametrize("command", COMMANDS)
+    def test_seed_flag_is_usage_error(self, corpus_path, tmp_path, capsys, command):
+        out = tmp_path / "out"
+        assert run_cli(*self.argv(command, corpus_path, out), "--seed", "-1") == 2
+        section = "corpus" if command == "gen" else "train"
+        assert f"config key {section}.seed must be a non-negative integer" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("key", ["seed", "corpus.seed", "model.seed", "train.seed", "bench.eval_seed"])
+    @pytest.mark.parametrize("command", COMMANDS)
+    def test_config_seed_is_usage_error(self, corpus_path, tmp_path, capsys, command, key):
+        section, _, name = key.rpartition(".")
+        cfg = tmp_path / "negative.json"
+        cfg.write_text(json.dumps({section: {name: -3}} if section else {name: -3}))
+        out = tmp_path / "out"
+        assert run_cli(*self.argv(command, corpus_path, out), "--config", str(cfg)) == 2
+        assert f"config key {key} must be a non-negative integer, got -3" in capsys.readouterr().err
+        assert not out.exists()
+
+
 class TestTrain:
     def test_writes_checkpoint_and_log(self, workdir, corpus_path, tmp_path):
         out = tmp_path / "train"
@@ -372,6 +401,14 @@ class TestGradcheckCommand:
 
     def test_impossible_tolerance_fails(self, capsys):
         assert run_cli("gradcheck", "--tolerance", "0") == 1
+
+    @pytest.mark.parametrize("tolerance", ["nan", "inf", "-1"])
+    def test_tolerance_no_error_can_exceed_is_usage_error(self, capsys, tolerance):
+        # rel > nan and rel > inf are never true, and rel > -1 always is
+        assert run_cli("gradcheck", "--tolerance", tolerance) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "tolerance must be a finite non-negative number" in captured.err
 
 
 class TestTransferCommand:

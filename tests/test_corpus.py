@@ -195,10 +195,6 @@ class TestSplit:
         with pytest.raises(SplitError):
             split_corpus(self._docs(2))
 
-    def test_bad_fractions(self):
-        with pytest.raises(DomainError):
-            split_corpus(self._docs(10), fractions=(0.5, 0.2, 0.2))
-
     def test_seed_changes_assignment(self):
         docs = self._docs(40)
         a, _, _ = split_corpus(docs, seed=1)
@@ -247,3 +243,30 @@ class TestIO:
         path.write_text('{"doc_id":"a","dim":3,"pages":[[1.0,2.0],[3.0,4.0]]}\n')
         with pytest.raises(CorpusParseError):
             load_corpus(path)
+
+    @pytest.mark.parametrize(
+        "pages", ["[[1.0,2.0],[3.0]]", '[[1.0,2.0],[3.0,"x"]]', "[[1.0,2.0],[3.0,{}]]"], ids=["ragged", "string", "object"]
+    )
+    def test_malformed_pages_name_line(self, tmp_path, pages):
+        path = tmp_path / "bad.jsonl"
+        good = '{"doc_id":"a","dim":2,"pages":[[1.0,2.0],[3.0,4.0]]}'
+        path.write_text(f'{good}\n{{"doc_id":"b","dim":2,"pages":{pages}}}\n')
+        with pytest.raises(CorpusParseError, match="line 2: pages"):
+            load_corpus(path)
+
+    def test_interrupted_save_leaves_previous_file(self, tmp_path):
+        docs = generate_corpus(CorpusConfig(n_docs=3, dim=8, chrono_dim=2, seed=1))
+        path = tmp_path / "corpus.jsonl"
+        save_corpus(docs, path)
+        before = path.read_bytes()
+
+        class Interrupted:
+            doc_id, dim = "late", 8
+
+            @property
+            def pages(self):
+                raise KeyboardInterrupt
+
+        with pytest.raises(KeyboardInterrupt):
+            save_corpus(generate_corpus(CorpusConfig(n_docs=4, dim=8, chrono_dim=2, seed=2)) + [Interrupted()], path)
+        assert path.read_bytes() == before

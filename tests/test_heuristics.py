@@ -1,4 +1,5 @@
 import itertools
+import warnings
 
 import numpy as np
 import pytest
@@ -6,6 +7,7 @@ import pytest
 from pageorder.errors import DomainError
 from pageorder.heuristics import cosine_similarity_matrix, order_greedy_nn, order_random, order_tsp_nn
 from pageorder.metrics import kendall_tau, require_permutation
+from pageorder.numcore import RngStream
 
 
 THREE_VECTORS = np.array([[1.0, 0.0], [0.9, 0.436], [0.0, 1.0]], dtype=np.float32)
@@ -132,3 +134,61 @@ class TestTspNn:
             n = int(rng.integers(2, 26))
             pages = rng.normal(size=(n, 8)).astype(np.float32)
             require_permutation(order_tsp_nn(pages), n)
+
+
+def _reference_walk(sim: np.ndarray, start: int) -> tuple[np.ndarray, float]:
+    """One nearest-neighbour chain at a time in a Python loop, the form the batched walk replaced."""
+    n = sim.shape[0]
+    visited = np.zeros(n, dtype=bool)
+    order = [start]
+    visited[start] = True
+    total_distance = 0.0
+    current = start
+    for _ in range(n - 1):
+        nxt = int(np.argmax(np.where(~visited, sim[current], -np.inf)))
+        total_distance += 1.0 - sim[current, nxt]
+        order.append(nxt)
+        visited[nxt] = True
+        current = nxt
+    return np.asarray(order, dtype=np.int64), total_distance
+
+
+def _reference_tsp(pages: np.ndarray) -> np.ndarray:
+    sim = cosine_similarity_matrix(pages)
+    best_order, best_cost = None, np.inf
+    for start in range(pages.shape[0]):
+        order, cost = _reference_walk(sim, start)
+        if cost < best_cost:
+            best_order, best_cost = order, cost
+    return best_order
+
+
+def _reference_greedy(pages: np.ndarray, seed: int) -> np.ndarray:
+    start = int(RngStream(seed).split("greedy-start").integers(0, pages.shape[0]))
+    return _reference_walk(cosine_similarity_matrix(pages), start)[0]
+
+
+def _oracle_pages(rng, n: int, kind: str) -> np.ndarray:
+    pages = rng.normal(size=(n, 6)).astype(np.float32)
+    if kind == "duplicated":
+        # few distinct, coarsely rounded pages: equal similarities and equal tour lengths
+        distinct = np.round(pages[: int(rng.integers(1, n + 1))], 1)
+        pages = distinct[rng.integers(0, distinct.shape[0], size=n)]
+    elif kind == "zero_norm":
+        pages[rng.random(n) < 0.3] = 0.0
+        pages[int(rng.integers(0, n))] = 0.0
+    return pages
+
+
+class TestNearestNeighbourOracle:
+    @pytest.mark.parametrize("kind", ["random", "duplicated", "zero_norm"])
+    def test_bitwise_the_per_start_loop(self, kind):
+        rng = np.random.default_rng(["random", "duplicated", "zero_norm"].index(kind))
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")  # zero-norm pages warn
+            for n in range(2, 26):
+                for trial in range(6):
+                    pages = _oracle_pages(rng, n, kind)
+                    assert np.array_equal(order_tsp_nn(pages), _reference_tsp(pages)), (n, trial)
+                    seed = int(rng.integers(0, 1000))
+                    assert np.array_equal(order_greedy_nn(pages, seed), _reference_greedy(pages, seed)), (n, trial)

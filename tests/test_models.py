@@ -267,7 +267,7 @@ class TestOrderBatch:
         with no_grad():
             memory, _ = model.encode(Tensor(rng.normal(size=(2, 6, DIM))))
             inputs = Tensor(rng.normal(size=(2, 6, 16)))
-            full = model._decode_states(memory, inputs).data
+            full = model._decode_states(memory, inputs, DecoderCache(model.config.layers)).data
             cache = DecoderCache(model.config.layers)
             steps = [model._decode_states(memory, inputs[:, t : t + 1], cache).data for t in range(6)]
         assert np.allclose(np.concatenate(steps, axis=1), full, atol=1e-12)

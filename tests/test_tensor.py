@@ -160,7 +160,7 @@ class TestIndexGradients:
 
 
 class TestScalarOperands:
-    """Python numbers skip the operand tensor and round as a 0-d array of the tensor's dtype did."""
+    """Python numbers round as a 0-d array of the tensor's dtype; a product skips the operand tensor."""
 
     @pytest.mark.parametrize(
         "fast,reference",
