@@ -13,7 +13,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from ..corpus import Document, LengthBucket, ShuffledInstance, bucket_of, shuffle_instance
+from ..corpus import Document, LengthBucket, ShuffledInstance, bucket_of, corpus_digest, shuffle_instance
 from ..errors import ConfigError
 from ..heuristics import order_greedy_nn, order_random, order_tsp_nn
 from ..metrics import LocalityStats, attention_locality, mean_tau
@@ -28,6 +28,8 @@ __all__ = [
     "BenchResult",
     "TransferResult",
     "LocalityComparison",
+    "menu_rows",
+    "locality_test_docs",
     "run_benchmark",
     "transfer_experiment",
     "locality_experiment",
@@ -46,8 +48,10 @@ ARCH_ROWS = {
     "pairwise": (Arch.PAIRWISE_RANK, PeVariant.LEARNED),
 }
 
-# Every row: the heuristics, one model per architecture row, then a pairwise specialist ensemble per strategy.
-MENU = HEURISTIC_ROWS + tuple(ARCH_ROWS) + tuple(s.value for s in Strategy if s is not Strategy.UNIVERSAL)
+# A pairwise specialist ensemble per specialized strategy.
+SPECIALIST_ROWS = tuple(s.value for s in Strategy if s is not Strategy.UNIVERSAL)
+# Every row: the heuristics, one model per architecture row, then the specialist ensembles.
+MENU = HEURISTIC_ROWS + tuple(ARCH_ROWS) + SPECIALIST_ROWS
 
 REFERENCE_TRANSFER_IN_DOMAIN = 0.8817
 REFERENCE_TRANSFER = 0.1618
@@ -90,24 +94,20 @@ def _heuristic_predict(name: str, inst: ShuffledInstance, eval_seed: int) -> np.
     return order_tsp_nn(inst.pages)
 
 
-def _train_single(row: tuple[Arch, PeVariant], splits, train_cfg: TrainConfig, input_dim: int, seed: int):
+def _train(row: tuple[Arch, PeVariant], splits, train_cfg: TrainConfig, seed: int):
     arch, pe = row
-    model = build_model(desk_config(arch, input_dim, seed=seed, pe_variant=pe))
+    model = build_model(desk_config(arch, splits[0][0].dim, seed=seed, pe_variant=pe))
     result = fit(model, splits[0], splits[1], train_cfg)
     return model, result.history
 
 
-def _train_specialists(splits, train_cfg: TrainConfig, strategy: Strategy, input_dim: int, base_seed: int):
-    models = {}
-    logs = {}
-    for bucket in LengthBucket:
-        cfg = replace(train_cfg, strategy=strategy, target_bucket=bucket)
-        seed = _config_seed(f"{strategy.value}.{bucket.label}", base_seed)
-        model = build_model(desk_config(Arch.PAIRWISE_RANK, input_dim, seed=seed))
-        result = fit(model, splits[0], splits[1], cfg)
-        models[bucket] = model
-        logs[bucket.label] = result.history
-    return SpecialistEnsemble(models=models), logs
+def menu_rows(menu) -> list[str]:
+    """The row names of a bench menu, ``["all"]`` standing for every ``MENU`` row; an unknown name is a ConfigError."""
+    names = list(MENU) if list(menu) == ["all"] else list(menu)
+    unknown = [n for n in names if n not in MENU]
+    if unknown:
+        raise ConfigError(f"unknown benchmark configurations: {unknown}")
+    return names
 
 
 def run_benchmark(
@@ -115,26 +115,27 @@ def run_benchmark(
     menu: tuple[str, ...],
     train_cfg: TrainConfig,
     *,
-    corpus_digest: str,
-    input_dim: int,
     eval_seed: int,
     model_seed: int = 1,
     progress=None,
 ) -> BenchResult:
     """Train and evaluate every configuration named in ``menu``.
 
-    Every configuration sees the same shuffled test instances, fixed by
+    Every specialist's plan is checked before the first row trains. Every
+    configuration sees the same shuffled test instances, fixed by
     ``eval_seed``. Returns the report plus per-configuration training
     logs keyed by row name (specialists get one log per bucket).
     """
-    names = list(MENU) if menu in (("all",), ["all"]) else list(menu)
-    unknown = [n for n in names if n not in MENU]
-    if unknown:
-        raise ConfigError(f"unknown benchmark configurations: {unknown}")
+    names = menu_rows(menu)
+    plans = {
+        name: [replace(train_cfg, strategy=Strategy(name), target_bucket=b) for b in LengthBucket]
+        for name in names
+        if name in SPECIALIST_ROWS
+    }
+    for cfgs in plans.values():
+        for cfg in cfgs:
+            cfg.stage_docs(splits[0])
     test_instances = [shuffle_instance(d, eval_seed) for d in splits[2]]
-    docs_by_bucket = {b: 0 for b in LengthBucket}
-    for inst in test_instances:
-        docs_by_bucket[bucket_of(inst.n_pages)] += 1
 
     rows: list[ReportRow] = []
     logs: dict = {}
@@ -147,12 +148,15 @@ def run_benchmark(
             result = mean_tau(test_instances, [_heuristic_predict(name, i, eval_seed) for i in test_instances])
         else:
             if name in ARCH_ROWS:
-                model, logs[name] = _train_single(
-                    ARCH_ROWS[name], splits, train_cfg, input_dim, _config_seed(name, model_seed)
-                )
+                model, logs[name] = _train(ARCH_ROWS[name], splits, train_cfg, _config_seed(name, model_seed))
             else:
-                model, spec_logs = _train_specialists(splits, train_cfg, Strategy(name), input_dim, model_seed)
-                logs.update({f"{name}.{k}": v for k, v in spec_logs.items()})
+                specialists = {}
+                for cfg in plans[name]:
+                    key = f"{name}.{cfg.target_bucket.label}"
+                    specialists[cfg.target_bucket], logs[key] = _train(
+                        ARCH_ROWS["pairwise"], splits, cfg, _config_seed(key, model_seed)
+                    )
+                model = SpecialistEnsemble(models=specialists)
             result = evaluate(model, test_instances)
         models[name] = model
         rows.append(
@@ -161,12 +165,12 @@ def run_benchmark(
                 tau_by_bucket=dict(result.per_bucket),
                 tau_overall=result.overall,
                 param_count=0 if model is None else model.param_count(),
-                docs_by_bucket=dict(docs_by_bucket),
+                docs_by_bucket=dict(result.counts),
             )
         )
     report = EvalReport(
         rows=rows,
-        corpus_digest=corpus_digest,
+        corpus_digest=corpus_digest(splits[0] + splits[1] + splits[2]),
         seeds={"eval": eval_seed, "model": model_seed, "train": train_cfg.seed},
     )
     return BenchResult(report=report, logs=logs, models=models)
@@ -176,28 +180,34 @@ def transfer_experiment(
     splits: tuple[list[Document], list[Document], list[Document]],
     train_cfg: TrainConfig,
     *,
-    input_dim: int,
     eval_seed: int,
     model_seed: int = 1,
 ) -> TransferResult:
     """Train the pairwise model on 2-5 page documents only, test both extremes."""
     short = LengthBucket.B2_5
     long_b = LengthBucket.B21_25
-    short_train = [d for d in splits[0] if short.min_len <= d.n_pages <= short.max_len]
-    short_val = [d for d in splits[1] if short.min_len <= d.n_pages <= short.max_len]
+    short_train = [d for d in splits[0] if bucket_of(d.n_pages) is short]
+    short_val = [d for d in splits[1] if bucket_of(d.n_pages) is short]
     if not short_train or not short_val:
         raise ConfigError("corpus has no short documents to train on")
     test_short = [shuffle_instance(d, eval_seed) for d in splits[2] if bucket_of(d.n_pages) is short]
     test_long = [shuffle_instance(d, eval_seed) for d in splits[2] if bucket_of(d.n_pages) is long_b]
     if not test_short or not test_long:
         raise ConfigError("corpus is missing 2-5 or 21-25 page test documents")
-    model = build_model(
-        desk_config(Arch.PAIRWISE_RANK, input_dim, seed=_config_seed("transfer", model_seed))
-    )
+    model = build_model(desk_config(Arch.PAIRWISE_RANK, short_train[0].dim, seed=_config_seed("transfer", model_seed)))
     fit(model, short_train, short_val, train_cfg)
     tau_in = evaluate(model, test_short).overall
     tau_out = evaluate(model, test_long).overall
     return TransferResult(tau_in_domain=tau_in, tau_transfer=tau_out, n_train_docs=len(short_train))
+
+
+def locality_test_docs(test_docs: list[Document]) -> tuple[list[Document], list[Document]]:
+    """The 2-5 and the 21-25 page test documents that ``locality_experiment`` probes; neither may be empty."""
+    short = [d for d in test_docs if bucket_of(d.n_pages) is LengthBucket.B2_5]
+    long_docs = [d for d in test_docs if bucket_of(d.n_pages) is LengthBucket.B21_25]
+    if not short or not long_docs:
+        raise ConfigError("need test documents in both the 2-5 and 21-25 buckets")
+    return short, long_docs
 
 
 def locality_experiment(
@@ -213,17 +223,10 @@ def locality_experiment(
     rows of every layer and head weigh equally. The ratio is the long
     specialist's average attention distance over the short one's.
     """
-    short_stacks = []
-    long_stacks = []
-    for doc in test_docs:
-        bucket = bucket_of(doc.n_pages)
-        if bucket is LengthBucket.B2_5:
-            short_stacks.append(short_model.encoder_attention(shuffle_instance(doc, eval_seed).pages))
-        elif bucket is LengthBucket.B21_25:
-            long_stacks.append(long_model.encoder_attention(shuffle_instance(doc, eval_seed).pages))
-    if not short_stacks or not long_stacks:
-        raise ConfigError("need test documents in both the 2-5 and 21-25 buckets")
-    stats_short = attention_locality(short_stacks)
-    stats_long = attention_locality(long_stacks)
+    short_docs, long_docs = locality_test_docs(test_docs)
+    stats_short, stats_long = (
+        attention_locality([model.encoder_attention(shuffle_instance(d, eval_seed).pages) for d in docs])
+        for model, docs in ((short_model, short_docs), (long_model, long_docs))
+    )
     ratio = stats_long.avg_distance / stats_short.avg_distance if stats_short.avg_distance > 0 else float("inf")
     return LocalityComparison(short=stats_short, long=stats_long, ratio=ratio)

@@ -31,12 +31,15 @@ from .bench.run import (
     REFERENCE_LOCALITY_RATIO,
     REFERENCE_TRANSFER,
     REFERENCE_TRANSFER_IN_DOMAIN,
+    locality_test_docs,
+    menu_rows,
 )
 from .corpus import (
     CorpusConfig,
     EmbedServiceError,
     LengthBucket,
     bucket_of,
+    corpus_digest,
     fetch_embeddings,
     generate_corpus,
     load_corpus,
@@ -144,16 +147,6 @@ def _echo_config(config: dict, out_dir: Path, extras: dict | None = None) -> Non
     atomic_write(out_dir / "effective_config.json", json.dumps(payload, indent=2, sort_keys=True) + "\n")
 
 
-def _corpus_config(config: dict) -> CorpusConfig:
-    section = dict(config["corpus"])
-    section["length_weights"] = tuple(section["length_weights"])
-    return CorpusConfig(**section)
-
-
-def _train_config(config: dict, strategy: Strategy, target: LengthBucket | None) -> TrainConfig:
-    return TrainConfig(strategy=strategy, target_bucket=target, **config["train"])
-
-
 def _reject_ignored_weight_factor(config: dict, run: str) -> None:
     """``train.weight_factor`` weights only ``specialized_direct`` training, so ``run`` would ignore a non-default value."""
     value = config["train"]["weight_factor"]
@@ -181,12 +174,13 @@ def _print_histogram(docs) -> None:
 def cmd_gen(args: argparse.Namespace) -> int:
     config = _config_with_seed(args, "corpus")
     out = Path(args.out)
-    corpus_cfg = _corpus_config(config)
-    docs = generate_corpus(corpus_cfg)
+    section = config["corpus"]
+    docs = generate_corpus(CorpusConfig(**{**section, "length_weights": tuple(section["length_weights"])}))
+    digest = corpus_digest(docs)
     out.mkdir(parents=True, exist_ok=True)
     save_corpus(docs, out / "corpus.jsonl")
-    _echo_config(config, out, {"command": "gen", "corpus_digest": corpus_cfg.digest()})
-    print(f"wrote {len(docs)} documents to {out / 'corpus.jsonl'} (digest {corpus_cfg.digest()})")
+    _echo_config(config, out, {"command": "gen", "corpus_digest": digest})
+    print(f"wrote {len(docs)} documents to {out / 'corpus.jsonl'} (digest {digest})")
     _print_histogram(docs)
     return 0
 
@@ -201,11 +195,9 @@ def cmd_train(args: argparse.Namespace) -> int:
     if strategy is not Strategy.SPECIALIZED_DIRECT:
         _reject_ignored_weight_factor(config, strategy.value)
     target = _bucket_from_label(args.target_bucket) if args.target_bucket else None
-    train_cfg = _train_config(config, strategy, target)
+    train_cfg = TrainConfig(strategy=strategy, target_bucket=target, **config["train"])
     arch, pe = ARCH_ROWS[args.arch]
 
-    out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
     prior_history: list[dict] = []
     if args.resume:
         model = load_checkpoint(args.resume)
@@ -224,6 +216,8 @@ def cmd_train(args: argparse.Namespace) -> int:
     result = fit(model, splits[0], splits[1], train_cfg)
     for row in result.history:
         row["epoch"] += len(prior_history)
+    out = Path(args.out)
+    out.mkdir(parents=True, exist_ok=True)
     save_checkpoint(model, out / "model.ckpt")
     write_training_log(prior_history + result.history, out / "log.csv")
     run = {"command": "train", "arch": args.arch, "strategy": strategy.value}
@@ -240,26 +234,25 @@ def cmd_bench(args: argparse.Namespace) -> int:
     config = _config_with_seed(args, "train")
     docs = load_corpus(args.corpus)
     splits = split_corpus(docs, seed=config["seed"])
-    corpus_cfg = _corpus_config(config)
-    train_cfg = _train_config(config, Strategy.UNIVERSAL, None)
+    train_cfg = TrainConfig(**config["train"])
     if args.models:
         config["bench"]["models"] = args.models.split(",")
     menu = tuple(config["bench"]["models"])
-    if "specialized_direct" not in menu:
+    if "specialized_direct" in menu_rows(menu):
+        locality_test_docs(splits[2])  # the locality comparison below must be able to run
+    else:
         _reject_ignored_weight_factor(config, "a bench menu without it")
-    out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
 
     result = run_benchmark(
         splits,
         menu,
         train_cfg,
-        corpus_digest=corpus_cfg.digest(),
-        input_dim=docs[0].dim,
         eval_seed=config["bench"]["eval_seed"],
         model_seed=config["model"]["seed"],
         progress=lambda msg: print(msg, file=sys.stderr),
     )
+    out = Path(args.out)
+    out.mkdir(parents=True, exist_ok=True)
     write_report_csv(result.report, out / "report.csv")
     atomic_write(out / "report.txt", render_report_text(result.report))
     logs_dir = out / "logs"
@@ -321,11 +314,9 @@ def cmd_transfer(args: argparse.Namespace) -> int:
     _reject_ignored_weight_factor(config, "transfer")
     docs = load_corpus(args.corpus)
     splits = split_corpus(docs, seed=config["seed"])
-    train_cfg = _train_config(config, Strategy.UNIVERSAL, None)
     result = transfer_experiment(
         splits,
-        train_cfg,
-        input_dim=docs[0].dim,
+        TrainConfig(**config["train"]),
         eval_seed=config["bench"]["eval_seed"],
         model_seed=config["model"]["seed"],
     )

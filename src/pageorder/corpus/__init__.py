@@ -5,6 +5,7 @@ from .io import (
     CorpusFormatError,
     CorpusParseError,
     SplitError,
+    corpus_digest,
     load_corpus,
     save_corpus,
     split_corpus,
@@ -25,6 +26,7 @@ __all__ = [
     "shuffle_instance",
     "save_corpus",
     "load_corpus",
+    "corpus_digest",
     "split_corpus",
     "CorpusParseError",
     "CorpusFormatError",

@@ -8,9 +8,7 @@ but order remains learnable.
 
 from __future__ import annotations
 
-import hashlib
-import json
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -51,10 +49,6 @@ class CorpusConfig:
             raise ConfigError("strengths must be non-negative")
         if self.n_page_types < 1:
             raise ConfigError("n_page_types must be positive")
-
-    def digest(self) -> str:
-        payload = json.dumps(asdict(self), sort_keys=True, default=list)
-        return hashlib.sha256(payload.encode("utf-8")).hexdigest()[:16]
 
 
 class _ChronologyCurve:

@@ -7,7 +7,9 @@ persisted, so one file serves every experiment.
 
 from __future__ import annotations
 
+import hashlib
 import json
+from itertools import chain
 from pathlib import Path
 
 import numpy as np
@@ -17,7 +19,15 @@ from ..fileio import atomic_write
 from ..numcore import RngStream
 from .types import Document
 
-__all__ = ["CorpusParseError", "CorpusFormatError", "SplitError", "save_corpus", "load_corpus", "split_corpus"]
+__all__ = [
+    "CorpusParseError",
+    "CorpusFormatError",
+    "SplitError",
+    "save_corpus",
+    "load_corpus",
+    "corpus_digest",
+    "split_corpus",
+]
 
 
 class CorpusParseError(ValueError):
@@ -42,7 +52,10 @@ def save_corpus(docs: list[Document], path: str | Path) -> None:
 
 
 def load_corpus(path: str | Path) -> list[Document]:
-    """Read documents back; embeddings round-trip bit-exactly as float32."""
+    """Read documents back; embeddings round-trip bit-exactly as float32.
+
+    ``doc_id`` must be a JSON string, ``dim`` a JSON integer and ``pages`` equal-length lists of JSON numbers.
+    """
     path = Path(path)
     docs: list[Document] = []
     corpus_dim: int | None = None
@@ -57,14 +70,26 @@ def load_corpus(path: str | Path) -> list[Document]:
                 raise CorpusParseError(f"line {lineno}: invalid JSON ({exc.msg})") from exc
             if not isinstance(record, dict) or not {"doc_id", "dim", "pages"} <= set(record):
                 raise CorpusParseError(f"line {lineno}: missing doc_id/dim/pages")
+            if type(record["doc_id"]) is not str:
+                raise CorpusParseError(f"line {lineno}: doc_id must be a JSON string")
+            if type(record["dim"]) is not int:
+                raise CorpusParseError(f"line {lineno}: dim must be a JSON integer")
+            pages = record["pages"]
+            # exact types: a boolean is an int subclass, and numpy would read it or a numeric string as a number
+            if (
+                type(pages) is not list
+                or any(type(page) is not list for page in pages)
+                or not set(map(type, chain.from_iterable(pages))) <= {int, float}
+            ):
+                raise CorpusParseError(f"line {lineno}: pages must be lists of JSON numbers")
             try:
-                pages = np.asarray(record["pages"], dtype=np.float32)
-            except (TypeError, ValueError) as exc:
+                pages = np.asarray(pages, dtype=np.float32)
+            except ValueError as exc:
                 raise CorpusParseError(f"line {lineno}: pages must be equal-length lists of numbers ({exc})") from exc
             if pages.ndim != 2 or pages.shape[1] != record["dim"]:
                 raise CorpusParseError(f"line {lineno}: pages do not match declared dim {record['dim']}")
             if corpus_dim is None:
-                corpus_dim = int(record["dim"])
+                corpus_dim = record["dim"]
             elif record["dim"] != corpus_dim:
                 raise CorpusFormatError(
                     f"line {lineno}: dimension {record['dim']} differs from corpus dimension {corpus_dim}"
@@ -74,6 +99,21 @@ def load_corpus(path: str | Path) -> list[Document]:
             except DomainError as exc:
                 raise CorpusParseError(f"line {lineno}: {exc}") from exc
     return docs
+
+
+def corpus_digest(docs: list[Document]) -> str:
+    """First 16 hex digits of a sha256 over every document's id, shape and float32 page bytes.
+
+    Each document is hashed on its own and the sorted hashes are hashed
+    together, so the digest names the content in any document order.
+    """
+    per_doc = sorted(
+        hashlib.sha256(
+            json.dumps([doc.doc_id, list(doc.pages.shape)]).encode("utf-8") + doc.pages.astype("<f4").tobytes()
+        ).digest()
+        for doc in docs
+    )
+    return hashlib.sha256(b"".join(per_doc)).hexdigest()[:16]
 
 
 # train, validation and test shares of a split

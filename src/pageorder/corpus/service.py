@@ -50,10 +50,16 @@ def _post_batch(endpoint: str, texts: list[str], credentials: str | None, timeou
     if credentials:
         request.add_header("Authorization", f"Bearer {credentials}")
     with urllib.request.urlopen(request, timeout=timeout) as response:
-        payload = json.loads(response.read().decode("utf-8"))
-    embeddings = payload.get("embeddings")
-    if not isinstance(embeddings, list) or len(embeddings) != len(texts):
-        raise TransportError(f"service returned {len(embeddings or [])} embeddings for {len(texts)} texts")
+        body = response.read()
+    try:
+        payload = json.loads(body.decode("utf-8"))
+    except ValueError as exc:  # invalid UTF-8 or invalid JSON
+        raise TransportError(f"service response is not JSON: {exc}") from exc
+    if not isinstance(payload, dict) or not isinstance(payload.get("embeddings"), list):
+        raise TransportError("service response is not a JSON object holding an embeddings array")
+    embeddings = payload["embeddings"]
+    if len(embeddings) != len(texts):
+        raise TransportError(f"service returned {len(embeddings)} embeddings for {len(texts)} texts")
     return embeddings
 
 
@@ -73,8 +79,8 @@ def fetch_embeddings(
     Transient failures (HTTP 5xx, connection errors) are retried
     ``max_retries`` times per batch with exponential backoff. Client
     errors are not retried: 401/403 raise AuthError, anything else
-    TransportError. Every returned vector must share one dimension,
-    matching ``expected_dim`` when given.
+    TransportError. Every returned vector must be finite, non-empty and
+    share one dimension, matching ``expected_dim`` when given.
     """
     if not texts:
         return []
@@ -102,9 +108,12 @@ def fetch_embeddings(
                     continue
                 raise TransportError(f"embedding service unreachable: {exc}") from exc
         for row in rows:
-            vector = np.asarray(row, dtype=np.float32)
-            if vector.ndim != 1:
-                raise DimensionMismatchError(f"embedding is not a flat vector: shape {vector.shape}")
+            with np.errstate(over="ignore"):  # a value beyond float32 becomes inf, rejected below
+                vector = np.asarray(row, dtype=np.float32)
+            if vector.ndim != 1 or vector.shape[0] == 0:
+                raise DimensionMismatchError(f"embedding is not a non-empty flat vector: shape {vector.shape}")
+            if not np.isfinite(vector).all():
+                raise EmbedServiceError("embedding holds a non-finite value")
             if dim is None:
                 dim = vector.shape[0]
             if vector.shape[0] != dim:

@@ -4,13 +4,12 @@ from ..models.losses import ConsistencyError, loss_pairwise, loss_pointer, loss_
 from .loop import (
     FitResult,
     SpecialistEnsemble,
-    TrainConfig,
     evaluate,
     fit,
     read_training_log,
     write_training_log,
 )
-from .schedule import CurriculumStage, Strategy, curriculum_schedule, specialization_weight
+from .schedule import CurriculumStage, Strategy, TrainConfig, curriculum_schedule
 
 __all__ = [
     "TrainConfig",
@@ -28,5 +27,4 @@ __all__ = [
     "Strategy",
     "CurriculumStage",
     "curriculum_schedule",
-    "specialization_weight",
 ]

@@ -15,10 +15,9 @@ from ..fileio import atomic_write
 from ..metrics import BucketMeans, mean_tau
 from ..models import Model
 from ..numcore import RngStream, Tensor, TrainingDivergedError, adam_step, clip_global_norm, init_adam
-from .schedule import CurriculumStage, Strategy, curriculum_schedule, specialization_weight
+from .schedule import TrainConfig
 
 __all__ = [
-    "TrainConfig",
     "FitResult",
     "SpecialistEnsemble",
     "fit",
@@ -26,31 +25,6 @@ __all__ = [
     "write_training_log",
     "read_training_log",
 ]
-
-
-@dataclass(frozen=True)
-class TrainConfig:
-    epochs: int = 30
-    batch_size: int = 16
-    lr: float = 1e-3
-    clip_norm: float = 1.0
-    strategy: Strategy = Strategy.UNIVERSAL
-    target_bucket: LengthBucket | None = None
-    weight_factor: float = 5.0
-    seed: int = 0
-
-    def __post_init__(self):
-        if self.weight_factor < 1.0:
-            raise ConfigError("weight_factor must be >= 1")
-        if self.strategy is not Strategy.UNIVERSAL and self.target_bucket is None:
-            raise ConfigError(f"strategy {self.strategy.value} requires a target bucket")
-        if self.epochs < 1 or self.batch_size < 1:
-            raise ConfigError("epochs and batch_size must be positive")
-        # a negative step or clip bound flips the gradient, and zero freezes training
-        for name in ("lr", "clip_norm"):
-            value = getattr(self, name)
-            if not value > 0:
-                raise ConfigError(f"{name} must be positive, got {value}")
 
 
 def _float_or_none(cell: str) -> float | None:
@@ -114,15 +88,6 @@ def evaluate(model_or_ensemble, instances: list[ShuffledInstance]) -> BucketMean
     return mean_tau(instances, predictions)
 
 
-def _stages_for(cfg: TrainConfig) -> list[CurriculumStage]:
-    if cfg.strategy is Strategy.SPECIALIZED_CURRICULUM:
-        assert cfg.target_bucket is not None
-        return curriculum_schedule(cfg.target_bucket, cfg.epochs)
-    from ..corpus import MAX_PAGES, MIN_PAGES
-
-    return [CurriculumStage(MIN_PAGES, MAX_PAGES, cfg.epochs, 1.0)]
-
-
 def _batches(lengths: list[int], batch_size: int, order: np.ndarray) -> list[list[int]]:
     """Group the positions of same-length documents into batches, batch order seeded."""
     by_length: dict[int, list[int]] = {}
@@ -137,18 +102,17 @@ def _batches(lengths: list[int], batch_size: int, order: np.ndarray) -> list[lis
 
 
 def fit(model: Model, train_docs: list[Document], val_docs: list[Document], cfg: TrainConfig) -> FitResult:
-    """Train under the configured strategy; returns the best-validation snapshot.
+    """Train through ``cfg``'s stages and batch weights; returns the best-validation snapshot.
 
-    Validation tau is recorded after every epoch. Curriculum stages see
-    only documents inside their length range, and each epoch's row keeps
-    the set of lengths that actually entered batches for auditing.
+    Validation tau is recorded after every epoch. Each stage sees only
+    documents inside its length range, and each epoch's row keeps the set
+    of lengths that actually entered batches for auditing.
     """
     if not train_docs or not val_docs:
         raise ConfigError("need non-empty train and validation splits")
-    stages = _stages_for(cfg)
+    plan = cfg.stage_docs([shuffle_instance(d, cfg.seed) for d in train_docs])
     run_rng = RngStream(cfg.seed).split("fit")
     val_instances = [shuffle_instance(d, cfg.seed) for d in val_docs]
-    base_instances = [shuffle_instance(d, cfg.seed) for d in train_docs]
 
     params = model.parameters()
     state = init_adam(params, learning_rate=cfg.lr)
@@ -158,12 +122,9 @@ def fit(model: Model, train_docs: list[Document], val_docs: list[Document], cfg:
     history: list[dict] = []
 
     epoch = 0
-    for stage_idx, stage in enumerate(stages):
+    for stage_idx, (stage, instances) in enumerate(plan):
         stage_lr = cfg.lr * stage.lr_scale
         state.learning_rate = stage_lr
-        instances = [inst for inst in base_instances if stage.contains(inst.n_pages)]
-        if not instances:
-            raise ConfigError(f"no training documents with {stage.min_len}-{stage.max_len} pages")
         lengths = [inst.n_pages for inst in instances]
         for _ in range(stage.epochs):
             order = run_rng.split(f"order-ep{epoch}").permutation(len(instances))
@@ -179,11 +140,7 @@ def fit(model: Model, train_docs: list[Document], val_docs: list[Document], cfg:
                 seen_lengths.add(n)
                 pages = Tensor(np.stack([inst.pages for inst in insts]).astype(model.dtype))
                 truth = np.stack([inst.truth_rank for inst in insts])
-                weight = (
-                    specialization_weight(n, cfg.target_bucket, cfg.weight_factor)
-                    if cfg.strategy is Strategy.SPECIALIZED_DIRECT
-                    else 1.0
-                )
+                weight = cfg.batch_weight(n)
                 model.zero_grad()
                 batch_loss = model.loss(pages, truth).mean() * weight
                 loss_value = batch_loss.item()

@@ -1,4 +1,4 @@
-"""Training strategies: loss weighting and the length curriculum."""
+"""The training plan: strategies, the length curriculum and ``TrainConfig``, which resolves both."""
 
 from __future__ import annotations
 
@@ -8,7 +8,7 @@ from enum import Enum
 from ..corpus import MAX_PAGES, MIN_PAGES, LengthBucket, bucket_of
 from ..errors import ConfigError
 
-__all__ = ["Strategy", "CurriculumStage", "specialization_weight", "curriculum_schedule"]
+__all__ = ["Strategy", "CurriculumStage", "TrainConfig", "curriculum_schedule"]
 
 FINAL_STAGE_LR_SCALE = 0.1
 STAGE_EPOCH_SHARES = (0.15, 0.15, 0.50, 0.20)
@@ -35,11 +35,6 @@ class CurriculumStage:
 
     def contains(self, length: int) -> bool:
         return self.min_len <= length <= self.max_len
-
-
-def specialization_weight(doc_len: int, target_bucket: LengthBucket, factor: float) -> float:
-    """Loss weight: ``factor`` inside the target bucket, 1.0 everywhere else."""
-    return float(factor) if bucket_of(doc_len) is target_bucket else 1.0
 
 
 def curriculum_schedule(target: LengthBucket, total_epochs: int) -> list[CurriculumStage]:
@@ -74,3 +69,53 @@ def curriculum_schedule(target: LengthBucket, total_epochs: int) -> list[Curricu
         CurriculumStage(t_min, t_max, e3, 1.0),
         CurriculumStage(t_min, t_max, e4, FINAL_STAGE_LR_SCALE),
     ]
+
+
+@dataclass(frozen=True)
+class TrainConfig:
+    """Training knobs and the strategy, which fixes the stages and batch weights; built only with a valid plan."""
+
+    epochs: int = 30
+    batch_size: int = 16
+    lr: float = 1e-3
+    clip_norm: float = 1.0
+    strategy: Strategy = Strategy.UNIVERSAL
+    target_bucket: LengthBucket | None = None
+    weight_factor: float = 5.0
+    seed: int = 0
+
+    def __post_init__(self):
+        if self.weight_factor < 1.0:
+            raise ConfigError("weight_factor must be >= 1")
+        if self.strategy is not Strategy.UNIVERSAL and self.target_bucket is None:
+            raise ConfigError(f"strategy {self.strategy.value} requires a target bucket")
+        if self.epochs < 1 or self.batch_size < 1:
+            raise ConfigError("epochs and batch_size must be positive")
+        # a negative step or clip bound flips the gradient, and zero freezes training
+        for name in ("lr", "clip_norm"):
+            value = getattr(self, name)
+            if not value > 0:
+                raise ConfigError(f"{name} must be positive, got {value}")
+        self.stages()
+
+    def stages(self) -> list[CurriculumStage]:
+        """The curriculum under ``specialized_curriculum``, else one full-range stage."""
+        if self.strategy is Strategy.SPECIALIZED_CURRICULUM:
+            return curriculum_schedule(self.target_bucket, self.epochs)
+        return [CurriculumStage(MIN_PAGES, MAX_PAGES, self.epochs, 1.0)]
+
+    def stage_docs(self, docs: list) -> list[tuple[CurriculumStage, list]]:
+        """Each stage with the ``docs`` (anything with ``n_pages``) in its length range; none is a ConfigError."""
+        plan = []
+        for stage in self.stages():
+            members = [d for d in docs if stage.contains(d.n_pages)]
+            if not members:
+                raise ConfigError(f"no training documents with {stage.min_len}-{stage.max_len} pages")
+            plan.append((stage, members))
+        return plan
+
+    def batch_weight(self, n_pages: int) -> float:
+        """``weight_factor`` for a batch inside the ``specialized_direct`` target bucket, else 1.0."""
+        if self.strategy is Strategy.SPECIALIZED_DIRECT and bucket_of(n_pages) is self.target_bucket:
+            return float(self.weight_factor)
+        return 1.0

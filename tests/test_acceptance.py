@@ -207,7 +207,6 @@ class TestAcceptance:
         result = transfer_experiment(
             splits,
             TrainConfig(epochs=30, batch_size=16, seed=7),
-            input_dim=64,
             eval_seed=ACCEPT_EVAL_SEED,
             model_seed=1,
         )

@@ -43,18 +43,16 @@ def report_row(bench, name: str):
 @pytest.fixture(scope="module")
 def tiny_splits():
     docs = generate_corpus(CorpusConfig(n_docs=150, dim=DIM, chrono_dim=4, seed=31))
-    return split_corpus(docs, seed=31), CorpusConfig(n_docs=150, dim=DIM, chrono_dim=4, seed=31).digest()
+    return split_corpus(docs, seed=31)
 
 
 @pytest.fixture(scope="module")
 def small_bench(tiny_splits):
-    splits, digest = tiny_splits
+    splits = tiny_splits
     return run_benchmark(
         splits,
         ("random", "tsp_nn", "pairwise"),
         TrainConfig(epochs=2, batch_size=8, seed=5),
-        corpus_digest=digest,
-        input_dim=DIM,
         eval_seed=42,
         model_seed=1,
     )
@@ -70,7 +68,7 @@ class TestRunBenchmark:
         assert pairwise.param_count == small_bench.models["pairwise"].param_count()
 
     def test_docs_per_bucket_match_test_split(self, small_bench, tiny_splits):
-        splits, _ = tiny_splits
+        splits = tiny_splits
         total = sum(small_bench.report.rows[0].docs_by_bucket.values())
         assert total == len(splits[2])
 
@@ -78,25 +76,21 @@ class TestRunBenchmark:
         assert abs(report_row(small_bench, "random").tau_overall) < 0.25  # tiny test split
 
     def test_unknown_config_rejected(self, tiny_splits):
-        splits, digest = tiny_splits
+        splits = tiny_splits
         with pytest.raises(ConfigError):
             run_benchmark(
                 splits,
                 ("nonsense",),
                 TrainConfig(epochs=1),
-                corpus_digest=digest,
-                input_dim=DIM,
                 eval_seed=1,
             )
 
     def test_rerun_is_deterministic(self, tiny_splits, small_bench):
-        splits, digest = tiny_splits
+        splits = tiny_splits
         again = run_benchmark(
             splits,
             ("random", "tsp_nn", "pairwise"),
             TrainConfig(epochs=2, batch_size=8, seed=5),
-            corpus_digest=digest,
-            input_dim=DIM,
             eval_seed=42,
             model_seed=1,
         )
@@ -206,11 +200,10 @@ class TestFigures:
 
 class TestTransferExperiment:
     def test_outputs_and_direction(self, tiny_splits):
-        splits, _ = tiny_splits
+        splits = tiny_splits
         result = transfer_experiment(
             splits,
             TrainConfig(epochs=3, batch_size=8, seed=5),
-            input_dim=DIM,
             eval_seed=42,
             model_seed=2,
         )
@@ -223,7 +216,7 @@ class TestTransferExperiment:
 
 class TestLocalityExperiment:
     def test_schema_and_ratio(self, tiny_splits):
-        splits, _ = tiny_splits
+        splits = tiny_splits
         cfg_short = ModelConfig(arch=Arch.PAIRWISE_RANK, input_dim=DIM, hidden_dim=16, layers=1, heads=2, seed=1)
         cfg_long = ModelConfig(arch=Arch.PAIRWISE_RANK, input_dim=DIM, hidden_dim=16, layers=1, heads=2, seed=2)
         comparison = locality_experiment(

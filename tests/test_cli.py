@@ -41,6 +41,17 @@ def corpus_path(workdir):
     return workdir / "gen" / "corpus.jsonl"
 
 
+@pytest.fixture(scope="module")
+def no_long_corpus(tmp_path_factory):
+    """60 documents without a 21-25 page one; its ``cfg.json`` trains 4 epochs, enough for a curriculum."""
+    root = tmp_path_factory.mktemp("no_long")
+    cfg = root / "cfg.json"
+    corpus = {"n_docs": 60, "dim": 16, "chrono_dim": 4, "seed": 5, "length_weights": [1, 1, 1, 1, 0]}
+    cfg.write_text(json.dumps({"corpus": corpus, "train": {"epochs": 4, "batch_size": 8}}))
+    assert run_cli("gen", "--config", str(cfg), "--out", str(root / "gen")) == 0
+    return root / "gen" / "corpus.jsonl"
+
+
 class TestGen:
     def test_writes_corpus_and_config_echo(self, workdir):
         assert (workdir / "gen" / "corpus.jsonl").exists()
@@ -116,6 +127,15 @@ class TestGen:
         assert run_cli("gen", "--config", str(cfg), "--out", str(tmp_path / "again")) == 0
         assert (tmp_path / "again" / "corpus.jsonl").read_bytes() == (tmp_path / "s3" / "corpus.jsonl").read_bytes()
 
+    def test_gen_and_bench_without_config_print_one_digest(self, workdir, tmp_path, capsys):
+        assert run_cli("gen", "--config", str(workdir / "cfg.json"), "--out", str(tmp_path / "g")) == 0
+        digest = json.loads((tmp_path / "g" / "effective_config.json").read_text())["run"]["corpus_digest"]
+        assert f"(digest {digest})" in capsys.readouterr().out
+        corpus = str(tmp_path / "g" / "corpus.jsonl")
+        assert run_cli("bench", "--corpus", corpus, "--models", "random", "--out", str(tmp_path / "b")) == 0
+        assert f"corpus digest: {digest}" in capsys.readouterr().out
+        assert (tmp_path / "b" / "report.csv").read_text().splitlines()[0] == f"# corpus_digest,{digest}"
+
     def test_missing_out_flag_exits_2(self, workdir, capsys):
         with pytest.raises(SystemExit) as exc:
             run_cli("gen", "--config", str(workdir / "cfg.json"))
@@ -181,6 +201,26 @@ class TestTrain:
             "--arch", "pairwise", "--strategy", "specialized_curriculum", "--out", str(tmp_path / "t"),
         )
         assert code == 2
+
+    def test_curriculum_too_short_for_its_epochs_creates_no_out(self, workdir, corpus_path, tmp_path, capsys):
+        out = tmp_path / "t"
+        code = run_cli(
+            "train", "--config", str(workdir / "cfg.json"), "--corpus", str(corpus_path), "--arch", "pairwise",
+            "--strategy", "specialized_curriculum", "--target-bucket", "6-10", "--out", str(out),
+        )
+        assert code == 2
+        assert "curriculum needs at least 4 epochs, got 2" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_curriculum_stage_without_documents_fails_before_training(self, no_long_corpus, tmp_path, capsys):
+        out = tmp_path / "t"
+        code = run_cli(
+            "train", "--config", str(no_long_corpus.parent.parent / "cfg.json"), "--corpus", str(no_long_corpus),
+            "--arch", "pairwise", "--strategy", "specialized_curriculum", "--target-bucket", "21-25", "--out", str(out),
+        )
+        assert code == 2
+        assert "no training documents with 21-25 pages" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_resume_continues_tau_series(self, workdir, corpus_path, tmp_path):
         cfg = workdir / "cfg.json"
@@ -382,6 +422,48 @@ class TestBench:
         assert code == 1 and "benchmark reached" in capsys.readouterr().err
         assert seen == {"menu": ("random", "specialized_direct"), "weight_factor": 3.0}
 
+    def test_weight_factor_reaches_the_all_menu(self, corpus_path, tmp_path, monkeypatch, capsys):
+        # "all" holds specialized_direct, so the factor applies
+        def stop_at_benchmark(splits, menu, train_cfg, **kwargs):
+            raise RuntimeError(f"benchmark reached with weight_factor {train_cfg.weight_factor}")
+
+        monkeypatch.setattr("pageorder.cli.run_benchmark", stop_at_benchmark)
+        code = run_cli(
+            "bench", "--config", weight_factor_config(tmp_path, 3.0), "--corpus", str(corpus_path),
+            "--models", "all", "--out", str(tmp_path / "b"),
+        )
+        assert code == 1 and "benchmark reached with weight_factor 3.0" in capsys.readouterr().err
+
+    def test_report_digest_ignores_the_config_corpus_section(self, corpus_path, tmp_path):
+        reports = []
+        for seed in (5, 6):
+            cfg = tmp_path / f"cfg{seed}.json"
+            cfg.write_text(json.dumps({**TINY_CONFIG, "corpus": {**TINY_CONFIG["corpus"], "seed": seed, "dim": 32}}))
+            out = tmp_path / f"b{seed}"
+            assert run_cli("bench", "--config", str(cfg), "--corpus", str(corpus_path), "--models", "random,tsp_nn",
+                           "--out", str(out)) == 0
+            reports.append((out / "report.csv").read_bytes())
+        assert reports[0] == reports[1]
+
+    @pytest.mark.parametrize(
+        "models, corpus, error",
+        [
+            ("random,pairwise,specialized_curriculum", "corpus_path", "curriculum needs at least 4 epochs, got 2"),
+            ("random,specialized_direct", "no_long_corpus", "need test documents in both the 2-5 and 21-25 buckets"),
+            ("random,pointer_mlp,specialized_curriculum", "no_long_corpus", "no training documents with 21-25 pages"),
+        ],
+        ids=["curriculum_too_short", "no_locality_test_documents", "curriculum_stage_without_documents"],
+    )
+    def test_plan_the_data_cannot_serve_fails_before_any_row(self, request, tmp_path, capsys, models, corpus, error):
+        corpus = request.getfixturevalue(corpus)
+        cfg = corpus.parent.parent / "cfg.json"  # written beside the gen output directory
+        out = tmp_path / "b"
+        code = run_cli("bench", "--config", str(cfg), "--corpus", str(corpus), "--models", models, "--out", str(out))
+        assert code == 2
+        err = capsys.readouterr().err
+        assert error in err and "configuration" not in err
+        assert not out.exists()
+
     def test_unknown_model_name_exits_2(self, workdir, corpus_path, tmp_path):
         code = run_cli(
             "bench", "--config", str(workdir / "cfg.json"), "--corpus", str(corpus_path),
@@ -460,7 +542,55 @@ def stub_endpoint(monkeypatch):
     server.shutdown()
 
 
+class _RawBodyStub(BaseHTTPRequestHandler):
+    body = b""
+
+    def do_POST(self):
+        self.rfile.read(int(self.headers["Content-Length"]))
+        self.send_response(200)
+        self.send_header("Content-Length", str(len(self.body)))
+        self.end_headers()
+        self.wfile.write(self.body)
+
+    def log_message(self, *args):
+        pass
+
+
 class TestEmbedCommand:
+    @pytest.mark.parametrize(
+        "body",
+        [
+            b'{"embeddings": [[NaN, 1.0]]}',
+            b'{"embeddings": [[1.0, Infinity]]}',
+            b'{"embeddings": [[1e39, 1.0]]}',
+            b'{"embeddings": [[]]}',
+            b"[[1.0, 2.0]]",
+            b'{"vectors": [[1.0, 2.0]]}',
+            b'{"embeddings": {"alpha": [1.0, 2.0]}}',
+            b"not json",
+        ],
+        ids=[
+            "nan", "infinity", "float32_overflow", "empty_vector", "array_body", "no_embeddings_key",
+            "embeddings_object", "invalid_json",
+        ],
+    )
+    def test_bad_service_response_writes_nothing(self, tmp_path, capsys, monkeypatch, body):
+        _RawBodyStub.body = body
+        server = HTTPServer(("127.0.0.1", 0), _RawBodyStub)
+        threading.Thread(target=server.serve_forever, daemon=True).start()
+        monkeypatch.setenv("EMBED_API_KEY", "secret")
+        texts = tmp_path / "texts.txt"
+        texts.write_text("alpha\n")
+        out = tmp_path / "e.jsonl"
+        try:
+            code = run_cli("embed", "--endpoint", f"http://127.0.0.1:{server.server_port}", "--input", str(texts),
+                           "--out", str(out))
+        finally:
+            server.shutdown()
+        assert code == 1
+        assert "embedding service error: " in capsys.readouterr().err
+        assert not out.exists()
+
     def test_missing_api_key_is_config_error(self, tmp_path, monkeypatch):
         monkeypatch.delenv("EMBED_API_KEY", raising=False)
         texts = tmp_path / "texts.txt"

@@ -13,6 +13,7 @@ from pageorder.corpus import (
     ShuffledInstance,
     SplitError,
     bucket_of,
+    corpus_digest,
     generate_corpus,
     load_corpus,
     save_corpus,
@@ -95,9 +96,24 @@ class TestGenerator:
         docs = generate_corpus(CorpusConfig(n_docs=200, dim=16, chrono_dim=4, seed=4))
         assert all(2 <= d.n_pages <= 25 for d in docs)
 
-    def test_digest_tracks_config(self):
-        assert CorpusConfig(seed=1).digest() != CorpusConfig(seed=2).digest()
-        assert CorpusConfig(seed=1).digest() == CorpusConfig(seed=1).digest()
+    def test_digest_names_the_content_in_any_order(self):
+        docs = generate_corpus(CorpusConfig(n_docs=12, dim=8, chrono_dim=2, seed=1))
+        digest = corpus_digest(docs)
+        assert len(digest) == 16 and int(digest, 16) >= 0
+        assert corpus_digest(docs[::-1]) == digest
+        assert corpus_digest(generate_corpus(CorpusConfig(n_docs=12, dim=8, chrono_dim=2, seed=2))) != digest
+
+    def test_one_page_value_changes_the_digest(self):
+        docs = generate_corpus(CorpusConfig(n_docs=12, dim=8, chrono_dim=2, seed=1))
+        pages = docs[5].pages.copy()
+        pages[1, 3] = np.nextafter(pages[1, 3], np.float32(np.inf))
+        changed = docs[:5] + [Document(doc_id=docs[5].doc_id, pages=pages)] + docs[6:]
+        assert corpus_digest(changed) != corpus_digest(docs)
+
+    def test_digest_survives_save_and_load(self, tmp_path):
+        docs = generate_corpus(CorpusConfig(n_docs=12, dim=8, chrono_dim=2, seed=1))
+        save_corpus(docs, tmp_path / "c.jsonl")
+        assert corpus_digest(load_corpus(tmp_path / "c.jsonl")) == corpus_digest(docs)
 
     def test_zero_chronology_strength_carries_no_order_signal(self):
         # no-signal control: with the chronology term off, nothing beats
@@ -245,13 +261,37 @@ class TestIO:
             load_corpus(path)
 
     @pytest.mark.parametrize(
-        "pages", ["[[1.0,2.0],[3.0]]", '[[1.0,2.0],[3.0,"x"]]', "[[1.0,2.0],[3.0,{}]]"], ids=["ragged", "string", "object"]
+        "pages",
+        [
+            "[[1.0,2.0],[3.0]]",
+            '[[1.0,2.0],[3.0,"x"]]',
+            "[[1.0,2.0],[3.0,{}]]",
+            '[["1.5",2.0],[3.0,4.0]]',
+            "[[1.5,2.0],[true,4.0]]",
+            "[[1.5,2.0],[false,4.0]]",
+        ],
+        ids=["ragged", "string", "object", "numeric_string", "true", "false"],
     )
     def test_malformed_pages_name_line(self, tmp_path, pages):
         path = tmp_path / "bad.jsonl"
         good = '{"doc_id":"a","dim":2,"pages":[[1.0,2.0],[3.0,4.0]]}'
         path.write_text(f'{good}\n{{"doc_id":"b","dim":2,"pages":{pages}}}\n')
         with pytest.raises(CorpusParseError, match="line 2: pages"):
+            load_corpus(path)
+
+    @pytest.mark.parametrize(
+        "record",
+        [
+            '{"doc_id":"b","dim":true,"pages":[[1.5],[3.0]]}',
+            '{"doc_id":"b","dim":2.0,"pages":[[1.5,2.0],[3.0,4.0]]}',
+            '{"doc_id":7,"dim":2,"pages":[[1.5,2.0],[3.0,4.0]]}',
+        ],
+        ids=["boolean_dim", "float_dim", "number_doc_id"],
+    )
+    def test_dim_must_be_an_integer_and_doc_id_a_string(self, tmp_path, record):
+        path = tmp_path / "bad.jsonl"
+        path.write_text('{"doc_id":"a","dim":2,"pages":[[1.0,2.0],[3.0,4.0]]}\n' + record + "\n")
+        with pytest.raises(CorpusParseError, match="line 2: (dim|doc_id) must be a JSON"):
             load_corpus(path)
 
     def test_interrupted_save_leaves_previous_file(self, tmp_path):

@@ -32,7 +32,6 @@ from pageorder.training import (
     loss_position,
     make_pairwise_targets,
     read_training_log,
-    specialization_weight,
     write_training_log,
 )
 from pageorder.training.loop import SpecialistEnsemble
@@ -172,16 +171,42 @@ class TestLossPosition:
         assert report.passed, report.summary()
 
 
-class TestSpecializationWeight:
-    def test_target_bucket_upweighted(self):
-        assert specialization_weight(12, LengthBucket.B11_15, 5.0) == 5.0
+class TestBatchWeight:
+    @staticmethod
+    def direct(factor=5.0):
+        return TrainConfig(strategy=Strategy.SPECIALIZED_DIRECT, target_bucket=LengthBucket.B11_15, weight_factor=factor)
 
-    def test_other_bucket_unit_weight(self):
-        assert specialization_weight(3, LengthBucket.B11_15, 5.0) == 1.0
+    def test_target_bucket_upweighted(self):
+        assert [self.direct().batch_weight(n) for n in (11, 12, 15)] == [5.0, 5.0, 5.0]
+
+    def test_other_buckets_unit_weight(self):
+        assert [self.direct().batch_weight(n) for n in (3, 10, 16, 25)] == [1.0, 1.0, 1.0, 1.0]
 
     def test_factor_one_is_universal(self):
-        for length in range(2, 26):
-            assert specialization_weight(length, LengthBucket.B6_10, 1.0) == 1.0
+        assert all(self.direct(1.0).batch_weight(n) == 1.0 for n in range(2, 26))
+
+    @pytest.mark.parametrize(
+        "cfg",
+        [
+            TrainConfig(),
+            TrainConfig(epochs=8, strategy=Strategy.SPECIALIZED_CURRICULUM, target_bucket=LengthBucket.B11_15),
+        ],
+        ids=["universal", "specialized_curriculum"],
+    )
+    def test_other_strategies_weigh_every_batch_alike(self, cfg):
+        assert all(cfg.batch_weight(n) == 1.0 for n in range(2, 26))
+
+
+class TestStages:
+    @pytest.mark.parametrize("strategy", [Strategy.UNIVERSAL, Strategy.SPECIALIZED_DIRECT], ids=lambda s: s.value)
+    def test_one_full_range_stage(self, strategy):
+        target = None if strategy is Strategy.UNIVERSAL else LengthBucket.B6_10
+        stages = TrainConfig(epochs=7, strategy=strategy, target_bucket=target).stages()
+        assert stages == [CurriculumStage(2, 25, 7, 1.0)]
+
+    def test_curriculum_is_the_schedule(self):
+        cfg = TrainConfig(epochs=20, strategy=Strategy.SPECIALIZED_CURRICULUM, target_bucket=LengthBucket.B16_20)
+        assert cfg.stages() == curriculum_schedule(LengthBucket.B16_20, 20)
 
 
 class TestCurriculumSchedule:
@@ -222,6 +247,10 @@ class TestTrainConfig:
     def test_specialized_requires_target(self):
         with pytest.raises(ConfigError):
             TrainConfig(strategy=Strategy.SPECIALIZED_DIRECT)
+
+    def test_curriculum_too_short_is_rejected_at_construction(self):
+        with pytest.raises(ConfigError, match="at least 4 epochs"):
+            TrainConfig(epochs=3, strategy=Strategy.SPECIALIZED_CURRICULUM, target_bucket=LengthBucket.B6_10)
 
     def test_weight_factor_floor(self):
         with pytest.raises(ConfigError):
@@ -342,6 +371,19 @@ class TestFit:
         model = tiny(Arch.PAIRWISE_RANK, seed=10)
         result = fit(model, train, val, TrainConfig(epochs=3, batch_size=8, seed=7))
         assert result.best_epoch == int(np.argmax(result.val_tau_series))
+
+    def test_a_stage_without_documents_fails_before_the_first_epoch(self, small_corpus):
+        train, val, _ = small_corpus
+        # stage 1 (2-5 pages) could train, but stage 3 (21-25 pages) has nothing
+        train = [d for d in train if d.n_pages <= 15]
+        model = tiny(Arch.PAIRWISE_RANK, seed=9)
+        before = model.state_arrays()
+        cfg = TrainConfig(
+            epochs=8, batch_size=8, seed=6, strategy=Strategy.SPECIALIZED_CURRICULUM, target_bucket=LengthBucket.B21_25
+        )
+        with pytest.raises(ConfigError, match="no training documents with 21-25 pages"):
+            fit(model, train, val, cfg)
+        assert all(np.array_equal(before[k], v) for k, v in model.state_arrays().items())
 
     def test_no_gradient_is_an_error(self, small_corpus):
         train, val, _ = small_corpus
