@@ -102,11 +102,17 @@ def _train(row: tuple[Arch, PeVariant], splits, train_cfg: TrainConfig, seed: in
 
 
 def menu_rows(menu) -> list[str]:
-    """The row names of a bench menu, ``["all"]`` standing for every ``MENU`` row; an unknown name is a ConfigError."""
+    """The row names of a bench menu, ``["all"]`` standing for every ``MENU`` row.
+
+    An unknown name, or a name given twice, is a ConfigError.
+    """
     names = list(MENU) if list(menu) == ["all"] else list(menu)
     unknown = [n for n in names if n not in MENU]
     if unknown:
         raise ConfigError(f"unknown benchmark configurations: {unknown}")
+    repeated = sorted({n for n in names if names.count(n) > 1})
+    if repeated:
+        raise ConfigError(f"benchmark configurations named more than once: {repeated}")
     return names
 
 

@@ -14,7 +14,7 @@ from pathlib import Path
 
 import numpy as np
 
-from ..errors import DomainError
+from ..errors import ConfigError, DomainError
 from ..fileio import atomic_write
 from ..numcore import RngStream
 from .types import Document
@@ -38,8 +38,8 @@ class CorpusFormatError(ValueError):
     """Documents disagree on embedding dimension or violate the schema."""
 
 
-class SplitError(ValueError):
-    """Too few documents to split."""
+class SplitError(ConfigError):
+    """Too few documents to split: a usage error, like an empty validation split."""
 
 
 def save_corpus(docs: list[Document], path: str | Path) -> None:

@@ -168,14 +168,46 @@ class Model:
         """
         return self.order_batch(self._as_input(pages)[None])[0]
 
-    def order_batch(self, pages: np.ndarray) -> np.ndarray:
-        """Predicted reading orders ``(B, n)`` of a ``(B, n, dim)`` stack of same-length documents."""
+    def order_batch(self, pages) -> list[np.ndarray]:
+        """Predicted reading orders of documents of any lengths, in input order.
+
+        ``pages`` is a sequence of ``(n_i, dim)`` documents or a ``(B, n, dim)``
+        stack of same-length ones; each ordering is an ``(n_i,)`` array of slots.
+        """
         raise NotImplementedError
 
-    def _as_input(self, pages: np.ndarray, batched: bool = False) -> np.ndarray:
+    def _by_length(self, pages, run) -> tuple[list[np.ndarray], np.ndarray]:
+        """Call ``run`` once per same-length stack of the documents in ``pages``; gather its outputs in input order.
+
+        ``run(stack)`` maps a ``(g, n, dim)`` stack to a tuple of arrays with
+        one row per document. Each output is gathered into one ``(B, ...)``
+        array, zero-padded at the end of every axis to its largest row, so a
+        ``(g, n, ...)`` output comes back as ``(B, N, ...)`` with ``N`` the
+        longest document. Returns those arrays and the ``(B,)`` lengths.
+        """
+        docs = [self._as_input(doc) for doc in pages]
+        if not docs:
+            raise ConfigError("no documents to order")
+        lengths = np.array([len(doc) for doc in docs])
+        groups = [np.flatnonzero(lengths == n) for n in np.unique(lengths)]
+        outputs = [run(np.stack([docs[i] for i in group])) for group in groups]
+        gathered = []
+        for parts in zip(*outputs):
+            full = np.zeros((len(docs), *np.max([part.shape[1:] for part in parts], axis=0)), dtype=parts[0].dtype)
+            for group, part in zip(groups, parts):
+                full[(group, *map(slice, part.shape[1:]))] = part
+            gathered.append(full)
+        return gathered, lengths
+
+    def _as_input(self, pages: np.ndarray) -> np.ndarray:
         pages = np.asarray(pages, dtype=self.dtype)
-        if pages.ndim != (3 if batched else 2):
-            raise ConfigError(f"expected ({'batch, ' if batched else ''}n_pages, dim), got {pages.shape}")
+        if pages.ndim != 2:
+            raise ConfigError(f"expected (n_pages, dim), got {pages.shape}")
         if pages.shape[-1] != self.config.input_dim:
             raise ConfigError(f"embedding dim {pages.shape[-1]} != model input_dim {self.config.input_dim}")
         return pages
+
+
+def unpad(rows: np.ndarray, lengths: np.ndarray) -> list[np.ndarray]:
+    """The first ``lengths[i]`` entries of each row ``i`` of a padded ``(B, N)`` array."""
+    return [row[:n] for row, n in zip(rows, lengths)]

@@ -9,7 +9,7 @@ from __future__ import annotations
 import numpy as np
 
 from ..numcore import LstmParams, Tensor, bidirectional_encode, no_grad
-from .base import Model, ModelConfig
+from .base import Model, ModelConfig, unpad
 from .losses import loss_position
 
 __all__ = ["BilstmPositionModel", "ordering_from_scores"]
@@ -47,8 +47,9 @@ class BilstmPositionModel(Model):
 
     order = Model.order
 
-    def order_batch(self, pages: np.ndarray) -> np.ndarray:
-        pages = self._as_input(pages, batched=True)
+    def order_batch(self, pages) -> list[np.ndarray]:
         with no_grad():
-            scores = self.position_scores(Tensor(pages)).data
-        return ordering_from_scores(scores)
+            (orders,), lengths = self._by_length(
+                pages, lambda stack: (ordering_from_scores(self.position_scores(Tensor(stack)).data),)
+            )
+        return unpad(orders, lengths)

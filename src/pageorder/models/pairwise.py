@@ -13,7 +13,7 @@ import numpy as np
 
 from ..errors import DomainError
 from ..numcore import Tensor, no_grad
-from .base import Model, ModelConfig
+from .base import Model, ModelConfig, unpad
 from .losses import loss_pairwise, make_pairwise_targets
 from .transformer import build_stack, encoder_attention, run_encoder
 
@@ -89,13 +89,16 @@ class PairwiseRankModel(Model):
 
     order = Model.order
 
-    def order_batch(self, pages: np.ndarray) -> np.ndarray:
-        pages = self._as_input(pages, batched=True)
-        n = pages.shape[1]
-        docs_per_pass = max(1, PAIRS_PER_PASS // (n * n))
-        orders = []
-        for start in range(0, len(pages), docs_per_pass):
-            with no_grad():
-                s, _ = self.score_matrix(Tensor(pages[start : start + docs_per_pass]))
-            orders.extend(aggregate_scores(PairwiseScores(n=n, s=doc))[1] for doc in s.data)
-        return np.stack(orders)
+    def order_batch(self, pages) -> list[np.ndarray]:
+        def order_stack(stack):
+            n = stack.shape[1]
+            docs_per_pass = max(1, PAIRS_PER_PASS // (n * n))
+            orders = []
+            for start in range(0, len(stack), docs_per_pass):
+                with no_grad():
+                    s, _ = self.score_matrix(Tensor(stack[start : start + docs_per_pass]))
+                orders.extend(aggregate_scores(PairwiseScores(n=n, s=doc))[1] for doc in s.data)
+            return (np.stack(orders),)
+
+        (orders,), lengths = self._by_length(pages, order_stack)
+        return unpad(orders, lengths)

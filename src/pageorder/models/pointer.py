@@ -13,7 +13,7 @@ from __future__ import annotations
 import numpy as np
 
 from ..numcore import Tensor, bidirectional_encode, concat, lstm_sequence, no_grad
-from .base import Model, ModelConfig
+from .base import Model, ModelConfig, unpad
 from .losses import loss_pointer
 
 __all__ = ["PointerModel", "PointerMlpModel", "PointerLstmModel", "greedy_decode"]
@@ -21,24 +21,27 @@ __all__ = ["PointerModel", "PointerMlpModel", "PointerLstmModel", "greedy_decode
 NEG_INF = -1e30
 
 
-def greedy_decode(n: int, step) -> np.ndarray:
-    """Pick each of ``n`` slots once per document, greedily; returns ``(b, n)`` orderings.
+def greedy_decode(lengths, step) -> list[np.ndarray]:
+    """Pick each slot of every document once, greedily; returns the orderings, one ``(n_i,)`` array each.
 
-    ``step(prev)`` returns the ``(b, n)`` logits over all slots for the next
-    pick of each of ``b`` documents, given the ``(b,)`` slots picked last
-    (``None`` at the first step). Used slots are masked out and the argmax
-    taken per row, ties to the lowest slot.
+    ``lengths[i]`` is the page count ``n_i`` of document ``i``, and ``step(prev)``
+    returns the ``(b, N)`` logits over all ``N = max(lengths)`` slots for the
+    next pick of each of the ``b`` documents, given the ``(b,)`` slots picked
+    last (``None`` at the first step). Used slots and slots ``j >= n_i`` are
+    masked out and the argmax taken per row, ties to the lowest slot; the
+    picks a row makes after its last slot are dropped.
     """
-    chosen = available = pick = None
+    lengths = np.asarray(lengths)
+    n = lengths.max()
+    available = np.arange(n) < lengths[:, None]
+    chosen = np.empty(available.shape, dtype=np.int64)
+    rows = np.arange(len(lengths))
+    pick = None
     for t in range(n):
-        logits = step(pick)
-        if available is None:
-            available = np.ones(logits.shape, dtype=bool)
-            chosen = np.empty(logits.shape, dtype=np.int64)
-        pick = np.argmax(np.where(available, logits, NEG_INF), axis=1)
+        pick = np.argmax(np.where(available, step(pick), NEG_INF), axis=1)
         chosen[:, t] = pick
-        available[np.arange(len(pick)), pick] = False
-    return chosen
+        available[rows, pick] = False
+    return unpad(chosen, lengths)
 
 
 def _batch_select(encoded: Tensor, sel: np.ndarray) -> Tensor:
@@ -106,18 +109,22 @@ class PointerMlpModel(PointerModel):
 
     order = Model.order
 
-    def order_batch(self, pages: np.ndarray) -> np.ndarray:
-        pages = self._as_input(pages, batched=True)
-        b, n = pages.shape[:2]
-        rows = np.arange(b)
+    def order_batch(self, pages) -> list[np.ndarray]:
+        def encode(stack):
+            encoded = self.encode(Tensor(stack))
+            # the first state is the mean over the document's own pages, so it is taken before padding
+            return encoded.data, encoded.mean(axis=1).data
+
         with no_grad():
-            encoded = self.encode(Tensor(pages))
+            (encoded, first), lengths = self._by_length(pages, encode)
+            encoded = Tensor(encoded)
+            rows = np.arange(len(lengths))
 
             def step(prev):
-                state = encoded.mean(axis=1) if prev is None else self._next_state(encoded[rows, prev])
+                state = Tensor(first) if prev is None else self._next_state(encoded[rows, prev])
                 return self._logits_from_state(state, encoded).data
 
-            return greedy_decode(n, step)
+            return greedy_decode(lengths, step)
 
 
 class PointerLstmModel(PointerModel):
@@ -160,12 +167,12 @@ class PointerLstmModel(PointerModel):
 
     order = Model.order
 
-    def order_batch(self, pages: np.ndarray) -> np.ndarray:
-        pages = self._as_input(pages, batched=True)
-        b, n = pages.shape[:2]
+    def order_batch(self, pages) -> list[np.ndarray]:
         with no_grad():
-            encoded = self.encode(Tensor(pages))
+            (encoded,), lengths = self._by_length(pages, lambda stack: (self.encode(Tensor(stack)).data,))
+            encoded = Tensor(encoded)
             encoded_proj = encoded @ self.params["attn.w_enc"]
+            b = len(lengths)
             state = None
 
             def step(prev):
@@ -174,4 +181,4 @@ class PointerLstmModel(PointerModel):
                 h, state = lstm_sequence(x, self._dec, state=state)
                 return self._attention_logits(encoded_proj, h).data[:, 0]
 
-            return greedy_decode(n, step)
+            return greedy_decode(lengths, step)

@@ -81,15 +81,15 @@ class Seq2SeqModel(PointerModel):
 
     order = Model.order
 
-    def order_batch(self, pages: np.ndarray) -> np.ndarray:
+    def order_batch(self, pages) -> list[np.ndarray]:
         """Greedy pointer decode, one decoder row per document per step (K/V cached)."""
-        pages = self._as_input(pages, batched=True)
-        b, n = pages.shape[:2]
         h = self.config.hidden_dim
         with no_grad():
-            memory, _ = self.encode(Tensor(pages))
+            (memory,), lengths = self._by_length(pages, lambda stack: (self.encode(Tensor(stack))[0].data,))
+            b, n = memory.shape[:2]
+            memory = Tensor(memory)
             keys = memory @ self.params["ptr.wk"]
-            cache = DecoderCache(self.config.layers)
+            cache = DecoderCache(self.config.layers, memory_mask=np.arange(n) < lengths[:, None])
 
             def step(prev):
                 x = _start_rows(self.params["dec.start"], b) if prev is None else _batch_select(memory, prev[:, None])
@@ -98,6 +98,6 @@ class Seq2SeqModel(PointerModel):
                 # equal, so the tie rule acts on truly equal pages (a one-row matmul need not)
                 return ((keys * q).sum(axis=-1) * (1.0 / np.sqrt(h))).data
 
-            return greedy_decode(n, step)
+            return greedy_decode(lengths, step)
 
     encoder_attention = encoder_attention

@@ -75,11 +75,17 @@ def encoder_attention(model, pages: np.ndarray) -> np.ndarray:
 
 
 class DecoderCache:
-    """Per-layer keys and values kept between incremental ``run_decoder`` calls."""
+    """Per-layer keys and values kept between incremental ``run_decoder`` calls.
 
-    def __init__(self, layers: int):
+    ``memory_mask``, ``(batch, slots)`` and True at real memory slots, keeps
+    cross-attention off the zero padding of documents shorter than the
+    memory; ``None`` lets every slot be attended.
+    """
+
+    def __init__(self, layers: int, memory_mask: np.ndarray | None = None):
         self.steps = 0  # decoder steps already in the cache
         self.layers: list[dict] = [{} for _ in range(layers)]
+        self.memory_mask = None if memory_mask is None else memory_mask[:, None, None, :]
 
 
 def run_decoder(model, prefix: str, x: Tensor, memory: Tensor, cache: DecoderCache) -> Tensor:
@@ -88,8 +94,9 @@ def run_decoder(model, prefix: str, x: Tensor, memory: Tensor, cache: DecoderCac
     ``x`` holds the decoder steps after the ``cache.steps`` already in
     ``cache``: their self-attention keys and values are appended to the
     cache, and the memory's cross-attention keys and values are projected on
-    the first call and reused after it. Teacher forcing passes every step
-    with a fresh cache.
+    the first call and reused after it; cross-attention reads only the slots
+    of ``cache.memory_mask``. Teacher forcing passes every step with a fresh
+    cache.
     """
     params, heads = model.params, model.config.heads
     past = cache.steps
@@ -111,7 +118,7 @@ def run_decoder(model, prefix: str, x: Tensor, memory: Tensor, cache: DecoderCac
         qc = _norm(params, f"{p}.ln2", x) @ params[f"{p}.cross.wq"]
         if "cross" not in kept:
             kept["cross"] = (memory @ params[f"{p}.cross.wk"], memory @ params[f"{p}.cross.wv"])
-        mixed, _ = multi_head_attention(qc, *kept["cross"], heads)
+        mixed, _ = multi_head_attention(qc, *kept["cross"], heads, mask=cache.memory_mask)
         x = _feed_forward(params, p, "ln3", x + mixed @ params[f"{p}.cross.wo"])
     cache.steps += steps
     return _norm(params, f"{prefix}.ln_out", x)

@@ -66,26 +66,24 @@ class SpecialistEnsemble:
     def param_count(self) -> int:
         return sum(m.param_count() for m in self.models.values())
 
-    def order_batch(self, pages: np.ndarray) -> np.ndarray:
-        """Order a ``(B, n, dim)`` stack with the specialist whose bucket covers ``n``."""
-        return self.models[bucket_of(pages.shape[1])].order_batch(pages)
+    def order_batch(self, pages) -> list[np.ndarray]:
+        """Order documents of any lengths; each specialist orders its bucket's documents in one call."""
+        docs = list(pages)
+        if not docs:
+            raise ConfigError("no documents to order")
+        by_bucket: dict[LengthBucket, list[int]] = {}
+        for i, doc in enumerate(docs):
+            by_bucket.setdefault(bucket_of(len(doc)), []).append(i)
+        orders: list = [None] * len(docs)
+        for bucket, members in by_bucket.items():
+            for i, order in zip(members, self.models[bucket].order_batch([docs[i] for i in members])):
+                orders[i] = order
+        return orders
 
 
 def evaluate(model_or_ensemble, instances: list[ShuffledInstance]) -> BucketMeans:
-    """Mean tau of greedy predictions, per bucket and overall.
-
-    Instances of one length are ordered together by one ``order_batch``
-    call of the model or ensemble. Predictions keep the instance order.
-    """
-    groups: dict[int, list[int]] = {}
-    for i, inst in enumerate(instances):
-        groups.setdefault(inst.n_pages, []).append(i)
-    predictions: list = [None] * len(instances)
-    for group in groups.values():
-        orders = model_or_ensemble.order_batch(np.stack([instances[i].pages for i in group]))
-        for i, order in zip(group, orders):
-            predictions[i] = order
-    return mean_tau(instances, predictions)
+    """Mean tau of greedy predictions, per bucket and overall, from one ``order_batch`` call."""
+    return mean_tau(instances, model_or_ensemble.order_batch([inst.pages for inst in instances]))
 
 
 def _batches(lengths: list[int], batch_size: int, order: np.ndarray) -> list[list[int]]:

@@ -471,6 +471,33 @@ class TestBench:
         )
         assert code == 2
 
+    @pytest.mark.parametrize(
+        "models, repeated", [("random,random", "random"), ("pointer_mlp,tsp_nn,pointer_mlp", "pointer_mlp")]
+    )
+    def test_repeated_model_name_exits_2(self, workdir, corpus_path, tmp_path, capsys, models, repeated):
+        out = tmp_path / "b"
+        code = run_cli(
+            "bench", "--config", str(workdir / "cfg.json"), "--corpus", str(corpus_path),
+            "--models", models, "--out", str(out),
+        )
+        assert code == 2
+        # the one stderr line is the error: no row started
+        expected = f"config error: benchmark configurations named more than once: ['{repeated}']\n"
+        assert capsys.readouterr().err == expected
+        assert not out.exists()
+
+
+@pytest.mark.parametrize("command", [["bench"], ["train", "--arch", "pointer_mlp"], ["transfer"]], ids=lambda c: c[0])
+def test_corpus_too_small_to_split_exits_2(workdir, corpus_path, tmp_path, capsys, command):
+    # like an empty validation split, two documents are data too small for the command
+    small = tmp_path / "two.jsonl"
+    small.write_text("".join(corpus_path.read_text().splitlines(keepends=True)[:2]))
+    out = tmp_path / "out"
+    code = run_cli(*command, "--config", str(workdir / "cfg.json"), "--corpus", str(small), "--out", str(out))
+    assert code == 2
+    assert "config error: cannot split 2 documents three ways" in capsys.readouterr().err
+    assert not out.exists()
+
 
 class TestGradcheckCommand:
     def test_gate_passes(self, capsys):

@@ -178,8 +178,8 @@ class TestOrderingContracts:
 
 class TestGreedyDecode:
     def test_constant_logits_pick_slots_in_order(self):
-        order = greedy_decode(6, lambda prev: np.zeros((3, 6), dtype=np.float32))
-        assert order.tolist() == [[0, 1, 2, 3, 4, 5]] * 3
+        order = greedy_decode([6] * 3, lambda prev: np.zeros((3, 6), dtype=np.float32))
+        assert [o.tolist() for o in order] == [[0, 1, 2, 3, 4, 5]] * 3
 
     def test_chosen_slot_is_never_picked_again(self):
         # per row: one slot keeps the highest score; the last pick outranks every other slot
@@ -193,15 +193,27 @@ class TestGreedyDecode:
                 logits[[0, 1], prev] = 50.0
             return logits
 
-        order = greedy_decode(5, step)
-        assert order.tolist() == [[2, 4, 3, 1, 0], [0, 4, 3, 2, 1]]
+        order = greedy_decode([5, 5], step)
+        assert [o.tolist() for o in order] == [[2, 4, 3, 1, 0], [0, 4, 3, 2, 1]]
 
     def test_rows_decode_independently(self):
         # row 1 prefers high slots, row 0 low ones; each row's picks feed only its own mask
         def step(prev):
             return np.stack([-np.arange(4.0), np.arange(4.0)])
 
-        assert greedy_decode(4, step).tolist() == [[0, 1, 2, 3], [3, 2, 1, 0]]
+        assert [o.tolist() for o in greedy_decode([4, 4], step)] == [[0, 1, 2, 3], [3, 2, 1, 0]]
+
+    def test_slots_past_a_documents_length_are_never_picked(self):
+        # the padded slots score highest, yet each row picks only among its own n_i slots
+        steps = []
+
+        def step(prev):
+            steps.append(prev)
+            return np.tile(np.arange(5.0), (3, 1))
+
+        order = greedy_decode([2, 5, 3], step)
+        assert [o.tolist() for o in order] == [[1, 0], [4, 3, 2, 1, 0], [2, 1, 0]]
+        assert len(steps) == 5  # max(n) steps, not one loop per length
 
 
 ORDER_ROWS = [(arch, PeVariant.LEARNED) for arch in Arch] + [
@@ -218,8 +230,18 @@ class TestOrderBatch:
         for n in (2, 7, 25):
             stack = rng.normal(size=(4, n, DIM)).astype(np.float32)
             batched = model.order_batch(stack)
-            assert batched.shape == (4, n)
-            assert batched.tolist() == [model.order(doc).tolist() for doc in stack]
+            assert [o.tolist() for o in batched] == [model.order(doc).tolist() for doc in stack]
+
+    @pytest.mark.parametrize("arch,pe", ORDER_ROWS, ids=lambda v: v.value)
+    def test_mixed_lengths_match_per_document_order(self, arch, pe):
+        # one call on documents of 2, 7 and 25 pages, and one document alone at its length
+        model = build_model(tiny_config(arch, pe_variant=pe))
+        rng = np.random.default_rng(19)
+        docs = [rng.normal(size=(n, DIM)).astype(np.float32) for n in (7, 2, 25, 7, 13, 2, 25, 7)]
+        batched = model.order_batch(docs)
+        assert [o.tolist() for o in batched] == [model.order(doc).tolist() for doc in docs]
+        for order, doc in zip(batched, docs):
+            require_permutation(order, len(doc))  # no padded slot, every real one once
 
     @pytest.mark.parametrize(
         "arch,pe", [(Arch.POINTER_MLP, PeVariant.LEARNED), (Arch.SEQ2SEQ, PeVariant.NONE)], ids=lambda v: v.value
@@ -230,9 +252,22 @@ class TestOrderBatch:
         rng = np.random.default_rng(13)
         tied = np.tile(rng.normal(size=(1, DIM)).astype(np.float32), (6, 1))
         stack = np.stack([rng.normal(size=(6, DIM)).astype(np.float32), tied, tied])
-        batched = model.order_batch(stack)
-        assert batched[1:].tolist() == [list(range(6))] * 2
-        assert batched.tolist() == [model.order(doc).tolist() for doc in stack]
+        batched = [o.tolist() for o in model.order_batch(stack)]
+        assert batched[1:] == [list(range(6))] * 2
+        assert batched == [model.order(doc).tolist() for doc in stack]
+
+    @pytest.mark.parametrize(
+        "arch,pe", [(Arch.POINTER_MLP, PeVariant.LEARNED), (Arch.SEQ2SEQ, PeVariant.NONE)], ids=lambda v: v.value
+    )
+    def test_identical_pages_tie_to_low_slots_across_lengths(self, arch, pe):
+        # padding a short document of identical pages to a long one's length keeps its ties exact
+        model = build_model(tiny_config(arch, pe_variant=pe))
+        rng = np.random.default_rng(20)
+        page = rng.normal(size=(1, DIM)).astype(np.float32)
+        docs = [np.tile(page, (n, 1)) for n in (3, 11)] + [rng.normal(size=(25, DIM)).astype(np.float32)]
+        batched = [o.tolist() for o in model.order_batch(docs)]
+        assert batched[:2] == [list(range(3)), list(range(11))]
+        assert batched == [model.order(doc).tolist() for doc in docs]
 
     def test_rejects_unbatched_input(self):
         model = build_model(tiny_config(Arch.POINTER_MLP))
@@ -252,9 +287,10 @@ class TestOrderBatch:
             return run_decoder(model, prefix, x, *args, **kwargs)
 
         monkeypatch.setattr(seq2seq_mod, "run_decoder", counted)
-        stack = np.random.default_rng(14).normal(size=(3, 9, DIM)).astype(np.float32)
-        model.order_batch(stack)
-        assert rows_per_call == [(3, 1)] * 9
+        rng = np.random.default_rng(14)
+        docs = [rng.normal(size=(n, DIM)).astype(np.float32) for n in (9, 4, 9, 6)]
+        model.order_batch(docs)
+        assert rows_per_call == [(4, 1)] * 9  # max(n) steps over every document, not sum(n) over lengths
 
     @pytest.mark.parametrize("pe", list(PeVariant), ids=lambda v: v.value)
     def test_cached_decoder_states_match_teacher_forcing(self, pe):
@@ -282,7 +318,7 @@ class TestGreedyMatchesTeacherForcing:
 
         model = build_model(tiny_config(arch), dtype=np.float64)
         stack = np.random.default_rng(16).normal(size=(3, n, DIM))
-        order = model.order_batch(stack)
+        order = np.stack(model.order_batch(stack))
         rank = np.argsort(order, axis=1)  # rank[b, slot] is the step that picked the slot
         with no_grad():
             logits, sel, free = model.teacher_logits(Tensor(stack), rank)

@@ -18,6 +18,7 @@ from pageorder.corpus import (
 from pageorder.metrics import mean_tau
 from pageorder.errors import ConfigError, DomainError
 from pageorder.models import Arch, Model, ModelConfig, build_model
+from pageorder.models.base import unpad
 from pageorder.numcore import Tensor, TrainingDivergedError, grad_check, no_grad
 from pageorder.training import (
     ConsistencyError,
@@ -464,6 +465,42 @@ class TestEvaluate:
         predictions, _ = self._predictions(monkeypatch, SpecialistEnsemble(models=models), instances)
         assert predictions == [models[bucket_of(inst.n_pages)].order(inst.pages).tolist() for inst in instances]
 
+    @pytest.mark.parametrize("arch", list(Arch), ids=lambda a: a.value)
+    def test_one_order_batch_call_per_model(self, small_corpus, monkeypatch, arch):
+        _, val, test = small_corpus
+        instances = [shuffle_instance(d, 4) for d in val + test]
+        model = tiny(arch)
+        calls = []
+        order_batch = type(model).order_batch
+
+        def counted(self, pages):
+            calls.append([len(doc) for doc in pages])
+            return order_batch(self, pages)
+
+        monkeypatch.setattr(type(model), "order_batch", counted)
+        evaluate(model, instances)
+        assert calls == [[inst.n_pages for inst in instances]]
+
+    def test_ensemble_hands_each_specialist_its_bucket_in_one_call(self, small_corpus, monkeypatch):
+        # one order_batch call on a mixed-length list, 1-document lengths included, equals per-document order
+        _, val, test = small_corpus
+        instances = [shuffle_instance(d, 4) for d in val + test]
+        models = {b: tiny(Arch.SEQ2SEQ, seed=i) for i, b in enumerate(LengthBucket)}
+        expected = [models[bucket_of(inst.n_pages)].order(inst.pages).tolist() for inst in instances]
+        calls = []
+        for bucket, model in models.items():
+            original = model.order_batch
+
+            def counted(pages, bucket=bucket, original=original):
+                calls.append((bucket, [len(doc) for doc in pages]))
+                return original(pages)
+
+            monkeypatch.setattr(model, "order_batch", counted)
+        orders = SpecialistEnsemble(models=models).order_batch([inst.pages for inst in instances])
+        assert [o.tolist() for o in orders] == expected
+        assert len(calls) == len(LengthBucket)
+        assert dict(calls) == {b: [i.n_pages for i in instances if bucket_of(i.n_pages) is b] for b in LengthBucket}
+
 
 class LinearScorer(Model):
     """The model protocol at its smallest: one linear layer scores each page, trained by position regression."""
@@ -479,10 +516,13 @@ class LinearScorer(Model):
     def loss(self, pages: Tensor, truth_rank: np.ndarray) -> Tensor:
         return loss_position(self._scores(pages), truth_rank)
 
-    def order_batch(self, pages: np.ndarray) -> np.ndarray:
-        with no_grad():
-            scores = self._scores(Tensor(self._as_input(pages, batched=True))).data
-        return np.argsort(scores, axis=-1, kind="stable")
+    def order_batch(self, pages) -> list[np.ndarray]:
+        def order_stack(stack):
+            with no_grad():
+                return (np.argsort(self._scores(Tensor(stack)).data, axis=-1, kind="stable"),)
+
+        (orders,), lengths = self._by_length(pages, order_stack)
+        return unpad(orders, lengths)
 
 
 class TestModelProtocol:
@@ -526,9 +566,17 @@ class TestRouting:
         models = {b: tiny(Arch.PAIRWISE_RANK, seed=i) for i, b in enumerate(LengthBucket)}
         ensemble = SpecialistEnsemble(models=models)
         pages = np.random.default_rng(n).normal(size=(3, n, DIM)).astype(np.float32)
-        expected = models[bucket].order_batch(pages)
-        assert np.array_equal(ensemble.order_batch(pages), expected)
-        assert all(not np.array_equal(models[b].order_batch(pages), expected) for b in models if b is not bucket)
+        expected = np.stack(models[bucket].order_batch(pages))
+        assert np.array_equal(np.stack(ensemble.order_batch(pages)), expected)
+        others = [np.stack(models[b].order_batch(pages)) for b in models if b is not bucket]
+        assert all(not np.array_equal(other, expected) for other in others)
+
+    def test_no_documents_rejected(self):
+        # an evaluation of nothing is an error, not a nan mean, for a model and an ensemble alike
+        models = {b: tiny(Arch.POINTER_MLP, seed=i) for i, b in enumerate(LengthBucket)}
+        for orderer in (models[LengthBucket.B2_5], SpecialistEnsemble(models=models)):
+            with pytest.raises(ConfigError, match="no documents to order"):
+                evaluate(orderer, [])
 
     def test_missing_bucket_rejected(self):
         models = {b: tiny(Arch.PAIRWISE_RANK) for b in list(LengthBucket)[:-1]}
