@@ -42,7 +42,7 @@ class GateResult:
         lines = []
         for name, report in self.reports:
             flag = "pass" if report.passed else "FAIL"
-            lines.append(f"{name:<18} max rel err {report.max_rel_error:.3e}  {flag}")
+            lines.append(f"{name:<25} max rel err {report.max_rel_error:.3e}  {flag}")
         return "\n".join(lines)
 
 
@@ -86,6 +86,15 @@ def run_gradient_gate(tolerance: float = 1e-3, epsilon: float = 1e-5) -> GateRes
 
     named = [("x", xs)] + [(f"{d}.{k}", t) for d, cell in directions.items() for k, t in cell.tensors().items()]
     result.add("recurrent_sequence", grad_check(bilstm_fn, named, epsilon, tolerance))
+
+    # the same on a padded batch: the second document has 2 real pages, so the reverse direction holds its state
+    xp = _t64(rng.split("bilstm_padded.x"), (2, 4, DIM))
+
+    def padded_bilstm_fn():
+        out = bidirectional_encode(xp, directions["fwd"], directions["bwd"], lengths=np.array([4, 2]))
+        return (out * position_weights).sum() + (out * out).sum()
+
+    result.add("recurrent_sequence_padded", grad_check(padded_bilstm_fn, [("x", xp)] + named[1:], epsilon, tolerance))
 
     # attention
     q = _t64(rng.split("attn.q"), (4, 8))

@@ -27,6 +27,13 @@ class PeVariant(str, Enum):
     NONE = "none"
 
 
+# Padded page slots per encoder pass in ``order_batch``: documents are sorted
+# by length and encoded in chunks of at most this many slots, so the
+# encoders' activations stay those of 12 documents of 25 pages however many
+# documents come in.
+SLOTS_PER_PASS = 12 * 25
+
+
 class LengthError(ValueError):
     """A document exceeds the positions a model supports."""
 
@@ -176,11 +183,12 @@ class Model:
         """
         raise NotImplementedError
 
-    def _by_length(self, pages, run) -> tuple[list[np.ndarray], np.ndarray]:
-        """Call ``run`` once per same-length stack of the documents in ``pages``; gather its outputs in input order.
+    def _in_chunks(self, pages, run) -> tuple[list[np.ndarray], np.ndarray]:
+        """Call ``run`` once per ``length_chunks`` chunk of ``pages``; gather its outputs in input order.
 
-        ``run(stack)`` maps a ``(g, n, dim)`` stack to a tuple of arrays with
-        one row per document. Each output is gathered into one ``(B, ...)``
+        ``run(stack, lengths)`` maps a ``(g, n, dim)`` stack of documents,
+        zero-padded after each one's ``lengths[i]`` pages, to a tuple of arrays
+        with one row per document. Each output is gathered into one ``(B, ...)``
         array, zero-padded at the end of every axis to its largest row, so a
         ``(g, n, ...)`` output comes back as ``(B, N, ...)`` with ``N`` the
         longest document. Returns those arrays and the ``(B,)`` lengths.
@@ -189,13 +197,18 @@ class Model:
         if not docs:
             raise ConfigError("no documents to order")
         lengths = np.array([len(doc) for doc in docs])
-        groups = [np.flatnonzero(lengths == n) for n in np.unique(lengths)]
-        outputs = [run(np.stack([docs[i] for i in group])) for group in groups]
+        chunks = length_chunks(lengths)
+        outputs = []
+        for chunk in chunks:
+            stack = np.zeros((len(chunk), lengths[chunk].max(), self.config.input_dim), dtype=self.dtype)
+            for row, i in enumerate(chunk):
+                stack[row, : lengths[i]] = docs[i]
+            outputs.append(run(stack, lengths[chunk]))
         gathered = []
         for parts in zip(*outputs):
             full = np.zeros((len(docs), *np.max([part.shape[1:] for part in parts], axis=0)), dtype=parts[0].dtype)
-            for group, part in zip(groups, parts):
-                full[(group, *map(slice, part.shape[1:]))] = part
+            for chunk, part in zip(chunks, parts):
+                full[(chunk, *map(slice, part.shape[1:]))] = part
             gathered.append(full)
         return gathered, lengths
 
@@ -206,6 +219,29 @@ class Model:
         if pages.shape[-1] != self.config.input_dim:
             raise ConfigError(f"embedding dim {pages.shape[-1]} != model input_dim {self.config.input_dim}")
         return pages
+
+
+def length_chunks(lengths: np.ndarray) -> list[np.ndarray]:
+    """Document indices, longest first, cut into chunks of at most ``SLOTS_PER_PASS`` padded slots.
+
+    A chunk is as long as its first document. A last chunk of one document
+    takes the last document of the chunk before it, if that chunk keeps two,
+    so that no document runs alone when it need not.
+    """
+    order = np.argsort(-lengths, kind="stable")
+    chunks, start = [], 0
+    while start < len(order):
+        size = max(1, SLOTS_PER_PASS // lengths[order[start]])
+        chunks.append(order[start : start + size])
+        start += size
+    if len(chunks) > 1 and len(chunks[-1]) == 1 and len(chunks[-2]) > 2:
+        chunks[-2:] = [chunks[-2][:-1], order[-2:]]
+    return chunks
+
+
+def real_slots(lengths: np.ndarray, n: int) -> np.ndarray:
+    """``(B, n)`` mask, True at the first ``lengths[i]`` slots of each row ``i``."""
+    return np.arange(n) < lengths[:, None]
 
 
 def unpad(rows: np.ndarray, lengths: np.ndarray) -> list[np.ndarray]:

@@ -9,7 +9,7 @@ from __future__ import annotations
 import numpy as np
 
 from ..numcore import LstmParams, Tensor, bidirectional_encode, no_grad
-from .base import Model, ModelConfig, unpad
+from .base import Model, ModelConfig, real_slots, unpad
 from .losses import loss_position
 
 __all__ = ["BilstmPositionModel", "ordering_from_scores"]
@@ -34,11 +34,15 @@ class BilstmPositionModel(Model):
         self._glorot("head.w", (2 * h, 1))
         self._zeros("head.b", 1)
 
-    def position_scores(self, pages: Tensor) -> Tensor:
-        """(batch, n) scalar scores; low score means early page."""
+    def position_scores(self, pages: Tensor, lengths: np.ndarray | None = None) -> Tensor:
+        """(batch, n) scalar scores; low score means early page.
+
+        ``lengths`` gives the real pages of each document of a padded batch;
+        the scores of its padded slots carry no meaning.
+        """
         x = pages
         for fwd, bwd in self._cells:
-            x = bidirectional_encode(x, fwd, bwd)
+            x = bidirectional_encode(x, fwd, bwd, lengths)
         out = x @ self.params["head.w"] + self.params["head.b"]
         return out.reshape(out.shape[0], out.shape[1])
 
@@ -48,8 +52,11 @@ class BilstmPositionModel(Model):
     order = Model.order
 
     def order_batch(self, pages) -> list[np.ndarray]:
+        def order_chunk(stack, lengths):
+            scores = self.position_scores(Tensor(stack), lengths).data
+            # padded slots sort after every page
+            return (ordering_from_scores(np.where(real_slots(lengths, stack.shape[1]), scores, np.inf)),)
+
         with no_grad():
-            (orders,), lengths = self._by_length(
-                pages, lambda stack: (ordering_from_scores(self.position_scores(Tensor(stack)).data),)
-            )
+            (orders,), lengths = self._in_chunks(pages, order_chunk)
         return unpad(orders, lengths)

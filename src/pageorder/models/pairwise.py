@@ -13,7 +13,7 @@ import numpy as np
 
 from ..errors import DomainError
 from ..numcore import Tensor, no_grad
-from .base import Model, ModelConfig, unpad
+from .base import Model, ModelConfig, real_slots, unpad
 from .losses import loss_pairwise, make_pairwise_targets
 from .transformer import build_stack, encoder_attention, run_encoder
 
@@ -70,16 +70,21 @@ class PairwiseRankModel(Model):
         build_stack(self, "enc", ("",))
         self._dense_stack("scorer", [h] * SCORER_LAYERS + [1])
 
-    def encode(self, pages: Tensor) -> tuple[Tensor, list[Tensor]]:
+    def encode(self, pages: Tensor, mask: np.ndarray | None = None) -> tuple[Tensor, list[Tensor]]:
+        """Encoder states and attention; ``mask`` is ``run_encoder``'s key-padding mask."""
         x = pages @ self.params["input.w"] + self.params["input.b"]
-        return run_encoder(self, "enc", x)
+        return run_encoder(self, "enc", x, mask)
+
+    def _pair_scores(self, encoded: Tensor) -> Tensor:
+        """(batch, n, n) scores of every ordered pair of the (batch, n, h) encodings."""
+        b, n, h = encoded.shape
+        diff = encoded.reshape(b, 1, n, h) - encoded.reshape(b, n, 1, h)  # [b, i, j] = enc_j - enc_i
+        return self._run_dense_stack("scorer", diff, SCORER_LAYERS).reshape(b, n, n)
 
     def score_matrix(self, pages: Tensor) -> tuple[Tensor, list[Tensor]]:
         """Full (batch, n, n) score tensor in one pass."""
         encoded, attns = self.encode(pages)
-        b, n, h = encoded.shape
-        diff = encoded.reshape(b, 1, n, h) - encoded.reshape(b, n, 1, h)  # [b, i, j] = enc_j - enc_i
-        return self._run_dense_stack("scorer", diff, SCORER_LAYERS).reshape(b, n, n), attns
+        return self._pair_scores(encoded), attns
 
     def loss(self, pages: Tensor, truth_rank: np.ndarray) -> Tensor:
         s, _ = self.score_matrix(pages)
@@ -90,15 +95,20 @@ class PairwiseRankModel(Model):
     order = Model.order
 
     def order_batch(self, pages) -> list[np.ndarray]:
-        def order_stack(stack):
-            n = stack.shape[1]
-            docs_per_pass = max(1, PAIRS_PER_PASS // (n * n))
-            orders = []
-            for start in range(0, len(stack), docs_per_pass):
-                with no_grad():
-                    s, _ = self.score_matrix(Tensor(stack[start : start + docs_per_pass]))
-                orders.extend(aggregate_scores(PairwiseScores(n=n, s=doc))[1] for doc in s.data)
-            return (np.stack(orders),)
+        def order_chunk(stack, lengths):
+            encoded = self.encode(Tensor(stack), real_slots(lengths, stack.shape[1]))[0].data
+            orders = np.zeros(stack.shape[:2], dtype=np.int64)
+            # the pairs of each length's documents only, in passes of at most PAIRS_PER_PASS
+            for n in np.unique(lengths):
+                rows = np.flatnonzero(lengths == n)
+                docs_per_pass = max(1, PAIRS_PER_PASS // (n * n))
+                for start in range(0, len(rows), docs_per_pass):
+                    part = rows[start : start + docs_per_pass]
+                    s = self._pair_scores(Tensor(encoded[part, :n])).data
+                    for row, doc in zip(part, s):
+                        orders[row, :n] = aggregate_scores(PairwiseScores(n=n, s=doc))[1]
+            return (orders,)
 
-        (orders,), lengths = self._by_length(pages, order_stack)
+        with no_grad():
+            (orders,), lengths = self._in_chunks(pages, order_chunk)
         return unpad(orders, lengths)

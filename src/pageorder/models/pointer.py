@@ -13,7 +13,7 @@ from __future__ import annotations
 import numpy as np
 
 from ..numcore import Tensor, bidirectional_encode, concat, lstm_sequence, no_grad
-from .base import Model, ModelConfig, unpad
+from .base import Model, ModelConfig, real_slots, unpad
 from .losses import loss_pointer
 
 __all__ = ["PointerModel", "PointerMlpModel", "PointerLstmModel", "greedy_decode"]
@@ -33,7 +33,7 @@ def greedy_decode(lengths, step) -> list[np.ndarray]:
     """
     lengths = np.asarray(lengths)
     n = lengths.max()
-    available = np.arange(n) < lengths[:, None]
+    available = real_slots(lengths, n)
     chosen = np.empty(available.shape, dtype=np.int64)
     rows = np.arange(len(lengths))
     pick = None
@@ -110,13 +110,14 @@ class PointerMlpModel(PointerModel):
     order = Model.order
 
     def order_batch(self, pages) -> list[np.ndarray]:
-        def encode(stack):
-            encoded = self.encode(Tensor(stack))
-            # the first state is the mean over the document's own pages, so it is taken before padding
-            return encoded.data, encoded.mean(axis=1).data
+        def encode(stack, lengths):
+            encoded = self.encode(Tensor(stack)).data
+            # the first state is the mean over the document's own pages, as in teacher forcing
+            own = np.where(real_slots(lengths, stack.shape[1])[..., None], encoded, 0).sum(axis=1)
+            return encoded, own * (1.0 / lengths[:, None]).astype(encoded.dtype)
 
         with no_grad():
-            (encoded, first), lengths = self._by_length(pages, encode)
+            (encoded, first), lengths = self._in_chunks(pages, encode)
             encoded = Tensor(encoded)
             rows = np.arange(len(lengths))
 
@@ -143,8 +144,8 @@ class PointerLstmModel(PointerModel):
         self._zeros("attn.b", h)
         self._glorot("attn.v", (h, 1))
 
-    def encode(self, pages: Tensor) -> Tensor:
-        return bidirectional_encode(pages, self._enc_fwd, self._enc_bwd)
+    def encode(self, pages: Tensor, lengths: np.ndarray | None = None) -> Tensor:
+        return bidirectional_encode(pages, self._enc_fwd, self._enc_bwd, lengths)
 
     def _attention_logits(self, encoded_proj: Tensor, h_dec: Tensor) -> Tensor:
         # additive attention v . tanh(W_enc enc_j + W_dec h_t) for every
@@ -169,7 +170,10 @@ class PointerLstmModel(PointerModel):
 
     def order_batch(self, pages) -> list[np.ndarray]:
         with no_grad():
-            (encoded,), lengths = self._by_length(pages, lambda stack: (self.encode(Tensor(stack)).data,))
+            # slots past a document's pages are never picked, so their encodings are never read
+            (encoded,), lengths = self._in_chunks(
+                pages, lambda stack, lengths: (self.encode(Tensor(stack), lengths).data,)
+            )
             encoded = Tensor(encoded)
             encoded_proj = encoded @ self.params["attn.w_enc"]
             b = len(lengths)

@@ -12,7 +12,7 @@ from __future__ import annotations
 import numpy as np
 
 from ..numcore import Tensor, concat, no_grad, sinusoidal_positions
-from .base import LengthError, Model, ModelConfig, PeVariant
+from .base import LengthError, Model, ModelConfig, PeVariant, real_slots
 from .pointer import PointerModel, _batch_select, _free_slots, _start_rows, greedy_decode
 from .transformer import DecoderCache, build_stack, encoder_attention, run_decoder, run_encoder
 
@@ -48,13 +48,14 @@ class Seq2SeqModel(PointerModel):
             return Tensor(self._sin_table[start : start + n])
         return None
 
-    def encode(self, pages: Tensor) -> tuple[Tensor, list[Tensor]]:
+    def encode(self, pages: Tensor, mask: np.ndarray | None = None) -> tuple[Tensor, list[Tensor]]:
+        """Encoder states and attention; ``mask`` is ``run_encoder``'s key-padding mask."""
         n = pages.shape[-2]
         x = pages @ self.params["input.w"] + self.params["input.b"]
         pe = self._positions(n)
         if pe is not None:
             x = x + pe
-        return run_encoder(self, "enc", x)
+        return run_encoder(self, "enc", x, mask)
 
     def _decode_states(self, memory: Tensor, dec_inputs: Tensor, cache: DecoderCache) -> Tensor:
         """Decoder states for ``dec_inputs``, the steps after those already in ``cache``."""
@@ -75,7 +76,7 @@ class Seq2SeqModel(PointerModel):
         sel = np.argsort(truth_rank, axis=-1, kind="stable")
         start = _start_rows(self.params["dec.start"], pages.shape[0])
         dec_inputs = concat([start, _batch_select(memory, sel[:, :-1])], axis=1)
-        states = self._decode_states(memory, dec_inputs, DecoderCache(self.config.layers))
+        states = self._decode_states(memory, dec_inputs, DecoderCache(self.config.layers, dec_inputs.shape[-2]))
         logits = self._pointer_logits(states, memory)
         return logits, sel, _free_slots(truth_rank)
 
@@ -85,11 +86,14 @@ class Seq2SeqModel(PointerModel):
         """Greedy pointer decode, one decoder row per document per step (K/V cached)."""
         h = self.config.hidden_dim
         with no_grad():
-            (memory,), lengths = self._by_length(pages, lambda stack: (self.encode(Tensor(stack))[0].data,))
+            # padded memory slots are masked out of cross-attention and never picked
+            (memory,), lengths = self._in_chunks(
+                pages, lambda stack, lengths: (self.encode(Tensor(stack), real_slots(lengths, stack.shape[1]))[0].data,)
+            )
             b, n = memory.shape[:2]
             memory = Tensor(memory)
             keys = memory @ self.params["ptr.wk"]
-            cache = DecoderCache(self.config.layers, memory_mask=np.arange(n) < lengths[:, None])
+            cache = DecoderCache(self.config.layers, n, memory_mask=real_slots(lengths, n))
 
             def step(prev):
                 x = _start_rows(self.params["dec.start"], b) if prev is None else _batch_select(memory, prev[:, None])

@@ -7,7 +7,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from ..numcore import Tensor, concat, layer_norm, multi_head_attention, no_grad
+from ..numcore import Tensor, layer_norm, multi_head_attention, no_grad
 
 FFN_MULT = 4
 
@@ -49,14 +49,22 @@ def _feed_forward(params: dict, p: str, ln: str, x: Tensor) -> Tensor:
     return x + ffn @ params[f"{p}.ffn.w2"] + params[f"{p}.ffn.b2"]
 
 
-def run_encoder(model, prefix: str, x: Tensor) -> tuple[Tensor, list[Tensor]]:
-    """Self-attention stack; returns final states and per-layer attention."""
+def run_encoder(model, prefix: str, x: Tensor, mask: np.ndarray | None = None) -> tuple[Tensor, list[Tensor]]:
+    """Self-attention stack; returns final states and per-layer attention.
+
+    ``mask``, ``(batch, slots)`` and True at real slots, is a key-padding
+    mask: no slot attends to the padding, so the real slots of a padded
+    document come out as those of the document alone. ``None`` lets every
+    slot be attended.
+    """
     params, heads = model.params, model.config.heads
+    key_mask = None if mask is None else mask[:, None, None, :]
     attns: list[Tensor] = []
     for i in range(model.config.layers):
         p = f"{prefix}.layer{i}"
         h = _norm(params, f"{p}.ln1", x)
-        mixed, attn = multi_head_attention(h @ params[f"{p}.wq"], h @ params[f"{p}.wk"], h @ params[f"{p}.wv"], heads)
+        q, k, v = h @ params[f"{p}.wq"], h @ params[f"{p}.wk"], h @ params[f"{p}.wv"]
+        mixed, attn = multi_head_attention(q, k, v, heads, mask=key_mask)
         attns.append(attn)
         x = _feed_forward(params, p, "ln2", x + mixed @ params[f"{p}.wo"])
     return _norm(params, f"{prefix}.ln_out", x), attns
@@ -75,15 +83,16 @@ def encoder_attention(model, pages: np.ndarray) -> np.ndarray:
 
 
 class DecoderCache:
-    """Per-layer keys and values kept between incremental ``run_decoder`` calls.
+    """Per-layer keys and values kept between incremental ``run_decoder`` calls, for up to ``capacity`` steps.
 
     ``memory_mask``, ``(batch, slots)`` and True at real memory slots, keeps
-    cross-attention off the zero padding of documents shorter than the
-    memory; ``None`` lets every slot be attended.
+    cross-attention off the padding of documents shorter than the memory;
+    ``None`` lets every slot be attended.
     """
 
-    def __init__(self, layers: int, memory_mask: np.ndarray | None = None):
+    def __init__(self, layers: int, capacity: int, memory_mask: np.ndarray | None = None):
         self.steps = 0  # decoder steps already in the cache
+        self.capacity = capacity
         self.layers: list[dict] = [{} for _ in range(layers)]
         self.memory_mask = None if memory_mask is None else memory_mask[:, None, None, :]
 
@@ -92,26 +101,34 @@ def run_decoder(model, prefix: str, x: Tensor, memory: Tensor, cache: DecoderCac
     """Causal self-attention plus cross-attention over encoder memory.
 
     ``x`` holds the decoder steps after the ``cache.steps`` already in
-    ``cache``: their self-attention keys and values are appended to the
-    cache, and the memory's cross-attention keys and values are projected on
-    the first call and reused after it; cross-attention reads only the slots
-    of ``cache.memory_mask``. Teacher forcing passes every step with a fresh
-    cache.
+    ``cache``. The first call attends to its own self-attention keys and
+    values as they are, so teacher forcing, which passes every step in one
+    call, keeps its gradient; unless they fill the cache, they are also
+    written into per-layer buffers of ``cache.capacity`` steps, in place.
+    Later calls add theirs there and read the buffers, without gradient.
+    The memory's cross-attention keys and values are projected on the first
+    call and reused after it; cross-attention reads only the slots of
+    ``cache.memory_mask``.
     """
     params, heads = model.params, model.config.heads
     past = cache.steps
     steps = x.shape[-2]
+    total = past + steps
     # query step past + i sees keys 0 .. past + i
-    mask = np.tril(np.ones((steps, past + steps), dtype=bool), k=past)
+    mask = np.tril(np.ones((steps, total), dtype=bool), k=past)
     for i in range(model.config.layers):
         p = f"{prefix}.layer{i}"
         kept = cache.layers[i]
         h = _norm(params, f"{p}.ln1", x)
         q, k, v = h @ params[f"{p}.self.wq"], h @ params[f"{p}.self.wk"], h @ params[f"{p}.self.wv"]
-        if "self" in kept:
-            k = concat([kept["self"][0], k], axis=-2)
-            v = concat([kept["self"][1], v], axis=-2)
-        kept["self"] = (k, v)
+        if past or total < cache.capacity:
+            if not past:
+                shape = (*k.shape[:-2], cache.capacity, k.shape[-1])
+                kept["self"] = (np.empty(shape, dtype=k.data.dtype), np.empty(shape, dtype=v.data.dtype))
+            keys, values = kept["self"]
+            keys[..., past:total, :], values[..., past:total, :] = k.data, v.data
+            if past:
+                k, v = Tensor(keys[..., :total, :]), Tensor(values[..., :total, :])
         mixed, _ = multi_head_attention(q, k, v, heads, mask=mask)
         x = x + mixed @ params[f"{p}.self.wo"]
 

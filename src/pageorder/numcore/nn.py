@@ -158,12 +158,18 @@ def lstm_sequence(
     params: LstmParams,
     reverse: bool = False,
     state: tuple[np.ndarray, np.ndarray] | None = None,
+    lengths: np.ndarray | None = None,
 ) -> tuple[Tensor, tuple[np.ndarray, np.ndarray]]:
     """Run one recurrent direction over ``seq (B, n, d)`` from ``state = (h0, c0)``, zeros if None.
 
     Returns every state ``(B, n, H)`` and the final ``(h, c)``, from which
     a later call continues the recurrence. Gate order is i, f, g, o; the
-    positions run last to first when ``reverse``. Recorded as two graph
+    positions run last to first when ``reverse``. ``lengths``, ``(B,)``,
+    gives each row's real positions, with the padding after them: running
+    in reverse, a row keeps its initial state through its padding, so it
+    enters position ``n_i - 1`` in that state and its padded positions hold
+    it. Running forward, padding comes after every real position, so
+    ``lengths`` changes nothing. Recorded as two graph
     nodes: the input projection ``seq @ wx`` for all positions in one
     GEMM, and the recurrence, whose backward runs backpropagation through
     time in numpy and yields the weight gradient of ``wh`` as one GEMM.
@@ -181,7 +187,11 @@ def lstm_sequence(
     order = range(n - 1, -1, -1) if reverse else range(n)
     if state is None:
         state = (np.zeros((batch, hidden), dtype=dtype),) * 2
-    h, c = state
+    h0, c0 = h, c = state
+    # the rows whose position t is padding, at each t past the shortest row
+    held = {}
+    if reverse and lengths is not None:
+        held = {t: np.flatnonzero(lengths <= t) for t in range(lengths.min(), n)}
     for t in order:
         z = xz.data[:, t] + h @ wh + bias
         act = gates[:, t]
@@ -191,6 +201,10 @@ def lstm_sequence(
         c = cells[:, t] = f * c + i * g
         tanh_cells[:, t] = np.tanh(c)
         h = states[:, t] = o * tanh_cells[:, t]
+        if t in held:
+            rows = held[t]
+            h[rows], c[rows] = h0[rows], c0[rows]
+            states[rows, t], cells[rows, t] = h0[rows], c0[rows]
 
     def _bwd(grad: np.ndarray) -> None:
         # state and cell entering each position: those of the position run before it, the initial state first
@@ -211,6 +225,8 @@ def lstm_sequence(
             d[:, hidden : 2 * hidden] = dc * prev_cells[:, t] * f * (1.0 - f)
             d[:, 2 * hidden : 3 * hidden] = dc * i * (1.0 - g * g)
             d[:, 3 * hidden :] = dh * tc * o * (1.0 - o)
+            if t in held:  # a held state depends on nothing
+                d[held[t]] = 0.0
             dc = dc * f
             dh = d @ wh.T
         dz_flat = dz.reshape(batch * n, 4 * hidden)
@@ -225,10 +241,16 @@ def lstm_sequence(
     return Tensor._result(states, (xz, params.wh, params.b), _bwd), (h, c)
 
 
-def bidirectional_encode(seq: Tensor, forward: LstmParams, backward: LstmParams) -> Tensor:
-    """Concatenate forward and backward recurrent states per position: ``(B, n, d)`` -> ``(B, n, 2H)``."""
+def bidirectional_encode(
+    seq: Tensor, forward: LstmParams, backward: LstmParams, lengths: np.ndarray | None = None
+) -> Tensor:
+    """Concatenate forward and backward recurrent states per position: ``(B, n, d)`` -> ``(B, n, 2H)``.
+
+    With ``lengths``, the real positions of each row of a padded batch come
+    out as those of the row encoded alone; the padded positions carry no meaning.
+    """
     fwd, _ = lstm_sequence(seq, forward)
-    bwd, _ = lstm_sequence(seq, backward, reverse=True)
+    bwd, _ = lstm_sequence(seq, backward, reverse=True, lengths=lengths)
     return concat([fwd, bwd], axis=-1)
 
 

@@ -19,6 +19,7 @@ from pageorder.models import (
     load_checkpoint,
     save_checkpoint,
 )
+from pageorder.models.base import SLOTS_PER_PASS, length_chunks
 from pageorder.models.pointer import greedy_decode
 from pageorder.numcore import Tensor
 
@@ -269,6 +270,36 @@ class TestOrderBatch:
         assert batched[:2] == [list(range(3)), list(range(11))]
         assert batched == [model.order(doc).tolist() for doc in docs]
 
+    @pytest.mark.parametrize("arch", list(Arch), ids=lambda a: a.value)
+    def test_one_encoder_pass_per_chunk_not_per_length(self, monkeypatch, arch):
+        # 18 documents of 9 distinct lengths fill two chunks: 12 of 19-24 pages, then 6 of 16-18
+        model = build_model(tiny_config(arch))
+        encoder = "position_scores" if arch is Arch.BILSTM_POS else "encode"
+        stacks = []
+        run = getattr(model, encoder)
+
+        def counted(pages, *args, **kwargs):
+            stacks.append(pages.shape[:2])
+            return run(pages, *args, **kwargs)
+
+        monkeypatch.setattr(model, encoder, counted)
+        rng = np.random.default_rng(21)
+        docs = [rng.normal(size=(n, DIM)).astype(np.float32) for n in list(range(16, 25)) * 2]
+        orders = model.order_batch(docs)
+        assert stacks == [(12, 24), (6, 18)]
+        assert [len(o) for o in orders] == [len(doc) for doc in docs]
+
+    def test_length_chunks_respect_the_slot_budget(self):
+        lengths = np.array([25] * 13 + [2, 9])
+        chunks = length_chunks(lengths)
+        assert sorted(np.concatenate(chunks).tolist()) == list(range(15))
+        assert all(len(c) * lengths[c].max() <= SLOTS_PER_PASS for c in chunks)
+        # longest first: twelve 25-page documents fill a chunk, and the rest share one
+        assert [c.tolist() for c in chunks] == [list(range(12)), [12, 14, 13]]
+        # a last chunk of one document takes one from the chunk before it
+        assert [len(c) for c in length_chunks(np.array([25] * 13))] == [11, 2]
+        assert [c.tolist() for c in length_chunks(np.array([3]))] == [[0]]
+
     def test_rejects_unbatched_input(self):
         model = build_model(tiny_config(Arch.POINTER_MLP))
         with pytest.raises(ConfigError):
@@ -303,8 +334,8 @@ class TestOrderBatch:
         with no_grad():
             memory, _ = model.encode(Tensor(rng.normal(size=(2, 6, DIM))))
             inputs = Tensor(rng.normal(size=(2, 6, 16)))
-            full = model._decode_states(memory, inputs, DecoderCache(model.config.layers)).data
-            cache = DecoderCache(model.config.layers)
+            full = model._decode_states(memory, inputs, DecoderCache(model.config.layers, 6)).data
+            cache = DecoderCache(model.config.layers, 6)
             steps = [model._decode_states(memory, inputs[:, t : t + 1], cache).data for t in range(6)]
         assert np.allclose(np.concatenate(steps, axis=1), full, atol=1e-12)
 
@@ -522,5 +553,6 @@ class TestGraphNodeCounts:
 
         monkeypatch.setattr(seq2seq_mod, "greedy_decode", counting_decode)
         model.order_batch(np.random.default_rng(18).normal(size=(2, 5, DIM)).astype(np.float32))
-        # the first step projects the memory's cross-attention keys and values and has no cache to extend
-        assert per_step == [51] + [50] * 4
+        # the first step projects the memory's cross-attention keys and values; later steps
+        # write their self-attention keys and values into the cache's buffers, which adds no node
+        assert per_step == [51] + [46] * 4

@@ -407,6 +407,55 @@ class TestLstmSequence:
         self._compare_with_stepped_cell(n, reverse, state)
 
 
+class TestPaddedEncoders:
+    def test_padded_bidirectional_encode_matches_each_document_alone(self):
+        # both directions, outputs and gradients, at every real position of a zero-padded batch
+        rng = RngStream(40)
+        fwd, bwd = _lstm_params64(rng.split("fwd"), 5, 4), _lstm_params64(rng.split("bwd"), 5, 4)
+        params = [t for cell in (fwd, bwd) for t in cell.tensors().values()]
+        lengths = np.array([6, 2, 4])
+        docs = [rng.split(f"doc{i}").normal((n, 5), dtype=np.float64) for i, n in enumerate(lengths)]
+        weights = [rng.split(f"w{i}").normal((n, 8), dtype=np.float64) for i, n in enumerate(lengths)]
+
+        def encode(x, w, lengths=None):
+            for t in params:
+                t.zero_grad()
+            x = t64(x)
+            out = bidirectional_encode(x, fwd, bwd, lengths)
+            (out * Tensor(w) + out * out * Tensor(w != 0)).sum().backward()
+            return out.data, x.grad, [t.grad.copy() for t in params]
+
+        padded, padded_w = np.zeros((3, 6, 5)), np.zeros((3, 6, 8))
+        for i, (doc, w) in enumerate(zip(docs, weights)):
+            padded[i, : len(doc)], padded_w[i, : len(doc)] = doc, w
+        out, x_grad, grads = encode(padded, padded_w, lengths)
+        alone_grads = [np.zeros_like(g) for g in grads]
+        for i, (doc, w) in enumerate(zip(docs, weights)):
+            want, want_x_grad, doc_grads = encode(doc[None], w[None])
+            n = len(doc)
+            np.testing.assert_allclose(out[i, :n, :4], want[0, :, :4], rtol=0, atol=1e-12, err_msg="forward")
+            np.testing.assert_allclose(out[i, :n, 4:], want[0, :, 4:], rtol=0, atol=1e-12, err_msg="backward")
+            np.testing.assert_allclose(x_grad[i, :n], want_x_grad[0], rtol=0, atol=1e-12)
+            alone_grads = [a + g for a, g in zip(alone_grads, doc_grads)]
+        for got, want in zip(grads, alone_grads):
+            np.testing.assert_allclose(got, want, rtol=0, atol=1e-12)
+
+    def test_key_padding_mask_gives_real_slots_the_unpadded_outputs(self):
+        from pageorder.models.transformer import run_encoder
+
+        model = build_model(desk_config(Arch.PAIRWISE_RANK, 8), dtype=np.float64)
+        rng = np.random.default_rng(41)
+        doc = rng.normal(size=(4, 128))
+        padded = np.concatenate([doc, 10.0 * rng.normal(size=(3, 128))])[None]  # padding that would dominate
+        mask = np.arange(7) < np.array([[4]])
+        want, want_attns = run_encoder(model, "enc", Tensor(doc[None]))
+        got, attns = run_encoder(model, "enc", Tensor(padded), mask)
+        np.testing.assert_allclose(got.data[0, :4], want.data[0], rtol=0, atol=1e-12)
+        for a, w in zip(attns, want_attns):
+            assert np.all(a.data[..., 4:] == 0.0)  # no slot attends to the padding
+            np.testing.assert_allclose(a.data[0, :, :4, :4], w.data[0], rtol=0, atol=1e-12)
+
+
 class TestFlattenedMatmul:
     @pytest.mark.parametrize("a_shape,b_shape", [((3, 4, 5), (5, 6)), ((2, 4, 4, 5), (5, 5))])
     def test_matches_batched_matmul_and_unbroadcast(self, a_shape, b_shape):

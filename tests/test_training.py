@@ -18,7 +18,7 @@ from pageorder.corpus import (
 from pageorder.metrics import mean_tau
 from pageorder.errors import ConfigError, DomainError
 from pageorder.models import Arch, Model, ModelConfig, build_model
-from pageorder.models.base import unpad
+from pageorder.models.base import real_slots, unpad
 from pageorder.numcore import Tensor, TrainingDivergedError, grad_check, no_grad
 from pageorder.training import (
     ConsistencyError,
@@ -517,11 +517,13 @@ class LinearScorer(Model):
         return loss_position(self._scores(pages), truth_rank)
 
     def order_batch(self, pages) -> list[np.ndarray]:
-        def order_stack(stack):
+        def order_chunk(stack, lengths):
             with no_grad():
-                return (np.argsort(self._scores(Tensor(stack)).data, axis=-1, kind="stable"),)
+                scores = self._scores(Tensor(stack)).data
+            # padded slots sort after every page
+            return (np.argsort(np.where(real_slots(lengths, stack.shape[1]), scores, np.inf), axis=-1, kind="stable"),)
 
-        (orders,), lengths = self._by_length(pages, order_stack)
+        (orders,), lengths = self._in_chunks(pages, order_chunk)
         return unpad(orders, lengths)
 
 
