@@ -59,14 +59,16 @@ def run_gradient_gate(tolerance: float = 1e-3, epsilon: float = 1e-5) -> GateRes
     result = GateResult()
     rng = RngStream(2024)
 
-    # dense layer
+    # dense layer with its ReLU, then without it on a 3-D input: the flattened GEMM and the summed bias gradient
     x = _t64(rng.split("dense.x"), (3, DIM))
     w = _t64(rng.split("dense.w"), (DIM, 6))
     b = _t64(rng.split("dense.b"), 6)
     result.add(
         "dense",
-        grad_check(lambda: ((x @ w + b).relu() ** 2.0).sum(), [("x", x), ("w", w), ("b", b)], epsilon, tolerance),
+        grad_check(lambda: (x.linear(w, b, relu=True) ** 2.0).sum(), [("x", x), ("w", w), ("b", b)], epsilon, tolerance),
     )
+    xf = _t64(rng.split("dense_flat.x"), (2, 3, DIM))
+    result.add("dense_flat", grad_check(lambda: (xf.linear(w, b) ** 2.0).sum(), [("x", xf), ("w", w), ("b", b)], epsilon, tolerance))
 
     # recurrent sequence: both fused directions, every output position weighted
     directions = {

@@ -128,9 +128,7 @@ class Model:
     def _run_dense_stack(self, prefix: str, x: Tensor, layers: int) -> Tensor:
         """Apply the ``layers`` dense layers of ``prefix`` to ``x``, with a ReLU between consecutive ones."""
         for i in range(layers):
-            if i:
-                x = x.relu()
-            x = x @ self.params[f"{prefix}.w{i}"] + self.params[f"{prefix}.b{i}"]
+            x = x.linear(self.params[f"{prefix}.w{i}"], self.params[f"{prefix}.b{i}"], relu=i < layers - 1)
         return x
 
     def named_parameters(self) -> list[tuple[str, Tensor]]:

@@ -45,7 +45,7 @@ def _norm(params: dict, name: str, x: Tensor) -> Tensor:
 
 def _feed_forward(params: dict, p: str, ln: str, x: Tensor) -> Tensor:
     """The residual feed-forward sublayer of layer ``p``, behind its norm ``ln``."""
-    ffn = (_norm(params, f"{p}.{ln}", x) @ params[f"{p}.ffn.w1"] + params[f"{p}.ffn.b1"]).relu()
+    ffn = _norm(params, f"{p}.{ln}", x).linear(params[f"{p}.ffn.w1"], params[f"{p}.ffn.b1"], relu=True)
     return x + ffn @ params[f"{p}.ffn.w2"] + params[f"{p}.ffn.b2"]
 
 

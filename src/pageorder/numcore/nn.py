@@ -54,13 +54,13 @@ def layer_norm(x: Tensor, gain: Tensor, bias: Tensor) -> Tensor:
 
     def _bwd(g: np.ndarray) -> None:
         if gain.requires_grad:
-            gain._accumulate(_unbroadcast(g * normed, gain.shape))
-        if bias.requires_grad:
+            gain._adopt(_unbroadcast(g * normed, gain.shape))
+        if bias.requires_grad:  # not adopted: with no axis to sum, ``_unbroadcast`` hands back ``g`` itself
             bias._accumulate(_unbroadcast(g, bias.shape))
         if x.requires_grad:
             dn = g * gain.data
             mean_dn = dn.mean(axis=-1, keepdims=True)
-            x._accumulate(rstd * (dn - mean_dn - normed * (dn * normed).mean(axis=-1, keepdims=True)))
+            x._adopt(rstd * (dn - mean_dn - normed * (dn * normed).mean(axis=-1, keepdims=True)))
 
     return Tensor._result(normed * gain.data + bias.data, (x, gain, bias), _bwd)
 
@@ -111,14 +111,14 @@ def multi_head_attention(
     def _bwd(g: np.ndarray) -> None:
         gh = split_heads(g)
         if v.requires_grad:
-            v._accumulate(_unbroadcast(merge_heads(np.matmul(np.swapaxes(probs, -1, -2), gh)), v.shape))
+            v._adopt(_unbroadcast(merge_heads(np.matmul(np.swapaxes(probs, -1, -2), gh)), v.shape))
         # masked weights are exactly 0, so their score gradients are too
         dprobs = np.matmul(gh, np.swapaxes(vh, -1, -2))
         dscores = probs * (dprobs - (dprobs * probs).sum(axis=-1, keepdims=True)) * scale
         if q.requires_grad:
-            q._accumulate(_unbroadcast(merge_heads(np.matmul(dscores, kh)), q.shape))
+            q._adopt(_unbroadcast(merge_heads(np.matmul(dscores, kh)), q.shape))
         if k.requires_grad:
-            k._accumulate(_unbroadcast(merge_heads(np.matmul(np.swapaxes(dscores, -1, -2), qh)), k.shape))
+            k._adopt(_unbroadcast(merge_heads(np.matmul(np.swapaxes(dscores, -1, -2), qh)), k.shape))
 
     return Tensor._result(merge_heads(np.matmul(probs, vh)), (q, k, v), _bwd), Tensor(probs)
 

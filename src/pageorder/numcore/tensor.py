@@ -291,6 +291,34 @@ class Tensor:
 
         return Tensor._result(out_data, (a, b), _bwd)
 
+    def linear(self, w: "Tensor", b: "Tensor", relu: bool = False) -> "Tensor":
+        """The dense layer ``x @ w + b``, then ``max(·, 0)`` if ``relu``, as one graph node.
+
+        One GEMM over the flattened leading axes as in ``_matmul_flat``, then the bias and the ReLU in place in
+        its output: values and gradients are bitwise those of separate matmul, add and ReLU nodes.
+        """
+        x = self
+        m = w.shape[-1]
+        x2 = x.data.reshape(-1, x.shape[-1])
+        y = x2 @ w.data  # rejects a ``w`` whose rows do not match ``x``'s last axis
+        y += b.data
+        if relu:
+            np.maximum(y, 0, out=y)
+        out_data = y.reshape(*x.shape[:-1], m)
+
+        def _bwd(g: np.ndarray) -> None:
+            if relu:
+                g = g * (out_data > 0)
+            g2 = g.reshape(-1, m)
+            if b.requires_grad:
+                b._accumulate(_unbroadcast(g, b.shape))
+            if x.requires_grad:
+                x._adopt((g2 @ w.data.T).reshape(x.shape))
+            if w.requires_grad:
+                w._adopt(x2.T @ g2)
+
+        return Tensor._result(out_data, (x, w, b), _bwd)
+
     # -- reductions and views -------------------------------------------
 
     def sum(self, axis: int | None = None, keepdims: bool = False) -> "Tensor":
@@ -349,24 +377,6 @@ class Tensor:
 
         def _bwd(g: np.ndarray) -> None:
             a._accumulate(g * (1.0 - out_data * out_data))
-
-        return Tensor._result(out_data, (a,), _bwd)
-
-    def sigmoid(self) -> "Tensor":
-        a = self
-        out_data = sigmoid_array(a.data)
-
-        def _bwd(g: np.ndarray) -> None:
-            a._accumulate(g * out_data * (1.0 - out_data))
-
-        return Tensor._result(out_data, (a,), _bwd)
-
-    def relu(self) -> "Tensor":
-        a = self
-        out_data = np.maximum(a.data, 0.0)
-
-        def _bwd(g: np.ndarray) -> None:
-            a._accumulate(g * (a.data > 0))
 
         return Tensor._result(out_data, (a,), _bwd)
 

@@ -533,7 +533,16 @@ class TestGraphNodeCounts:
         truth = np.stack([np.arange(5), np.arange(5)[::-1]])
         calls = self._count_nodes(monkeypatch)
         model.teacher_logits(Tensor(stack), truth)
-        assert calls[0] == 87
+        assert calls[0] == 79
+
+    def test_pairwise_rank_loss(self, monkeypatch):
+        # each of the scorer's four dense layers, ReLU included, is one node
+        model = build_model(tiny_config(Arch.PAIRWISE_RANK, layers=2))
+        stack = np.random.default_rng(19).normal(size=(2, 5, DIM)).astype(np.float32)
+        truth = np.stack([np.arange(5), np.arange(5)[::-1]])
+        calls = self._count_nodes(monkeypatch)
+        model.loss(Tensor(stack), truth)
+        assert calls[0] == 44
 
     def test_cached_greedy_decoder_step(self, monkeypatch):
         import pageorder.models.seq2seq as seq2seq_mod
@@ -555,4 +564,4 @@ class TestGraphNodeCounts:
         model.order_batch(np.random.default_rng(18).normal(size=(2, 5, DIM)).astype(np.float32))
         # the first step projects the memory's cross-attention keys and values; later steps
         # write their self-attention keys and values into the cache's buffers, which adds no node
-        assert per_step == [51] + [46] * 4
+        assert per_step == [47] + [42] * 4

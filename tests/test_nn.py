@@ -254,6 +254,48 @@ class TestFusedLayerNormMatchesComposite:
         assert np.array_equal(out.data, _composite_layer_norm(x, gain, bias).data)
 
 
+class TestAdoptedNormAndAttentionGradients:
+    """The gradients the layer-norm and attention backwards adopt alias nothing and change no bit.
+
+    Each input feeds two nodes, so the gradient adopted from the first has
+    the second added into it; the outputs' own gradients are checked too.
+    """
+
+    @staticmethod
+    def _check(monkeypatch, inputs: list[Tensor], outputs) -> None:
+        def grads() -> list[np.ndarray]:
+            for t in inputs:
+                t.zero_grad()
+            outs = outputs()
+            sum((o * o).sum() for o in outs).backward()
+            return [t.grad for t in inputs + outs]
+
+        adopted = grads()
+        for i, g in enumerate(adopted):
+            assert not any(np.shares_memory(g, other) for other in adopted[i + 1 :]), i
+        monkeypatch.setattr(Tensor, "_adopt", Tensor._accumulate)
+        for got, want in zip(adopted, grads()):
+            assert np.array_equal(got, want)
+
+    @pytest.mark.parametrize("shape", [(7,), (3, 7), (2, 3, 7)])
+    def test_layer_norm(self, shape, monkeypatch):
+        # at (7,) the bias gradient has no axis to sum, so ``_unbroadcast`` hands back the output's own gradient
+        rng = np.random.default_rng(60)
+        x, gain, bias = (Tensor(rng.normal(size=s).astype(np.float32), requires_grad=True) for s in (shape, 7, 7))
+        self._check(monkeypatch, [x, gain, bias], lambda: [layer_norm(x, gain, bias), layer_norm(x * 2.0, gain, bias)])
+
+    @pytest.mark.parametrize("shape,heads", [((4, 8), 2), ((2, 4, 8), 1), ((2, 4, 8), 2)])
+    def test_attention(self, shape, heads, monkeypatch):
+        rng = np.random.default_rng(61)
+        q, k, v = (Tensor(rng.normal(size=shape).astype(np.float32), requires_grad=True) for _ in range(3))
+        causal = np.tril(np.ones((4, 4), dtype=bool))
+
+        def outputs() -> list[Tensor]:
+            return [multi_head_attention(q, k, v, heads)[0], multi_head_attention(q, k, v, heads, mask=causal)[0]]
+
+        self._check(monkeypatch, [q, k, v], outputs)
+
+
 class TestLstm:
     def test_zero_weights_zero_input_give_zero_state(self):
         params = LstmParams(
@@ -345,13 +387,17 @@ def _lstm_params64(rng: RngStream, d: int, hidden: int) -> LstmParams:
 
 
 def _cell(x: Tensor, h: Tensor, c: Tensor, params: LstmParams) -> tuple[Tensor, Tensor]:
-    """One gated-recurrence step built from Tensor ops, gate order i, f, g, o."""
+    """One gated-recurrence step built from Tensor ops, gate order i, f, g, o; σ(z) is written (tanh(z/2) + 1)/2."""
+
+    def sigmoid(z: Tensor) -> Tensor:
+        return (z * 0.5).tanh() * 0.5 + 0.5
+
     hidden = params.hidden
     z = x @ params.wx + h @ params.wh + params.b
-    i = z[..., :hidden].sigmoid()
-    f = z[..., hidden : 2 * hidden].sigmoid()
+    i = sigmoid(z[..., :hidden])
+    f = sigmoid(z[..., hidden : 2 * hidden])
     g = z[..., 2 * hidden : 3 * hidden].tanh()
-    o = z[..., 3 * hidden :].sigmoid()
+    o = sigmoid(z[..., 3 * hidden :])
     c_next = f * c + i * g
     h_next = o * c_next.tanh()
     return h_next, c_next
