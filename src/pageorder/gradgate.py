@@ -55,6 +55,10 @@ def _tiny_model(arch: Arch, seed: int = 13):
     return build_model(cfg, dtype=np.float64)
 
 
+def _sum_of_squares(y: Tensor) -> Tensor:
+    return (y * y).sum()
+
+
 def run_gradient_gate(tolerance: float = 1e-3, epsilon: float = 1e-5) -> GateResult:
     result = GateResult()
     rng = RngStream(2024)
@@ -65,10 +69,10 @@ def run_gradient_gate(tolerance: float = 1e-3, epsilon: float = 1e-5) -> GateRes
     b = _t64(rng.split("dense.b"), 6)
     result.add(
         "dense",
-        grad_check(lambda: (x.linear(w, b, relu=True) ** 2.0).sum(), [("x", x), ("w", w), ("b", b)], epsilon, tolerance),
+        grad_check(lambda: _sum_of_squares(x.linear(w, b, relu=True)), [("x", x), ("w", w), ("b", b)], epsilon, tolerance),
     )
     xf = _t64(rng.split("dense_flat.x"), (2, 3, DIM))
-    result.add("dense_flat", grad_check(lambda: (xf.linear(w, b) ** 2.0).sum(), [("x", xf), ("w", w), ("b", b)], epsilon, tolerance))
+    result.add("dense_flat", grad_check(lambda: _sum_of_squares(xf.linear(w, b)), [("x", xf), ("w", w), ("b", b)], epsilon, tolerance))
 
     # recurrent sequence: both fused directions, every output position weighted
     directions = {
@@ -128,7 +132,7 @@ def run_gradient_gate(tolerance: float = 1e-3, epsilon: float = 1e-5) -> GateRes
     bias = _t64(rng.split("ln.b"), 7)
     result.add(
         "layer_norm",
-        grad_check(lambda: (layer_norm(xn, gain, bias) ** 2.0).sum(), [("x", xn), ("g", gain), ("b", bias)], epsilon, tolerance),
+        grad_check(lambda: _sum_of_squares(layer_norm(xn, gain, bias)), [("x", xn), ("g", gain), ("b", bias)], epsilon, tolerance),
     )
 
     # embedding lookup: integer-array indexing gathers table rows
@@ -136,7 +140,7 @@ def run_gradient_gate(tolerance: float = 1e-3, epsilon: float = 1e-5) -> GateRes
     idx = np.array([0, 3, 3, 5])
     result.add(
         "embedding_lookup",
-        grad_check(lambda: (table[idx] ** 2.0).sum(), [("table", table)], epsilon, tolerance),
+        grad_check(lambda: _sum_of_squares(table[idx]), [("table", table)], epsilon, tolerance),
     )
 
     # every architecture's own training loss on a batch of two 4-page toy documents

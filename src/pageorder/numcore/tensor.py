@@ -73,13 +73,18 @@ def sigmoid_array(x: np.ndarray) -> np.ndarray:
     return np.where(x >= 0, 1.0 / (1.0 + e), e / (1.0 + e)).astype(x.dtype, copy=False)
 
 
+def _swept(g: np.ndarray) -> None:
+    """The closure of a node that a backward() sweep has passed and freed."""
+    raise RuntimeError("backward() reached a node that an earlier backward() already swept and freed")
+
+
 class Tensor:
     """A dense array node in the autodiff graph.
 
     ``data`` is the value, ``grad`` (same shape, allocated lazily) the
     accumulated gradient. Non-leaf tensors keep references to the tensors
     they were computed from plus a closure that routes the incoming
-    gradient to them.
+    gradient to them, until ``backward()`` sweeps past them.
     """
 
     __slots__ = ("data", "grad", "requires_grad", "_parents", "_backward")
@@ -153,7 +158,12 @@ class Tensor:
         return out
 
     def backward(self) -> None:
-        """Reverse-mode sweep from a scalar output."""
+        """Reverse-mode sweep from a scalar output that frees the graph as it goes.
+
+        Once a node's backward has run, the node drops its closure and its parent links, so its saved
+        activations and its gradient are released unless the caller still holds the tensor (which keeps
+        its ``.grad``). A second sweep through a swept node raises.
+        """
         if self.data.size != 1:
             raise ShapeError("backward() requires a scalar output")
         topo: list[Tensor] = []
@@ -172,9 +182,12 @@ class Tensor:
                 if id(parent) not in visited:
                     stack.append((parent, False))
         self.grad = np.ones_like(self.data)
-        for node in reversed(topo):
+        while topo:
+            node = topo.pop()
             if node._backward is not None:
                 node._backward(node.grad)
+                node._backward = _swept
+                node._parents = ()
 
     # -- arithmetic ----------------------------------------------------
 
@@ -238,17 +251,6 @@ class Tensor:
 
     def __truediv__(self, other: float) -> "Tensor":
         return self * (1.0 / float(other))
-
-    def __pow__(self, exponent: float) -> "Tensor":
-        if not isinstance(exponent, (int, float)):
-            raise TypeError("only scalar exponents are supported")
-        a = self
-        out_data = a.data ** exponent
-
-        def _bwd(g: np.ndarray) -> None:
-            a._accumulate(g * exponent * a.data ** (exponent - 1.0))
-
-        return Tensor._result(out_data, (a,), _bwd)
 
     def __matmul__(self, other) -> "Tensor":
         other = self._coerce(other)

@@ -173,6 +173,7 @@ def fit(model: Model, train_docs: list[Document], val_docs: list[Document], cfg:
             epoch += 1
 
     assert best_state is not None
+    model.zero_grad()
     model.load_state_arrays(best_state)
     series = np.array([r["val_tau_overall"] for r in history], dtype=np.float64)
     return FitResult(history=history, val_tau_series=series, best_epoch=best_epoch)

@@ -1,4 +1,5 @@
 import threading
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -162,7 +163,12 @@ class TestLinear:
         rng = np.random.default_rng(52)
         x, w, b = t64(rng.normal(size=shape)), t64(rng.normal(size=(4, 3))), t64(rng.normal(size=3))
         named = [("x", x), ("w", w), ("b", b)]
-        report = grad_check(lambda: (x.linear(w, b, relu=relu) ** 2.0).sum(), named, epsilon=1e-6, tolerance=1e-7)
+
+        def f():
+            out = x.linear(w, b, relu=relu)
+            return (out * out).sum()
+
+        report = grad_check(f, named, epsilon=1e-6, tolerance=1e-7)
         assert report.passed, report.summary()
 
 
@@ -177,7 +183,7 @@ class TestElementwiseGradients:
             lambda x: (x - x * 0.3).sum(),
             lambda x: x.tanh().sum(),
             lambda x: x.softplus().sum(),
-            lambda x: (x ** 3.0).sum(),
+            lambda x: (x * x * x).sum(),
             lambda x: x.reshape(6).sum(),
             lambda x: x.transpose((1, 0)).sum(axis=0).sum(),
             lambda x: x[1:, :].sum(),
@@ -313,6 +319,45 @@ class TestGraphMechanics:
         ((y * Tensor(w)).sum() + (x * 2.0).sum() + x.sum()).backward()
         assert np.array_equal(y.grad, w)
         assert np.array_equal(x.grad, w.reshape(2, 3) + 3.0)
+
+    def test_second_sweep_through_a_swept_graph_raises(self):
+        x = t64([1.0, 2.0])
+        h = x * 3.0
+        loss = h.sum()
+        loss.backward()
+        assert np.array_equal(h.grad, [1.0, 1.0])  # a tensor the caller holds keeps its gradient
+        with pytest.raises(RuntimeError, match="already swept"):
+            loss.backward()
+        with pytest.raises(RuntimeError, match="already swept"):
+            (h * 2.0).sum().backward()  # a new graph on a swept node: never treated as a leaf
+        assert np.array_equal(x.grad, [3.0, 3.0])  # nothing reached x twice
+
+    def test_sweep_frees_each_node_once_passed(self):
+        """Over a chain of k dense layers the sweep holds about k activations, not k activations plus k gradients."""
+        k, rows, width = 16, 4096, 16
+        rng = np.random.default_rng(9)
+        layers = [
+            (
+                Tensor(rng.normal(size=(width, width)).astype(np.float32), requires_grad=True),
+                Tensor(np.zeros(width, dtype=np.float32), requires_grad=True),
+            )
+            for _ in range(k)
+        ]
+        x = Tensor(rng.normal(size=(rows, width)).astype(np.float32))
+        activation = rows * width * 4
+        tracemalloc.start()
+        try:
+            h = x
+            for w, b in layers:
+                h = h.linear(w, b, relu=True)
+            loss = h.sum()
+            del h
+            loss.backward()
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert all(w.grad is not None and b.grad is not None for w, b in layers)
+        assert peak < 1.5 * k * activation  # about (k + 3) activations; 2k + 2 when the graph lives to the end
 
     def test_backward_requires_scalar(self):
         x = t64([1.0, 2.0])

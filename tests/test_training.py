@@ -386,6 +386,13 @@ class TestFit:
             fit(model, train, val, cfg)
         assert all(np.array_equal(before[k], v) for k, v in model.state_arrays().items())
 
+    @pytest.mark.parametrize("arch", list(Arch), ids=lambda a: a.value)
+    def test_returns_the_model_without_gradients(self, small_corpus, arch):
+        train, val, _ = small_corpus
+        model = tiny(arch, seed=8)
+        fit(model, train[:16], val[:8], TrainConfig(epochs=1, batch_size=8, seed=5))
+        assert all(p.grad is None for p in model.parameters())
+
     def test_no_gradient_is_an_error(self, small_corpus):
         train, val, _ = small_corpus
         model = tiny(Arch.POINTER_MLP, seed=12)
