@@ -63,7 +63,8 @@ def run_gradient_gate(tolerance: float = 1e-3, epsilon: float = 1e-5) -> GateRes
     result = GateResult()
     rng = RngStream(2024)
 
-    # dense layer with its ReLU, then without it on a 3-D input: the flattened GEMM and the summed bias gradient
+    # dense layer with its ReLU, then without it on a 3-D input, with and without the bias: the flattened GEMM and
+    # the summed bias gradient
     x = _t64(rng.split("dense.x"), (3, DIM))
     w = _t64(rng.split("dense.w"), (DIM, 6))
     b = _t64(rng.split("dense.b"), 6)
@@ -72,7 +73,11 @@ def run_gradient_gate(tolerance: float = 1e-3, epsilon: float = 1e-5) -> GateRes
         grad_check(lambda: _sum_of_squares(x.linear(w, b, relu=True)), [("x", x), ("w", w), ("b", b)], epsilon, tolerance),
     )
     xf = _t64(rng.split("dense_flat.x"), (2, 3, DIM))
-    result.add("dense_flat", grad_check(lambda: _sum_of_squares(xf.linear(w, b)), [("x", xf), ("w", w), ("b", b)], epsilon, tolerance))
+
+    def dense_flat_fn():
+        return _sum_of_squares(xf.linear(w, b)) + _sum_of_squares(xf.linear(w))
+
+    result.add("dense_flat", grad_check(dense_flat_fn, [("x", xf), ("w", w), ("b", b)], epsilon, tolerance))
 
     # recurrent sequence: both fused directions, every output position weighted
     directions = {

@@ -43,7 +43,7 @@ class BilstmPositionModel(Model):
         x = pages
         for fwd, bwd in self._cells:
             x = bidirectional_encode(x, fwd, bwd, lengths)
-        out = x @ self.params["head.w"] + self.params["head.b"]
+        out = x.linear(self.params["head.w"], self.params["head.b"])
         return out.reshape(out.shape[0], out.shape[1])
 
     def loss(self, pages: Tensor, truth_rank: np.ndarray) -> Tensor:

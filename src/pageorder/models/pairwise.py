@@ -72,7 +72,7 @@ class PairwiseRankModel(Model):
 
     def encode(self, pages: Tensor, mask: np.ndarray | None = None) -> tuple[Tensor, list[Tensor]]:
         """Encoder states and attention; ``mask`` is ``run_encoder``'s key-padding mask."""
-        x = pages @ self.params["input.w"] + self.params["input.b"]
+        x = pages.linear(self.params["input.w"], self.params["input.b"])
         return run_encoder(self, "enc", x, mask)
 
     def _pair_scores(self, encoded: Tensor) -> Tensor:

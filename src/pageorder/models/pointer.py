@@ -152,7 +152,7 @@ class PointerLstmModel(PointerModel):
         # decoder state t (axis 1 of h_dec) and slot j, in one broadcast
         b, steps = h_dec.shape[0], h_dec.shape[1]
         n, hidden = encoded_proj.shape[1], self.config.hidden_dim
-        query = h_dec @ self.params["attn.w_dec"] + self.params["attn.b"]
+        query = h_dec.linear(self.params["attn.w_dec"], self.params["attn.b"])
         feats = encoded_proj.reshape(b, 1, n, hidden) + query.reshape(b, steps, 1, hidden)
         return (feats.tanh() @ self.params["attn.v"]).reshape(b, steps, n)
 

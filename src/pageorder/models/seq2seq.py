@@ -51,7 +51,7 @@ class Seq2SeqModel(PointerModel):
     def encode(self, pages: Tensor, mask: np.ndarray | None = None) -> tuple[Tensor, list[Tensor]]:
         """Encoder states and attention; ``mask`` is ``run_encoder``'s key-padding mask."""
         n = pages.shape[-2]
-        x = pages @ self.params["input.w"] + self.params["input.b"]
+        x = pages.linear(self.params["input.w"], self.params["input.b"])
         pe = self._positions(n)
         if pe is not None:
             x = x + pe

@@ -253,14 +253,14 @@ class Tensor:
         return self * (1.0 / float(other))
 
     def __matmul__(self, other) -> "Tensor":
-        other = self._coerce(other)
-        a, b = self, other
+        """``a @ b``: ``linear`` for a 2-D ``b``, else one batched product of activations."""
+        a, b = self, self._coerce(other)
         if a.ndim < 2 or b.ndim < 2:
             raise ShapeError(f"matmul needs >=2-D operands, got {a.shape} @ {b.shape}")
         if a.shape[-1] != b.shape[-2]:
             raise ShapeError(f"inner dimensions mismatch: {a.shape} @ {b.shape}")
-        if a.ndim > 2 and b.ndim == 2:
-            return a._matmul_flat(b)
+        if b.ndim == 2:
+            return a.linear(b)
         out_data = np.matmul(a.data, b.data)
 
         def _bwd(g: np.ndarray) -> None:
@@ -273,37 +273,19 @@ class Tensor:
 
         return Tensor._result(out_data, (a, b), _bwd)
 
-    def _matmul_flat(self, b: "Tensor") -> "Tensor":
-        """``(..., k) @ (k, m)`` as one 2-D GEMM over the flattened leading axes.
+    def linear(self, w: "Tensor", b: "Tensor | None" = None, relu: bool = False) -> "Tensor":
+        """The dense layer ``x @ w``, plus ``b`` if given, then ``max(·, 0)`` if ``relu``, as one graph node.
 
-        The weight gradient is then one ``(k, rows) @ (rows, m)`` product
-        instead of a stack of per-batch products summed away afterwards.
-        """
-        a = self
-        k, m = b.shape
-        a2 = a.data.reshape(-1, k)
-        out_data = (a2 @ b.data).reshape(*a.shape[:-1], m)
-
-        def _bwd(g: np.ndarray) -> None:
-            g2 = g.reshape(-1, m)
-            if a.requires_grad:
-                a._adopt((g2 @ b.data.T).reshape(a.shape))
-            if b.requires_grad:
-                b._adopt(a2.T @ g2)
-
-        return Tensor._result(out_data, (a, b), _bwd)
-
-    def linear(self, w: "Tensor", b: "Tensor", relu: bool = False) -> "Tensor":
-        """The dense layer ``x @ w + b``, then ``max(·, 0)`` if ``relu``, as one graph node.
-
-        One GEMM over the flattened leading axes as in ``_matmul_flat``, then the bias and the ReLU in place in
-        its output: values and gradients are bitwise those of separate matmul, add and ReLU nodes.
+        One 2-D GEMM over the flattened leading axes, so the weight gradient is one ``(k, rows) @ (rows, m)``
+        product; the bias and the ReLU act in place in its output. Values and gradients are bitwise those of
+        a separate add and ReLU node after the product.
         """
         x = self
         m = w.shape[-1]
         x2 = x.data.reshape(-1, x.shape[-1])
         y = x2 @ w.data  # rejects a ``w`` whose rows do not match ``x``'s last axis
-        y += b.data
+        if b is not None:
+            y += b.data
         if relu:
             np.maximum(y, 0, out=y)
         out_data = y.reshape(*x.shape[:-1], m)
@@ -312,14 +294,14 @@ class Tensor:
             if relu:
                 g = g * (out_data > 0)
             g2 = g.reshape(-1, m)
-            if b.requires_grad:
+            if b is not None and b.requires_grad:
                 b._accumulate(_unbroadcast(g, b.shape))
             if x.requires_grad:
                 x._adopt((g2 @ w.data.T).reshape(x.shape))
             if w.requires_grad:
                 w._adopt(x2.T @ g2)
 
-        return Tensor._result(out_data, (x, w, b), _bwd)
+        return Tensor._result(out_data, (x, w) if b is None else (x, w, b), _bwd)
 
     # -- reductions and views -------------------------------------------
 
@@ -378,7 +360,10 @@ class Tensor:
         out_data = np.tanh(a.data)
 
         def _bwd(g: np.ndarray) -> None:
-            a._accumulate(g * (1.0 - out_data * out_data))
+            d = out_data * out_data
+            np.subtract(1.0, d, out=d)
+            np.multiply(g, d, out=d)
+            a._adopt(d)
 
         return Tensor._result(out_data, (a,), _bwd)
 

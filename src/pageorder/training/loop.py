@@ -108,6 +108,9 @@ def fit(model: Model, train_docs: list[Document], val_docs: list[Document], cfg:
     """
     if not train_docs or not val_docs:
         raise ConfigError("need non-empty train and validation splits")
+    other_dims = sorted({doc.dim for doc in (*train_docs, *val_docs)} - {model.config.input_dim})
+    if other_dims:
+        raise ConfigError(f"embedding dim {other_dims[0]} != model input_dim {model.config.input_dim}")
     plan = cfg.stage_docs([shuffle_instance(d, cfg.seed) for d in train_docs])
     run_rng = RngStream(cfg.seed).split("fit")
     val_instances = [shuffle_instance(d, cfg.seed) for d in val_docs]

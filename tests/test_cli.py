@@ -256,6 +256,21 @@ class TestTrain:
             assert all(name in err for name in named), err
             assert not (resumed / "effective_config.json").exists()
 
+    def test_resume_on_a_corpus_of_another_width_is_config_error(self, workdir, corpus_path, tmp_path, capsys):
+        first = tmp_path / "first"
+        args = ("train", "--config", str(workdir / "cfg.json"), "--arch", "pointer_mlp")
+        assert run_cli(*args, "--corpus", str(corpus_path), "--out", str(first)) == 0
+        wide_cfg = tmp_path / "wide.json"
+        wide_cfg.write_text(json.dumps({**TINY_CONFIG, "corpus": {**TINY_CONFIG["corpus"], "dim": 24}}))
+        assert run_cli("gen", "--config", str(wide_cfg), "--out", str(tmp_path / "wide")) == 0
+        capsys.readouterr()
+        resumed = tmp_path / "resumed"
+        wide_corpus = str(tmp_path / "wide" / "corpus.jsonl")
+        code = run_cli(*args, "--corpus", wide_corpus, "--resume", str(first / "model.ckpt"), "--out", str(resumed))
+        assert code == 2
+        assert "embedding dim 24 != model input_dim 16" in capsys.readouterr().err
+        assert not resumed.exists()
+
     def test_target_bucket_label_and_enum_name_train_alike(self, workdir, corpus_path, tmp_path):
         args = ("train", "--config", str(workdir / "cfg.json"), "--corpus", str(corpus_path), "--arch", "pointer_mlp")
         for label in ("6-10", "B6_10"):

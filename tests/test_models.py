@@ -533,16 +533,16 @@ class TestGraphNodeCounts:
         truth = np.stack([np.arange(5), np.arange(5)[::-1]])
         calls = self._count_nodes(monkeypatch)
         model.teacher_logits(Tensor(stack), truth)
-        assert calls[0] == 79
+        assert calls[0] == 78
 
     def test_pairwise_rank_loss(self, monkeypatch):
-        # each of the scorer's four dense layers, ReLU included, is one node
+        # the input layer and each of the scorer's four dense layers, ReLU included, are one node each
         model = build_model(tiny_config(Arch.PAIRWISE_RANK, layers=2))
         stack = np.random.default_rng(19).normal(size=(2, 5, DIM)).astype(np.float32)
         truth = np.stack([np.arange(5), np.arange(5)[::-1]])
         calls = self._count_nodes(monkeypatch)
         model.loss(Tensor(stack), truth)
-        assert calls[0] == 44
+        assert calls[0] == 43
 
     def test_cached_greedy_decoder_step(self, monkeypatch):
         import pageorder.models.seq2seq as seq2seq_mod

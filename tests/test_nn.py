@@ -509,7 +509,8 @@ class TestPaddedEncoders:
 
 
 class TestFlattenedMatmul:
-    @pytest.mark.parametrize("a_shape,b_shape", [((3, 4, 5), (5, 6)), ((2, 4, 4, 5), (5, 5))])
+    # the last case is a batched product of two activations, the one kind that does not run as ``linear``
+    @pytest.mark.parametrize("a_shape,b_shape", [((3, 4, 5), (5, 6)), ((2, 4, 4, 5), (5, 5)), ((2, 3, 5), (2, 5, 4))])
     def test_matches_batched_matmul_and_unbroadcast(self, a_shape, b_shape):
         rng = np.random.default_rng(33)
         a, b = t64(rng.normal(size=a_shape)), t64(rng.normal(size=b_shape))
@@ -517,7 +518,7 @@ class TestFlattenedMatmul:
         out = a @ b
         (out * Tensor(g)).sum().backward()
         np.testing.assert_allclose(out.data, np.matmul(a.data, b.data), rtol=0, atol=1e-12)
-        want_ga = _unbroadcast(np.matmul(g, b.data.T), a_shape)
+        want_ga = _unbroadcast(np.matmul(g, np.swapaxes(b.data, -1, -2)), a_shape)
         want_gb = _unbroadcast(np.matmul(np.swapaxes(a.data, -1, -2), g), b_shape)
         np.testing.assert_allclose(a.grad, want_ga, rtol=0, atol=1e-12)
         np.testing.assert_allclose(b.grad, want_gb, rtol=0, atol=1e-12)

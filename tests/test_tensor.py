@@ -153,6 +153,32 @@ class TestLinear:
 
         assert run(fused=True) == run(fused=False)
 
+    @pytest.mark.parametrize("form", ["x @ w", "linear(w)", "linear(w, relu)", "linear(w, b)", "linear(w, b, relu)"])
+    @pytest.mark.parametrize("shape", [(7, 5), (2, 3, 4, 5)])
+    def test_against_numpy_oracle(self, shape, form):
+        """Every form of the one dense node, ``@`` with a 2-D weight included, against plain numpy."""
+        rng = np.random.default_rng(53)
+        x, w, b = (rng.normal(size=s) for s in (shape, (5, 6), (6,)))
+        weights = rng.normal(size=shape[:-1] + (6,))
+        bias, relu = "b" in form, "relu" in form
+        named = {"x": t64(x), "w": t64(w), **({"b": t64(b)} if bias else {})}
+        if form == "x @ w":
+            out = named["x"] @ named["w"]
+        else:
+            out = named["x"].linear(named["w"], named.get("b"), relu=relu)
+        (out * Tensor(weights)).sum().backward()
+
+        x2 = x.reshape(-1, 5)
+        y = x2 @ w + (b if bias else 0.0)
+        g = weights.reshape(-1, 6)
+        if relu:
+            y = np.maximum(y, 0.0)
+            g = g * (y > 0)
+        expected = {"out": y.reshape(weights.shape), "x": (g @ w.T).reshape(shape), "w": x2.T @ g, "b": g.sum(axis=0)}
+        np.testing.assert_allclose(out.data, expected["out"], rtol=1e-12, atol=1e-12)
+        for name, tensor in named.items():
+            np.testing.assert_allclose(tensor.grad, expected[name], rtol=1e-12, atol=1e-12, err_msg=name)
+
     def test_weight_rows_must_match_the_input_width(self):
         with pytest.raises(ValueError):
             Tensor(np.ones((2, 6))).linear(Tensor(np.ones((3, 4))), Tensor(np.ones(4)))
