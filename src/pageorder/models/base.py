@@ -7,8 +7,8 @@ from enum import Enum
 
 import numpy as np
 
-from ..errors import ConfigError
-from ..numcore import LstmParams, RngStream, Tensor, glorot_uniform
+from ..errors import ConfigError, DomainError
+from ..numcore import LstmParams, RngStream, Tensor, glorot_uniform, no_grad
 
 __all__ = ["Arch", "PeVariant", "ModelConfig", "Model", "LengthError", "desk_config"]
 
@@ -27,11 +27,11 @@ class PeVariant(str, Enum):
     NONE = "none"
 
 
-# Padded page slots per encoder pass in ``order_batch``: documents are sorted
-# by length and encoded in chunks of at most this many slots, so the
-# encoders' activations stay those of 12 documents of 25 pages however many
-# documents come in.
-SLOTS_PER_PASS = 12 * 25
+# Documents per padded chunk in ``order_batch``: documents are sorted by
+# length and ordered in chunks of at most this many, so the encoders'
+# activations and the decoders' state stay those of 32 documents however
+# many documents come in.
+DOCS_PER_PASS = 32
 
 
 class LengthError(ValueError):
@@ -171,44 +171,36 @@ class Model:
         Each architecture binds it as ``order = Model.order``, so every class
         has its own ``order`` entry for a profiler to wrap.
         """
-        return self.order_batch(self._as_input(pages)[None])[0]
+        return self.order_batch([pages])[0]
 
     def order_batch(self, pages) -> list[np.ndarray]:
         """Predicted reading orders of documents of any lengths, in input order.
 
         ``pages`` is a sequence of ``(n_i, dim)`` documents or a ``(B, n, dim)``
         stack of same-length ones; each ordering is an ``(n_i,)`` array of slots.
-        """
-        raise NotImplementedError
-
-    def _in_chunks(self, pages, run) -> tuple[list[np.ndarray], np.ndarray]:
-        """Call ``run`` once per ``length_chunks`` chunk of ``pages``; gather its outputs in input order.
-
-        ``run(stack, lengths)`` maps a ``(g, n, dim)`` stack of documents,
-        zero-padded after each one's ``lengths[i]`` pages, to a tuple of arrays
-        with one row per document. Each output is gathered into one ``(B, ...)``
-        array, zero-padded at the end of every axis to its largest row, so a
-        ``(g, n, ...)`` output comes back as ``(B, N, ...)`` with ``N`` the
-        longest document. Returns those arrays and the ``(B,)`` lengths.
+        Each ``length_chunks`` chunk is zero-padded to its longest document and
+        ordered by one ``order_padded`` call, without gradient.
         """
         docs = [self._as_input(doc) for doc in pages]
         if not docs:
             raise ConfigError("no documents to order")
         lengths = np.array([len(doc) for doc in docs])
-        chunks = length_chunks(lengths)
-        outputs = []
-        for chunk in chunks:
-            stack = np.zeros((len(chunk), lengths[chunk].max(), self.config.input_dim), dtype=self.dtype)
-            for row, i in enumerate(chunk):
-                stack[row, : lengths[i]] = docs[i]
-            outputs.append(run(stack, lengths[chunk]))
-        gathered = []
-        for parts in zip(*outputs):
-            full = np.zeros((len(docs), *np.max([part.shape[1:] for part in parts], axis=0)), dtype=parts[0].dtype)
-            for chunk, part in zip(chunks, parts):
-                full[(chunk, *map(slice, part.shape[1:]))] = part
-            gathered.append(full)
-        return gathered, lengths
+        orders: list = [None] * len(docs)
+        with no_grad():
+            for chunk in length_chunks(lengths):
+                stack = np.zeros((len(chunk), lengths[chunk[0]], self.config.input_dim), dtype=self.dtype)
+                for row, i in enumerate(chunk):
+                    stack[row, : lengths[i]] = docs[i]
+                for i, order in zip(chunk, self.order_padded(stack, lengths[chunk])):
+                    orders[i] = order
+        return orders
+
+    def order_padded(self, stack: np.ndarray, lengths: np.ndarray) -> list[np.ndarray]:
+        """Orderings of a ``(b, n, dim)`` stack of documents, zero-padded after each one's ``lengths[i]`` pages.
+
+        Returns one ``(lengths[i],)`` array of slots per row.
+        """
+        raise NotImplementedError
 
     def _as_input(self, pages: np.ndarray) -> np.ndarray:
         pages = np.asarray(pages, dtype=self.dtype)
@@ -216,32 +208,19 @@ class Model:
             raise ConfigError(f"expected (n_pages, dim), got {pages.shape}")
         if pages.shape[-1] != self.config.input_dim:
             raise ConfigError(f"embedding dim {pages.shape[-1]} != model input_dim {self.config.input_dim}")
+        if len(pages) < 2:
+            raise DomainError(f"ordering needs at least 2 pages, got {len(pages)}")
+        if not np.isfinite(pages).all():
+            raise DomainError("pages contain non-finite embeddings")
         return pages
 
 
 def length_chunks(lengths: np.ndarray) -> list[np.ndarray]:
-    """Document indices, longest first, cut into chunks of at most ``SLOTS_PER_PASS`` padded slots.
-
-    A chunk is as long as its first document. A last chunk of one document
-    takes the last document of the chunk before it, if that chunk keeps two,
-    so that no document runs alone when it need not.
-    """
+    """Document indices, longest first, cut into the fewest chunks of at most ``DOCS_PER_PASS``, sizes within one."""
     order = np.argsort(-lengths, kind="stable")
-    chunks, start = [], 0
-    while start < len(order):
-        size = max(1, SLOTS_PER_PASS // lengths[order[start]])
-        chunks.append(order[start : start + size])
-        start += size
-    if len(chunks) > 1 and len(chunks[-1]) == 1 and len(chunks[-2]) > 2:
-        chunks[-2:] = [chunks[-2][:-1], order[-2:]]
-    return chunks
+    return np.array_split(order, -(-len(order) // DOCS_PER_PASS))
 
 
 def real_slots(lengths: np.ndarray, n: int) -> np.ndarray:
     """``(B, n)`` mask, True at the first ``lengths[i]`` slots of each row ``i``."""
     return np.arange(n) < lengths[:, None]
-
-
-def unpad(rows: np.ndarray, lengths: np.ndarray) -> list[np.ndarray]:
-    """The first ``lengths[i]`` entries of each row ``i`` of a padded ``(B, N)`` array."""
-    return [row[:n] for row, n in zip(rows, lengths)]

@@ -8,8 +8,8 @@ from __future__ import annotations
 
 import numpy as np
 
-from ..numcore import LstmParams, Tensor, bidirectional_encode, no_grad
-from .base import Model, ModelConfig, real_slots, unpad
+from ..numcore import LstmParams, Tensor, bidirectional_encode
+from .base import Model, ModelConfig
 from .losses import loss_position
 
 __all__ = ["BilstmPositionModel", "ordering_from_scores"]
@@ -51,12 +51,6 @@ class BilstmPositionModel(Model):
 
     order = Model.order
 
-    def order_batch(self, pages) -> list[np.ndarray]:
-        def order_chunk(stack, lengths):
-            scores = self.position_scores(Tensor(stack), lengths).data
-            # padded slots sort after every page
-            return (ordering_from_scores(np.where(real_slots(lengths, stack.shape[1]), scores, np.inf)),)
-
-        with no_grad():
-            (orders,), lengths = self._in_chunks(pages, order_chunk)
-        return unpad(orders, lengths)
+    def order_padded(self, stack: np.ndarray, lengths: np.ndarray) -> list[np.ndarray]:
+        scores = self.position_scores(Tensor(stack), lengths).data
+        return [ordering_from_scores(row[:n]) for row, n in zip(scores, lengths)]

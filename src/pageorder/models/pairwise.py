@@ -12,8 +12,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from ..errors import DomainError
-from ..numcore import Tensor, no_grad
-from .base import Model, ModelConfig, real_slots, unpad
+from ..numcore import Tensor
+from .base import Model, ModelConfig, real_slots
 from .losses import loss_pairwise, make_pairwise_targets
 from .transformer import build_stack, encoder_attention, run_encoder
 
@@ -94,21 +94,16 @@ class PairwiseRankModel(Model):
 
     order = Model.order
 
-    def order_batch(self, pages) -> list[np.ndarray]:
-        def order_chunk(stack, lengths):
-            encoded = self.encode(Tensor(stack), real_slots(lengths, stack.shape[1]))[0].data
-            orders = np.zeros(stack.shape[:2], dtype=np.int64)
-            # the pairs of each length's documents only, in passes of at most PAIRS_PER_PASS
-            for n in np.unique(lengths):
-                rows = np.flatnonzero(lengths == n)
-                docs_per_pass = max(1, PAIRS_PER_PASS // (n * n))
-                for start in range(0, len(rows), docs_per_pass):
-                    part = rows[start : start + docs_per_pass]
-                    s = self._pair_scores(Tensor(encoded[part, :n])).data
-                    for row, doc in zip(part, s):
-                        orders[row, :n] = aggregate_scores(PairwiseScores(n=n, s=doc))[1]
-            return (orders,)
-
-        with no_grad():
-            (orders,), lengths = self._in_chunks(pages, order_chunk)
-        return unpad(orders, lengths)
+    def order_padded(self, stack: np.ndarray, lengths: np.ndarray) -> list[np.ndarray]:
+        encoded = self.encode(Tensor(stack), real_slots(lengths, stack.shape[1]))[0].data
+        orders: list = [None] * len(lengths)
+        # the pairs of each length's documents only, in passes of at most PAIRS_PER_PASS
+        for n in np.unique(lengths):
+            rows = np.flatnonzero(lengths == n)
+            docs_per_pass = max(1, PAIRS_PER_PASS // (n * n))
+            for start in range(0, len(rows), docs_per_pass):
+                part = rows[start : start + docs_per_pass]
+                s = self._pair_scores(Tensor(encoded[part, :n])).data
+                for row, doc in zip(part, s):
+                    orders[row] = aggregate_scores(PairwiseScores(n=n, s=doc))[1]
+        return orders

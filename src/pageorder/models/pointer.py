@@ -12,8 +12,8 @@ from __future__ import annotations
 
 import numpy as np
 
-from ..numcore import Tensor, bidirectional_encode, concat, lstm_sequence, no_grad
-from .base import Model, ModelConfig, real_slots, unpad
+from ..numcore import Tensor, bidirectional_encode, concat, lstm_sequence
+from .base import Model, ModelConfig, real_slots
 from .losses import loss_pointer
 
 __all__ = ["PointerModel", "PointerMlpModel", "PointerLstmModel", "greedy_decode"]
@@ -41,7 +41,7 @@ def greedy_decode(lengths, step) -> list[np.ndarray]:
         pick = np.argmax(np.where(available, step(pick), NEG_INF), axis=1)
         chosen[:, t] = pick
         available[rows, pick] = False
-    return unpad(chosen, lengths)
+    return [row[:n] for row, n in zip(chosen, lengths)]
 
 
 def _batch_select(encoded: Tensor, sel: np.ndarray) -> Tensor:
@@ -109,23 +109,18 @@ class PointerMlpModel(PointerModel):
 
     order = Model.order
 
-    def order_batch(self, pages) -> list[np.ndarray]:
-        def encode(stack, lengths):
-            encoded = self.encode(Tensor(stack)).data
-            # the first state is the mean over the document's own pages, as in teacher forcing
-            own = np.where(real_slots(lengths, stack.shape[1])[..., None], encoded, 0).sum(axis=1)
-            return encoded, own * (1.0 / lengths[:, None]).astype(encoded.dtype)
+    def order_padded(self, stack: np.ndarray, lengths: np.ndarray) -> list[np.ndarray]:
+        encoded = self.encode(Tensor(stack))
+        # the first state is the mean over the document's own pages, as in teacher forcing
+        own = np.where(real_slots(lengths, stack.shape[1])[..., None], encoded.data, 0).sum(axis=1)
+        first = Tensor(own * (1.0 / lengths[:, None]).astype(encoded.dtype))
+        rows = np.arange(len(lengths))
 
-        with no_grad():
-            (encoded, first), lengths = self._in_chunks(pages, encode)
-            encoded = Tensor(encoded)
-            rows = np.arange(len(lengths))
+        def step(prev):
+            state = first if prev is None else self._next_state(encoded[rows, prev])
+            return self._logits_from_state(state, encoded).data
 
-            def step(prev):
-                state = Tensor(first) if prev is None else self._next_state(encoded[rows, prev])
-                return self._logits_from_state(state, encoded).data
-
-            return greedy_decode(lengths, step)
+        return greedy_decode(lengths, step)
 
 
 class PointerLstmModel(PointerModel):
@@ -168,21 +163,17 @@ class PointerLstmModel(PointerModel):
 
     order = Model.order
 
-    def order_batch(self, pages) -> list[np.ndarray]:
-        with no_grad():
-            # slots past a document's pages are never picked, so their encodings are never read
-            (encoded,), lengths = self._in_chunks(
-                pages, lambda stack, lengths: (self.encode(Tensor(stack), lengths).data,)
-            )
-            encoded = Tensor(encoded)
-            encoded_proj = encoded @ self.params["attn.w_enc"]
-            b = len(lengths)
-            state = None
+    def order_padded(self, stack: np.ndarray, lengths: np.ndarray) -> list[np.ndarray]:
+        # slots past a document's pages are never picked, so their encodings are never read
+        encoded = self.encode(Tensor(stack), lengths)
+        encoded_proj = encoded @ self.params["attn.w_enc"]
+        b = len(lengths)
+        state = None
 
-            def step(prev):
-                nonlocal state
-                x = _start_rows(self.params["dec.start"], b) if prev is None else _batch_select(encoded, prev[:, None])
-                h, state = lstm_sequence(x, self._dec, state=state)
-                return self._attention_logits(encoded_proj, h).data[:, 0]
+        def step(prev):
+            nonlocal state
+            x = _start_rows(self.params["dec.start"], b) if prev is None else _batch_select(encoded, prev[:, None])
+            h, state = lstm_sequence(x, self._dec, state=state)
+            return self._attention_logits(encoded_proj, h).data[:, 0]
 
-            return greedy_decode(lengths, step)
+        return greedy_decode(lengths, step)

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from ..numcore import Tensor, concat, no_grad, sinusoidal_positions
+from ..numcore import Tensor, concat, sinusoidal_positions
 from .base import LengthError, Model, ModelConfig, PeVariant, real_slots
 from .pointer import PointerModel, _batch_select, _free_slots, _start_rows, greedy_decode
 from .transformer import DecoderCache, build_stack, encoder_attention, run_decoder, run_encoder
@@ -82,26 +82,22 @@ class Seq2SeqModel(PointerModel):
 
     order = Model.order
 
-    def order_batch(self, pages) -> list[np.ndarray]:
+    def order_padded(self, stack: np.ndarray, lengths: np.ndarray) -> list[np.ndarray]:
         """Greedy pointer decode, one decoder row per document per step (K/V cached)."""
-        h = self.config.hidden_dim
-        with no_grad():
-            # padded memory slots are masked out of cross-attention and never picked
-            (memory,), lengths = self._in_chunks(
-                pages, lambda stack, lengths: (self.encode(Tensor(stack), real_slots(lengths, stack.shape[1]))[0].data,)
-            )
-            b, n = memory.shape[:2]
-            memory = Tensor(memory)
-            keys = memory @ self.params["ptr.wk"]
-            cache = DecoderCache(self.config.layers, n, memory_mask=real_slots(lengths, n))
+        b, n = stack.shape[:2]
+        # padded memory slots are masked out of cross-attention and never picked
+        mask = real_slots(lengths, n)
+        memory, _ = self.encode(Tensor(stack), mask)
+        keys = memory @ self.params["ptr.wk"]
+        cache = DecoderCache(self.config.layers, n, memory_mask=mask)
 
-            def step(prev):
-                x = _start_rows(self.params["dec.start"], b) if prev is None else _batch_select(memory, prev[:, None])
-                q = self._decode_states(memory, x, cache) @ self.params["ptr.wq"]
-                # multiply-and-reduce keeps the logits of identical slots bitwise
-                # equal, so the tie rule acts on truly equal pages (a one-row matmul need not)
-                return ((keys * q).sum(axis=-1) * (1.0 / np.sqrt(h))).data
+        def step(prev):
+            x = _start_rows(self.params["dec.start"], b) if prev is None else _batch_select(memory, prev[:, None])
+            q = self._decode_states(memory, x, cache) @ self.params["ptr.wq"]
+            # multiply-and-reduce keeps the logits of identical slots bitwise
+            # equal, so the tie rule acts on truly equal pages (a one-row matmul need not)
+            return ((keys * q).sum(axis=-1) * (1.0 / np.sqrt(self.config.hidden_dim))).data
 
-            return greedy_decode(lengths, step)
+        return greedy_decode(lengths, step)
 
     encoder_attention = encoder_attention

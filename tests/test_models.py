@@ -3,7 +3,7 @@ import itertools
 import numpy as np
 import pytest
 
-from pageorder.errors import ConfigError
+from pageorder.errors import ConfigError, DomainError
 from pageorder.metrics import require_permutation
 from pageorder.models import (
     Arch,
@@ -19,7 +19,7 @@ from pageorder.models import (
     load_checkpoint,
     save_checkpoint,
 )
-from pageorder.models.base import SLOTS_PER_PASS, length_chunks
+from pageorder.models.base import DOCS_PER_PASS, length_chunks
 from pageorder.models.pointer import greedy_decode
 from pageorder.numcore import Tensor
 
@@ -272,7 +272,7 @@ class TestOrderBatch:
 
     @pytest.mark.parametrize("arch", list(Arch), ids=lambda a: a.value)
     def test_one_encoder_pass_per_chunk_not_per_length(self, monkeypatch, arch):
-        # 18 documents of 9 distinct lengths fill two chunks: 12 of 19-24 pages, then 6 of 16-18
+        # 18 documents of 9 distinct lengths fit one chunk, padded to the longest
         model = build_model(tiny_config(arch))
         encoder = "position_scores" if arch is Arch.BILSTM_POS else "encode"
         stacks = []
@@ -286,19 +286,76 @@ class TestOrderBatch:
         rng = np.random.default_rng(21)
         docs = [rng.normal(size=(n, DIM)).astype(np.float32) for n in list(range(16, 25)) * 2]
         orders = model.order_batch(docs)
-        assert stacks == [(12, 24), (6, 18)]
+        assert stacks == [(18, 24)]
         assert [len(o) for o in orders] == [len(doc) for doc in docs]
 
-    def test_length_chunks_respect_the_slot_budget(self):
-        lengths = np.array([25] * 13 + [2, 9])
+    def test_length_chunks_respect_the_document_budget(self):
+        lengths = np.random.default_rng(22).integers(2, 26, size=3 * DOCS_PER_PASS + 5)
         chunks = length_chunks(lengths)
-        assert sorted(np.concatenate(chunks).tolist()) == list(range(15))
-        assert all(len(c) * lengths[c].max() <= SLOTS_PER_PASS for c in chunks)
-        # longest first: twelve 25-page documents fill a chunk, and the rest share one
-        assert [c.tolist() for c in chunks] == [list(range(12)), [12, 14, 13]]
-        # a last chunk of one document takes one from the chunk before it
-        assert [len(c) for c in length_chunks(np.array([25] * 13))] == [11, 2]
+        assert len(chunks) == 4
+        # longest first, every document once
+        assert np.array_equal(np.concatenate(chunks), np.argsort(-lengths, kind="stable"))
+        sizes = [len(c) for c in chunks]
+        assert max(sizes) <= DOCS_PER_PASS and max(sizes) - min(sizes) <= 1
         assert [c.tolist() for c in length_chunks(np.array([3]))] == [[0]]
+        # one document over the budget splits the rest evenly, with no one-document tail
+        assert [len(c) for c in length_chunks(np.array([25] * (DOCS_PER_PASS + 1)))] == [
+            DOCS_PER_PASS // 2 + 1,
+            (DOCS_PER_PASS + 1) // 2,
+        ]
+
+    def test_no_order_padded_call_exceeds_the_document_budget(self, monkeypatch):
+        model = build_model(tiny_config(Arch.POINTER_MLP))
+        rows = []
+        order_padded = model.order_padded
+
+        def counted(stack, lengths):
+            rows.append(len(stack))
+            return order_padded(stack, lengths)
+
+        monkeypatch.setattr(model, "order_padded", counted)
+        rng = np.random.default_rng(23)
+        docs = [rng.normal(size=(n, DIM)).astype(np.float32) for n in rng.integers(2, 26, size=2 * DOCS_PER_PASS + 1)]
+        orders = model.order_batch(docs)
+        # the fewest calls that keep each within the budget, every document in one of them
+        assert len(rows) == 3 and sum(rows) == len(docs)
+        assert max(rows) <= DOCS_PER_PASS
+        assert [o.tolist() for o in orders] == [model.order(doc).tolist() for doc in docs]
+
+    @pytest.mark.parametrize("arch", [Arch.POINTER_LSTM, Arch.SEQ2SEQ], ids=lambda a: a.value)
+    def test_decode_memory_does_not_grow_with_the_documents(self, arch):
+        import tracemalloc
+
+        model = build_model(tiny_config(arch, hidden_dim=32))
+        docs = list(np.random.default_rng(24).normal(size=(4 * DOCS_PER_PASS, 25, DIM)).astype(np.float32))
+
+        def peak(count):
+            tracemalloc.start()
+            try:
+                model.order_batch(docs[:count])
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        assert peak(4 * DOCS_PER_PASS) < 1.5 * peak(DOCS_PER_PASS)
+
+    @pytest.mark.parametrize("arch", list(Arch), ids=lambda a: a.value)
+    def test_rejects_degenerate_documents(self, arch):
+        # too few pages to order, or a non-finite value, fails loudly on every entry point
+        model = build_model(tiny_config(arch))
+        good = np.ones((4, DIM), dtype=np.float32)
+        nan_page = good.copy()
+        nan_page[2, 5] = np.nan
+        for doc, message in [
+            (np.zeros((0, DIM), dtype=np.float32), "at least 2 pages"),
+            (np.ones((1, DIM), dtype=np.float32), "at least 2 pages"),
+            (nan_page, "non-finite"),
+            (np.full((3, DIM), np.inf, dtype=np.float32), "non-finite"),
+        ]:
+            with pytest.raises(DomainError, match=message):
+                model.order(doc)
+            with pytest.raises(DomainError, match=message):
+                model.order_batch([good, doc])
 
     def test_rejects_unbatched_input(self):
         model = build_model(tiny_config(Arch.POINTER_MLP))

@@ -18,7 +18,6 @@ from pageorder.corpus import (
 from pageorder.metrics import mean_tau
 from pageorder.errors import ConfigError, DomainError
 from pageorder.models import Arch, Model, ModelConfig, build_model
-from pageorder.models.base import real_slots, unpad
 from pageorder.numcore import Tensor, TrainingDivergedError, grad_check, no_grad
 from pageorder.training import (
     ConsistencyError,
@@ -523,19 +522,13 @@ class LinearScorer(Model):
     def loss(self, pages: Tensor, truth_rank: np.ndarray) -> Tensor:
         return loss_position(self._scores(pages), truth_rank)
 
-    def order_batch(self, pages) -> list[np.ndarray]:
-        def order_chunk(stack, lengths):
-            with no_grad():
-                scores = self._scores(Tensor(stack)).data
-            # padded slots sort after every page
-            return (np.argsort(np.where(real_slots(lengths, stack.shape[1]), scores, np.inf), axis=-1, kind="stable"),)
-
-        (orders,), lengths = self._in_chunks(pages, order_chunk)
-        return unpad(orders, lengths)
+    def order_padded(self, stack: np.ndarray, lengths: np.ndarray) -> list[np.ndarray]:
+        scores = self._scores(Tensor(stack)).data
+        return [np.argsort(row[:n], kind="stable") for row, n in zip(scores, lengths)]
 
 
 class TestModelProtocol:
-    def test_loss_and_order_batch_are_all_fit_and_evaluate_need(self, small_corpus):
+    def test_loss_and_order_padded_are_all_fit_and_evaluate_need(self, small_corpus):
         train, val, test = small_corpus
         model = LinearScorer(DIM)
         start = model.params["w"].data.copy()
