@@ -18,6 +18,7 @@ from .numcore import (
     grad_check,
     layer_norm,
     multi_head_attention,
+    pair_differences,
 )
 
 __all__ = ["run_gradient_gate", "GateResult"]
@@ -138,6 +139,15 @@ def run_gradient_gate(tolerance: float = 1e-3, epsilon: float = 1e-5) -> GateRes
     result.add(
         "layer_norm",
         grad_check(lambda: _sum_of_squares(layer_norm(xn, gain, bias)), [("x", xn), ("g", gain), ("b", bias)], epsilon, tolerance),
+    )
+
+    # the pairwise scorer's first layer, relu((a_j - a_i) + b) for every ordered pair of two 4-row inputs; no
+    # pre-activation lies within 0.009 of the ReLU's kink, so no central difference straddles it
+    xd = _t64(rng.split("pairs.a"), (2, 4, 6))
+    bd = _t64(rng.split("pairs.b"), 6)
+    result.add(
+        "pair_differences",
+        grad_check(lambda: _sum_of_squares(pair_differences(xd, bd)), [("a", xd), ("b", bd)], epsilon, tolerance),
     )
 
     # embedding lookup: integer-array indexing gathers table rows

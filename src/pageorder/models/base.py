@@ -125,9 +125,9 @@ class Model:
             self._glorot(f"{prefix}.w{i}", (dims[i], dims[i + 1]))
             self._zeros(f"{prefix}.b{i}", dims[i + 1])
 
-    def _run_dense_stack(self, prefix: str, x: Tensor, layers: int) -> Tensor:
-        """Apply the ``layers`` dense layers of ``prefix`` to ``x``, with a ReLU between consecutive ones."""
-        for i in range(layers):
+    def _run_dense_stack(self, prefix: str, x: Tensor, layers: int, start: int = 0) -> Tensor:
+        """Apply dense layers ``start`` .. ``layers - 1`` of ``prefix`` to ``x``, with a ReLU after all but the last."""
+        for i in range(start, layers):
             x = x.linear(self.params[f"{prefix}.w{i}"], self.params[f"{prefix}.b{i}"], relu=i < layers - 1)
         return x
 

@@ -12,7 +12,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from ..errors import DomainError
-from ..numcore import Tensor
+from ..numcore import Tensor, pair_differences
 from .base import Model, ModelConfig, real_slots
 from .losses import loss_pairwise, make_pairwise_targets
 from .transformer import build_stack, encoder_attention, run_encoder
@@ -20,9 +20,11 @@ from .transformer import build_stack, encoder_attention, run_encoder
 __all__ = ["PairwiseScores", "PairwiseRankModel", "aggregate_scores"]
 
 SCORER_LAYERS = 4
-# Page pairs scored per forward pass in order_batch. The scorer holds a few
-# (docs, n, n, hidden) activations at once; this bounds them to their size
-# for one 25-page document, so stacking long documents adds no peak memory.
+# Page pairs scored per forward pass in order_batch. The scorer's first layer
+# builds one (docs, n, n, hidden) activation from (docs, n, hidden) rows, and
+# each later layer reads one such array and writes the next, so at most two are
+# held at once; this bounds them to their size for one 25-page document, so
+# stacking long documents adds no peak memory.
 PAIRS_PER_PASS = 25 * 25
 
 
@@ -76,10 +78,17 @@ class PairwiseRankModel(Model):
         return run_encoder(self, "enc", x, mask)
 
     def _pair_scores(self, encoded: Tensor) -> Tensor:
-        """(batch, n, n) scores of every ordered pair of the (batch, n, h) encodings."""
-        b, n, h = encoded.shape
-        diff = encoded.reshape(b, 1, n, h) - encoded.reshape(b, n, 1, h)  # [b, i, j] = enc_j - enc_i
-        return self._run_dense_stack("scorer", diff, SCORER_LAYERS).reshape(b, n, n)
+        """(batch, n, n) scores of every ordered pair of the (batch, n, h) encodings.
+
+        The scorer's first layer, ``relu((enc_j - enc_i) @ w0 + b0)`` at ``[b, i, j]``, runs factored: one
+        ``(batch * n, h) @ (h, h)`` product, then ``pair_differences`` of its rows. Only the last three layers see
+        the ``batch * n * n`` rows.
+        """
+        b, n, _ = encoded.shape
+        w0, b0 = self.params["scorer.w0"], self.params["scorer.b0"]
+        # the pair activation is passed on, not named: under no_grad a local would keep it alive through layers 2 and 3
+        scores = self._run_dense_stack("scorer", pair_differences(encoded @ w0, b0), SCORER_LAYERS, start=1)
+        return scores.reshape(b, n, n)
 
     def score_matrix(self, pages: Tensor) -> tuple[Tensor, list[Tensor]]:
         """Full (batch, n, n) score tensor in one pass."""

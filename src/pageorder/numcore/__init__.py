@@ -8,6 +8,7 @@ from .nn import (
     layer_norm,
     lstm_sequence,
     multi_head_attention,
+    pair_differences,
     sinusoidal_positions,
 )
 from .optim import AdamState, TrainingDivergedError, adam_step, clip_global_norm, global_norm, init_adam
@@ -33,6 +34,7 @@ __all__ = [
     "RngStream",
     "glorot_uniform",
     "layer_norm",
+    "pair_differences",
     "multi_head_attention",
     "LstmParams",
     "lstm_sequence",

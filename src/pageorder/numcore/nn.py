@@ -19,6 +19,7 @@ from .tensor import Tensor, _unbroadcast, _valid_mask, concat, sigmoid_array
 __all__ = [
     "glorot_uniform",
     "layer_norm",
+    "pair_differences",
     "multi_head_attention",
     "LstmParams",
     "lstm_sequence",
@@ -63,6 +64,31 @@ def layer_norm(x: Tensor, gain: Tensor, bias: Tensor) -> Tensor:
             x._adopt(rstd * (dn - mean_dn - normed * (dn * normed).mean(axis=-1, keepdims=True)))
 
     return Tensor._result(normed * gain.data + bias.data, (x, gain, bias), _bwd)
+
+
+def pair_differences(a: Tensor, bias: Tensor) -> Tensor:
+    """``y[..., i, j, :] = max((a[..., j, :] - a[..., i, :]) + bias, 0)`` for every ordered pair, as one graph node.
+
+    ``a`` is ``(..., n, h)`` and ``y`` one ``(..., n, n, h)`` array. With ``a = e @ W`` this is the ReLU layer
+    ``relu((e_j - e_i) @ W + bias)`` of every pair, since the product is linear: its GEMM has ``n`` rows instead of
+    ``n * n``, up to rounding. The backward masks ``g`` by ``y > 0``; the ``a`` gradient is the masked ``g`` summed
+    over ``i`` minus it summed over ``j``, the ``bias`` gradient its sum over both, and no product over the pairs is
+    left.
+    """
+    data = a.data
+    y = data[..., None, :, :] - data[..., :, None, :]
+    y += bias.data
+    np.maximum(y, 0, out=y)
+
+    def _bwd(g: np.ndarray) -> None:
+        g = g * (y > 0)
+        over_i = g.sum(axis=-3)
+        if bias.requires_grad:  # the sum over every pair, from the sum over i
+            bias._adopt(over_i.reshape(-1, over_i.shape[-1]).sum(axis=0))
+        if a.requires_grad:
+            a._adopt(over_i - g.sum(axis=-2))
+
+    return Tensor._result(y, (a, bias), _bwd)
 
 
 def multi_head_attention(

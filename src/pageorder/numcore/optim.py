@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -49,8 +50,15 @@ def global_norm(grads: list[np.ndarray]) -> float:
 
 
 def clip_global_norm(grads: list[np.ndarray], max_norm: float) -> float:
-    """Scale all gradients in place so their joint norm is at most max_norm."""
+    """Scale all gradients in place so their joint norm is at most max_norm.
+
+    Raises TrainingDivergedError, before it scales anything, when the norm is not finite. That is the one
+    finiteness check of a training step: float32 squares summed in float64 cannot overflow, so a finite norm means
+    every float32 gradient entry is finite (a float64 gradient above about 1e154 reads as non-finite too).
+    """
     norm = global_norm(grads)
+    if not math.isfinite(norm):
+        raise TrainingDivergedError("non-finite gradient")
     if norm > max_norm:
         scale = max_norm / norm
         for g in grads:
@@ -65,7 +73,9 @@ def adam_step(params: list[Tensor], grads: list[np.ndarray], state: AdamState) -
     ``v_hat = v / c2``, ``p -= lr * m_hat / (sqrt(v_hat) + eps)`` operation by
     operation in that order, so every bit is that form's, but writes into
     two scratch buffers sized to the largest gradient instead of allocating
-    a temporary per operation.
+    a temporary per operation. The gradients are not checked for
+    finiteness: ``fit`` learns that from ``clip_global_norm``, which raises
+    on a non-finite norm before the step.
     """
     if len(params) != len(grads) or len(params) != len(state.first_moment):
         raise ShapeError("params, grads and state must be aligned")
@@ -74,8 +84,6 @@ def adam_step(params: list[Tensor], grads: list[np.ndarray], state: AdamState) -
             raise ShapeError(f"gradient shape {g.shape} does not match parameter {p.data.shape}")
         if p.data.dtype != g.dtype:
             raise ShapeError(f"gradient dtype {g.dtype} does not match parameter {p.data.dtype}")
-        if not np.isfinite(g).all():
-            raise TrainingDivergedError("non-finite gradient")
     state.step_count += 1
     t = state.step_count
     correction1 = 1.0 - BETA1**t

@@ -593,13 +593,14 @@ class TestGraphNodeCounts:
         assert calls[0] == 78
 
     def test_pairwise_rank_loss(self, monkeypatch):
-        # the input layer and each of the scorer's four dense layers, ReLU included, are one node each
+        # the input layer and each of the scorer's last three dense layers, ReLU included, are one node each; the
+        # first scorer layer is two: the (batch, n, h) product and the pair_differences node with its bias and ReLU
         model = build_model(tiny_config(Arch.PAIRWISE_RANK, layers=2))
         stack = np.random.default_rng(19).normal(size=(2, 5, DIM)).astype(np.float32)
         truth = np.stack([np.arange(5), np.arange(5)[::-1]])
         calls = self._count_nodes(monkeypatch)
         model.loss(Tensor(stack), truth)
-        assert calls[0] == 43
+        assert calls[0] == 40
 
     def test_cached_greedy_decoder_step(self, monkeypatch):
         import pageorder.models.seq2seq as seq2seq_mod

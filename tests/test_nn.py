@@ -16,6 +16,7 @@ from pageorder.numcore import (
     layer_norm,
     lstm_sequence,
     multi_head_attention,
+    pair_differences,
     sinusoidal_positions,
 )
 from pageorder.numcore.tensor import _unbroadcast, _valid_mask
@@ -257,6 +258,42 @@ class TestFusedLayerNormMatchesComposite:
         out = layer_norm(x, gain, bias)
         assert out.dtype == np.float32
         assert np.array_equal(out.data, _composite_layer_norm(x, gain, bias).data)
+
+
+class TestPairDifferencesMatchesComposite:
+    """The factored first scorer layer against the dense layer on every pair's difference."""
+
+    @staticmethod
+    def _inputs(batch: int, n: int, seed: int, dtype):
+        rng = RngStream(seed)
+        enc = Tensor(rng.split("enc").normal((batch, n, 8), dtype=dtype), requires_grad=True)
+        w = Tensor(rng.split("w").normal((8, 8), dtype=dtype), requires_grad=True)
+        b = Tensor(rng.split("b").normal(8, dtype=dtype), requires_grad=True)
+        return enc, w, b
+
+    @staticmethod
+    def _both(enc: Tensor, w: Tensor, b: Tensor) -> tuple[Tensor, Tensor]:
+        batch, n, h = enc.shape
+        composite = (enc.reshape(batch, 1, n, h) - enc.reshape(batch, n, 1, h)).linear(w, b, relu=True)
+        return pair_differences(enc @ w, b), composite
+
+    @given(st.integers(1, 4), st.integers(2, 25), st.integers(0, 2**16))
+    @settings(max_examples=30, deadline=None)
+    def test_float64_outputs_and_gradients(self, batch, n, seed):
+        enc, w, b = self._inputs(batch, n, seed, np.float64)
+        out, want = self._both(enc, w, b)
+        np.testing.assert_allclose(out.data, want.data, rtol=0, atol=1e-12)
+        weights = RngStream(seed).split("loss").normal(out.shape, dtype=np.float64)
+        grads, want_grads = (_input_grads(o, [enc, w, b], weights) for o in (out, want))
+        for name, got, expected in zip(("enc", "w", "b"), grads, want_grads):
+            np.testing.assert_allclose(got, expected, rtol=0, atol=1e-10, err_msg=name)
+
+    @given(st.integers(1, 4), st.integers(2, 25), st.integers(0, 2**16))
+    @settings(max_examples=30, deadline=None)
+    def test_float32_outputs(self, batch, n, seed):
+        out, want = self._both(*self._inputs(batch, n, seed, np.float32))
+        assert out.dtype == np.float32
+        np.testing.assert_allclose(out.data, want.data, rtol=0, atol=1e-5 * np.abs(want.data).max())
 
 
 class TestAdoptedNormAndAttentionGradients:

@@ -44,12 +44,6 @@ class TestAdam:
         adam_step([p], [np.ones(1, dtype=np.float64)], state)
         assert p.data[0] == pytest.approx(-0.1, rel=1e-6)
 
-    def test_non_finite_gradient_raises(self):
-        p = Tensor(np.zeros(2, dtype=np.float32), requires_grad=True)
-        state = init_adam([p])
-        with pytest.raises(TrainingDivergedError):
-            adam_step([p], [np.array([np.nan, 0.0], dtype=np.float32)], state)
-
     def test_gradient_of_another_dtype_is_rejected(self):
         # a float64 gradient for a float32 parameter: the step would round in two dtypes
         p = Tensor(np.zeros(2, dtype=np.float32), requires_grad=True)
@@ -132,6 +126,22 @@ class TestAdamMatchesReference:
 
 
 class TestClipping:
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf], ids=["nan", "inf", "-inf"])
+    def test_non_finite_gradient_raises(self, bad):
+        # the norm is a training step's one finiteness check: it raises before scaling anything
+        grads = [np.array([3.0, bad], dtype=np.float32), np.full(4, 5.0, dtype=np.float32)]
+        kept = [g.copy() for g in grads]
+        with pytest.raises(TrainingDivergedError, match="non-finite gradient"):
+            clip_global_norm(grads, 1.0)
+        assert all(np.array_equal(g, k, equal_nan=True) for g, k in zip(grads, kept))
+
+    def test_largest_float32_gradients_have_a_finite_norm(self):
+        # float32 squares summed in float64 cannot overflow, so a finite norm rules out only non-finite entries
+        largest = np.finfo(np.float32).max
+        grads = [np.full(1000, largest, dtype=np.float32), np.full(3, -largest, dtype=np.float32)]
+        assert np.isfinite(clip_global_norm(grads, 1.0))
+        assert all(np.isfinite(g).all() for g in grads)
+
     def test_norm_below_threshold_untouched(self):
         g = [np.array([0.6, 0.0]), np.array([0.8])]
         assert global_norm(g) == pytest.approx(1.0)

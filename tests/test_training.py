@@ -398,6 +398,22 @@ class TestFit:
         with no_grad(), pytest.raises(TrainingDivergedError, match="epoch 0"):
             fit(model, train, val, TrainConfig(epochs=1, batch_size=8, seed=7))
 
+    def test_nan_gradient_raises_before_any_step(self, small_corpus, monkeypatch):
+        # a finite loss with one NaN gradient entry: the clipping norm is NaN, so the first step never runs
+        train, val, _ = small_corpus
+        model = tiny(Arch.PAIRWISE_RANK, seed=12)
+        before = model.state_arrays()
+        backward = Tensor.backward
+
+        def poisoned_backward(self):
+            backward(self)
+            next(p for p in model.parameters() if p.grad is not None).grad.flat[0] = np.nan
+
+        monkeypatch.setattr(Tensor, "backward", poisoned_backward)
+        with pytest.raises(TrainingDivergedError, match="non-finite gradient"):
+            fit(model, train, val, TrainConfig(epochs=1, batch_size=8, seed=7))
+        assert all(np.array_equal(before[k], v) for k, v in model.state_arrays().items())
+
     @pytest.mark.parametrize("strategy", list(Strategy), ids=lambda s: s.value)
     def test_training_log_round_trip(self, small_corpus, tmp_path, strategy):
         train, val, _ = small_corpus
