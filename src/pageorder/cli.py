@@ -1,4 +1,4 @@
-"""Command-line surface: gen, train, bench, figures, gradcheck, transfer, embed.
+"""Command-line surface: gen, train, bench, figures, gradcheck, transfer.
 
 Every command is driven by a JSON config file (unknown keys are errors)
 plus a few overriding flags, and echoes its effective configuration into
@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
 from dataclasses import asdict, fields
 from pathlib import Path
@@ -36,11 +35,9 @@ from .bench.run import (
 )
 from .corpus import (
     CorpusConfig,
-    EmbedServiceError,
     LengthBucket,
     bucket_of,
     corpus_digest,
-    fetch_embeddings,
     generate_corpus,
     load_corpus,
     save_corpus,
@@ -69,7 +66,6 @@ DEFAULT_CONFIG: dict = {
         "seed": 7,
     },
     "bench": {"models": ["all"], "eval_seed": 99},
-    "embed": {"endpoint": "", "batch_size": 64, "expected_dim": None},
 }
 
 _JSON_TYPES = {
@@ -80,14 +76,12 @@ _JSON_TYPES = {
 def _check_json_type(default, value, name: str) -> None:
     """``value`` must have ``default``'s JSON type, and each array item the type of the default's items.
 
-    An integer fits where the default is a number. A null default stands
-    for an unset integer, so it takes null or an integer.
+    An integer fits where the default is a number.
     """
-    expected = "integer" if default is None else _JSON_TYPES[type(default)]
+    expected = _JSON_TYPES[type(default)]
     got = _JSON_TYPES[type(value)]
-    if got != expected and (expected, got) != ("number", "integer") and not (default is None and value is None):
-        or_null = " or null" if default is None else ""
-        raise ConfigError(f"config key {name} must be a JSON {expected}{or_null}, got {got}")
+    if got != expected and (expected, got) != ("number", "integer"):
+        raise ConfigError(f"config key {name} must be a JSON {expected}, got {got}")
     if isinstance(default, list) and default:
         for i, item in enumerate(value):
             _check_json_type(default[0], item, f"{name} item {i}")
@@ -105,17 +99,21 @@ def _merge_section(defaults: dict, overrides: dict, path: str) -> dict:
     return merged
 
 
+def _reject_constant(name: str):
+    raise ConfigError(f"config file holds {name}, which is not JSON")
+
+
 def load_config(path: str | None) -> dict:
     # the JSON form: asdict leaves length_weights a tuple, which JSON reads back as an array
     defaults = json.loads(json.dumps(DEFAULT_CONFIG))
     if path is None:
         return defaults
     try:
-        raw = json.loads(Path(path).read_text(encoding="utf-8"))
+        raw = json.loads(Path(path).read_text(encoding="utf-8"), parse_constant=_reject_constant)
     except FileNotFoundError as exc:
         raise ConfigError(f"config file not found: {path}") from exc
-    except json.JSONDecodeError as exc:
-        raise ConfigError(f"config file is not valid JSON: {exc}") from exc
+    except (json.JSONDecodeError, UnicodeDecodeError) as exc:
+        raise ConfigError(f"config file is not valid UTF-8 JSON: {exc}") from exc
     if not isinstance(raw, dict):
         raise ConfigError("config file must hold a JSON object")
     return _merge_section(defaults, raw, "")
@@ -139,12 +137,9 @@ def _config_with_seed(args: argparse.Namespace, section: str) -> dict:
     return config
 
 
-def _echo_config(config: dict, out_dir: Path, extras: dict | None = None) -> None:
-    payload = dict(config)
-    if extras:
-        payload = {**payload, "run": extras}
+def _echo_config(config: dict, out_dir: Path, run: dict) -> None:
     out_dir.mkdir(parents=True, exist_ok=True)
-    atomic_write(out_dir / "effective_config.json", json.dumps(payload, indent=2, sort_keys=True) + "\n")
+    atomic_write(out_dir / "effective_config.json", json.dumps({**config, "run": run}, indent=2, sort_keys=True) + "\n")
 
 
 def _reject_ignored_weight_factor(config: dict, run: str) -> None:
@@ -336,36 +331,6 @@ def cmd_transfer(args: argparse.Namespace) -> int:
     return 0
 
 
-def cmd_embed(args: argparse.Namespace) -> int:
-    config = load_config(args.config)
-    for key in ("batch_size", "expected_dim"):
-        value = config["embed"][key]
-        if value is not None and value < 1:
-            raise ConfigError(f"embed.{key} must be at least 1, got {value}")
-    endpoint = args.endpoint or config["embed"]["endpoint"]
-    if not endpoint:
-        raise ConfigError("no embedding endpoint configured")
-    credentials = os.environ.get("EMBED_API_KEY")
-    if not credentials:
-        raise ConfigError("EMBED_API_KEY is not set")
-    texts = [line.rstrip("\n") for line in Path(args.input).read_text(encoding="utf-8").splitlines() if line.strip()]
-    vectors = fetch_embeddings(
-        texts,
-        endpoint,
-        credentials,
-        expected_dim=config["embed"]["expected_dim"],
-        batch_size=config["embed"]["batch_size"],
-    )
-    out = Path(args.out)
-    out.parent.mkdir(parents=True, exist_ok=True)
-    lines = [
-        json.dumps({"text": text, "embedding": [float(x) for x in vector]}) + "\n" for text, vector in zip(texts, vectors)
-    ]
-    atomic_write(out, "".join(lines))
-    print(f"embedded {len(texts)} texts -> {out}")
-    return 0
-
-
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(prog="pageorder", description="Page-order recovery laboratory")
     sub = parser.add_subparsers(dest="command", required=True)
@@ -411,13 +376,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_transfer.add_argument("--corpus", required=True)
     p_transfer.add_argument("--out", required=True)
     p_transfer.set_defaults(fn=cmd_transfer)
-
-    p_embed = sub.add_parser("embed", help="fetch embeddings from a remote service")
-    p_embed.add_argument("--config", help="JSON config file (defaults apply when omitted)")
-    p_embed.add_argument("--endpoint", default=None)
-    p_embed.add_argument("--input", required=True, help="text file, one text per line")
-    p_embed.add_argument("--out", required=True)
-    p_embed.set_defaults(fn=cmd_embed)
     return parser
 
 
@@ -429,9 +387,6 @@ def main(argv: list[str] | None = None) -> int:
     except (ConfigError, DomainError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
-    except EmbedServiceError as exc:
-        print(f"embedding service error: {exc}", file=sys.stderr)
-        return 1
     except Exception as exc:  # noqa: BLE001 - CLI boundary
         print(f"error: {exc}", file=sys.stderr)
         return 1

@@ -10,13 +10,6 @@ from .io import (
     save_corpus,
     split_corpus,
 )
-from .service import (
-    AuthError,
-    DimensionMismatchError,
-    EmbedServiceError,
-    TransportError,
-    fetch_embeddings,
-)
 from .types import MAX_PAGES, MIN_PAGES, Document, LengthBucket, ShuffledInstance, bucket_of
 
 __all__ = [
@@ -37,9 +30,4 @@ __all__ = [
     "bucket_of",
     "MIN_PAGES",
     "MAX_PAGES",
-    "fetch_embeddings",
-    "EmbedServiceError",
-    "AuthError",
-    "DimensionMismatchError",
-    "TransportError",
 ]

@@ -1,10 +1,13 @@
 import hashlib
 import json
-import threading
-from http.server import BaseHTTPRequestHandler, HTTPServer
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import pageorder
 from pageorder.cli import main
 from pageorder.models import Arch
 from pageorder.training import read_training_log
@@ -80,9 +83,7 @@ class TestGen:
             {"train": {"lr": True}},
             {"corpus": {"length_weights": 1.0}},
             {"corpus": {"length_weights": ["a", 1, 1, 1, 1]}},
-            {"embed": {"expected_dim": True}},
-            {"embed": {"expected_dim": 64.5}},
-            {"embed": {"expected_dim": "64"}},
+            {"train": {"lr": None}},
         ],
         ids=[
             "section_not_object",
@@ -91,9 +92,7 @@ class TestGen:
             "bool_for_float",
             "number_for_array",
             "string_in_number_array",
-            "bool_for_null_dim",
-            "number_for_null_dim",
-            "string_for_null_dim",
+            "null_for_number",
         ],
     )
     def test_wrong_json_type_is_usage_error(self, tmp_path, capsys, bad):
@@ -104,10 +103,31 @@ class TestGen:
         key = section if not isinstance(value, dict) else f"{section}.{next(iter(value))}"
         assert f"config key {key} " in capsys.readouterr().err
 
-    def test_int_where_float_and_integer_where_null_are_accepted(self, tmp_path):
+    def test_int_where_float_is_accepted(self, tmp_path):
         cfg = tmp_path / "ok.json"
-        cfg.write_text(json.dumps({**TINY_CONFIG, "train": {"lr": 1}, "embed": {"expected_dim": 64}}))
+        cfg.write_text(json.dumps({**TINY_CONFIG, "train": {"lr": 1}}))
         assert run_cli("gen", "--config", str(cfg), "--out", str(tmp_path / "o")) == 0
+
+    @pytest.mark.parametrize(
+        "text",
+        [
+            b"\xff\xfe{}",
+            b'{"corpus": {"length_weights": [Infinity, 1, 1, 1, 1]}}',
+            b'{"train": {"lr": Infinity}}',
+            b'{"train": {"clip_norm": -Infinity}}',
+            b'{"train": {"lr": NaN}}',
+        ],
+        ids=["not_utf8", "infinity_weight", "infinity_lr", "minus_infinity", "nan"],
+    )
+    def test_non_json_config_file_is_usage_error(self, corpus_path, tmp_path, capsys, text):
+        cfg = tmp_path / "bad.json"
+        cfg.write_bytes(text)
+        out = tmp_path / "o"
+        assert run_cli("gen", "--config", str(cfg), "--out", str(out)) == 2
+        assert run_cli("train", "--config", str(cfg), "--corpus", str(corpus_path), "--arch", "pairwise",
+                       "--out", str(out)) == 2
+        assert "config file " in capsys.readouterr().err
+        assert not out.exists()
 
     def test_effective_config_feeds_back_byte_identical(self, workdir, tmp_path):
         echoed = json.loads((workdir / "gen" / "effective_config.json").read_text())
@@ -559,125 +579,11 @@ class TestTransferCommand:
         assert not out.exists()
 
 
-class _EmbedStub(BaseHTTPRequestHandler):
-    posts = 0
-
-    def do_POST(self):
-        type(self).posts += 1
-        body = json.loads(self.rfile.read(int(self.headers["Content-Length"])))
-        payload = json.dumps({"embeddings": [[1.0, 2.0] for _ in body["texts"]]}).encode()
-        self.send_response(200)
-        self.send_header("Content-Length", str(len(payload)))
-        self.end_headers()
-        self.wfile.write(payload)
-
-    def log_message(self, *args):
-        pass
-
-
-@pytest.fixture
-def stub_endpoint(monkeypatch):
-    server = HTTPServer(("127.0.0.1", 0), _EmbedStub)
-    threading.Thread(target=server.serve_forever, daemon=True).start()
-    monkeypatch.setenv("EMBED_API_KEY", "secret")
-    yield f"http://127.0.0.1:{server.server_port}"
-    server.shutdown()
-
-
-class _RawBodyStub(BaseHTTPRequestHandler):
-    body = b""
-
-    def do_POST(self):
-        self.rfile.read(int(self.headers["Content-Length"]))
-        self.send_response(200)
-        self.send_header("Content-Length", str(len(self.body)))
-        self.end_headers()
-        self.wfile.write(self.body)
-
-    def log_message(self, *args):
-        pass
-
-
-class TestEmbedCommand:
-    @pytest.mark.parametrize(
-        "body",
-        [
-            b'{"embeddings": [[NaN, 1.0]]}',
-            b'{"embeddings": [[1.0, Infinity]]}',
-            b'{"embeddings": [[1e39, 1.0]]}',
-            b'{"embeddings": [[]]}',
-            b"[[1.0, 2.0]]",
-            b'{"vectors": [[1.0, 2.0]]}',
-            b'{"embeddings": {"alpha": [1.0, 2.0]}}',
-            b"not json",
-        ],
-        ids=[
-            "nan", "infinity", "float32_overflow", "empty_vector", "array_body", "no_embeddings_key",
-            "embeddings_object", "invalid_json",
-        ],
-    )
-    def test_bad_service_response_writes_nothing(self, tmp_path, capsys, monkeypatch, body):
-        _RawBodyStub.body = body
-        server = HTTPServer(("127.0.0.1", 0), _RawBodyStub)
-        threading.Thread(target=server.serve_forever, daemon=True).start()
-        monkeypatch.setenv("EMBED_API_KEY", "secret")
-        texts = tmp_path / "texts.txt"
-        texts.write_text("alpha\n")
-        out = tmp_path / "e.jsonl"
-        try:
-            code = run_cli("embed", "--endpoint", f"http://127.0.0.1:{server.server_port}", "--input", str(texts),
-                           "--out", str(out))
-        finally:
-            server.shutdown()
-        assert code == 1
-        assert "embedding service error: " in capsys.readouterr().err
-        assert not out.exists()
-
-    def test_missing_api_key_is_config_error(self, tmp_path, monkeypatch):
-        monkeypatch.delenv("EMBED_API_KEY", raising=False)
-        texts = tmp_path / "texts.txt"
-        texts.write_text("hello\n")
-        code = run_cli("embed", "--endpoint", "http://127.0.0.1:1", "--input", str(texts), "--out", str(tmp_path / "e.jsonl"))
-        assert code == 2
-
-    def test_embeds_against_stub(self, tmp_path, stub_endpoint):
-        texts = tmp_path / "texts.txt"
-        texts.write_text("alpha\nbeta\n")
-        out = tmp_path / "emb.jsonl"
-        code = run_cli("embed", "--endpoint", stub_endpoint, "--input", str(texts), "--out", str(out))
-        assert code == 0
-        rows = [json.loads(line) for line in out.read_text().splitlines()]
-        assert [r["text"] for r in rows] == ["alpha", "beta"]
-        assert rows[0]["embedding"] == [1.0, 2.0]
-
-    def test_seed_flag_is_usage_error(self, tmp_path, stub_endpoint):
-        texts = tmp_path / "texts.txt"
-        texts.write_text("alpha\n")
-        with pytest.raises(SystemExit) as exc:
-            run_cli("embed", "--seed", "1", "--endpoint", stub_endpoint, "--input", str(texts), "--out", str(tmp_path / "e.jsonl"))
-        assert exc.value.code == 2
-
-    @pytest.mark.parametrize(
-        "setting",
-        [{"batch_size": -1}, {"batch_size": 0}, {"expected_dim": 64.5}, {"expected_dim": -3}],
-        ids=lambda setting: "{}={}".format(*next(iter(setting.items()))),
-    )
-    def test_bad_embed_setting_is_usage_error(self, tmp_path, capsys, stub_endpoint, setting):
-        cfg = tmp_path / "embed.json"
-        cfg.write_text(json.dumps({"embed": setting}))
-        texts = tmp_path / "texts.txt"
-        texts.write_text("alpha\nbeta\ngamma\n")
-        out = tmp_path / "e.jsonl"
-        posts = _EmbedStub.posts
-        code = run_cli("embed", "--config", str(cfg), "--endpoint", stub_endpoint, "--input", str(texts), "--out", str(out))
-        assert code == 2
-        assert f"embed.{next(iter(setting))} " in capsys.readouterr().err
-        assert _EmbedStub.posts == posts and not out.exists()
-
-    def test_unreachable_endpoint_is_runtime_error(self, tmp_path, monkeypatch):
-        monkeypatch.setenv("EMBED_API_KEY", "secret")
-        texts = tmp_path / "texts.txt"
-        texts.write_text("x\n")
-        code = run_cli("embed", "--endpoint", "http://127.0.0.1:9", "--input", str(texts), "--out", str(tmp_path / "e.jsonl"))
-        assert code == 1
-
+def test_import_loads_no_network_stack():
+    """The lab makes no network calls, so importing the CLI must not load an HTTP, TLS, socket or e-mail module."""
+    src = Path(pageorder.__file__).parents[1]
+    probe = "import sys, pageorder.cli; print(*sys.modules)"
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [str(src), os.environ.get("PYTHONPATH")]))}
+    loaded = subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True, text=True, check=True).stdout.split()
+    network = ("http", "ssl", "socket", "email", "urllib.request")
+    assert [m for m in loaded if m in network or m.startswith(tuple(f"{n}." for n in network))] == []
