@@ -159,6 +159,29 @@ class TestSeparationProperty:
         assert result.per_bucket[LengthBucket.B2_5] > 0.8
 
 
+class TestDocument:
+    def test_pages_become_float32_with_shape_properties(self):
+        doc = Document(doc_id="d", pages=np.arange(12, dtype=np.float64).reshape(4, 3))
+        assert doc.pages.dtype == np.float32
+        assert (doc.n_pages, doc.dim) == (4, 3)
+
+    def test_pages_must_be_2d(self):
+        with pytest.raises(DomainError, match="2-D"):
+            Document(doc_id="d", pages=np.zeros(5, dtype=np.float32))
+
+    @pytest.mark.parametrize("n", [1, 26])
+    def test_page_count_outside_range_rejected(self, n):
+        with pytest.raises(DomainError, match=f"has {n} pages"):
+            Document(doc_id="d", pages=np.zeros((n, 3), dtype=np.float32))
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf], ids=["nan", "inf"])
+    def test_non_finite_embeddings_rejected(self, bad):
+        pages = np.zeros((3, 2), dtype=np.float32)
+        pages[1, 0] = bad
+        with pytest.raises(DomainError, match="non-finite"):
+            Document(doc_id="d", pages=pages)
+
+
 class TestShuffle:
     def test_two_pages_both_arrangements_occur(self):
         doc = Document(doc_id="d", pages=np.arange(4, dtype=np.float32).reshape(2, 2))

@@ -5,7 +5,14 @@ from hypothesis import strategies as st
 
 from pageorder.corpus import LengthBucket, ShuffledInstance
 from pageorder.errors import DomainError
-from pageorder.metrics import LOCALITY_WINDOW, attention_locality, kendall_tau, mean_tau
+from pageorder.metrics import (
+    LOCALITY_WINDOW,
+    LocalityStats,
+    attention_locality,
+    kendall_tau,
+    mean_tau,
+    require_permutation,
+)
 
 
 def brute_force_tau(pred, truth_rank):
@@ -93,6 +100,32 @@ def _instance(n, seed, dim=4):
     )
 
 
+class TestRequirePermutation:
+    def test_returns_int64(self):
+        out = require_permutation([2, 0, 1])
+        assert out.dtype == np.int64
+        assert out.tolist() == [2, 0, 1]
+
+    def test_rejects_2d(self):
+        with pytest.raises(DomainError, match="1-D"):
+            require_permutation(np.array([[0, 1], [1, 0]]))
+
+    def test_rejects_wrong_length(self):
+        with pytest.raises(DomainError, match="not a permutation of 0..3"):
+            require_permutation([2, 0, 1], 4)
+
+
+class TestLocalityStats:
+    @pytest.mark.parametrize(
+        "fraction, distance",
+        [(1.5, 0.0), (-0.1, 0.0), (0.5, -1.0)],
+        ids=["fraction_above_one", "negative_fraction", "negative_distance"],
+    )
+    def test_out_of_domain_rejected(self, fraction, distance):
+        with pytest.raises(DomainError):
+            LocalityStats(local_fraction=fraction, avg_distance=distance)
+
+
 class TestMeanTau:
     def test_single_document(self):
         inst = _instance(4, 0)
@@ -131,6 +164,11 @@ class TestMeanTau:
         with pytest.raises(DomainError):
             mean_tau([_instance(3, 5)], [])
 
+    def test_no_instances_give_nan_overall(self):
+        result = mean_tau([], [])
+        assert result.per_bucket == {} and result.counts == {}
+        assert np.isnan(result.overall)
+
 
 class TestAttentionLocality:
     def test_identity_attention(self):
@@ -161,6 +199,11 @@ class TestAttentionLocality:
         attn = np.exp(logits) / np.exp(logits).sum(axis=-1, keepdims=True)
         stats = attention_locality([attn])
         assert stats.local_fraction == pytest.approx(1.0)
+
+    @pytest.mark.parametrize("shape", [(4,), (1, 3, 4)], ids=["1d", "not_square"])
+    def test_stack_not_ending_in_square_rejected(self, shape):
+        with pytest.raises(DomainError, match=r"must end in \(n, n\)"):
+            attention_locality([np.full(shape, 0.25)])
 
     def test_non_stochastic_rows_rejected(self):
         with pytest.raises(DomainError):
