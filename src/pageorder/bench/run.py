@@ -60,11 +60,6 @@ REFERENCE_LOCAL_LONG = LocalityStats(local_fraction=0.208, avg_distance=7.59)
 REFERENCE_LOCALITY_RATIO = 4.96
 
 
-@dataclass
-class BenchResult:
-    report: EvalReport
-    logs: dict
-    models: dict
 
 
 @dataclass
@@ -79,6 +74,13 @@ class LocalityComparison:
     short: LocalityStats
     long: LocalityStats
     ratio: float
+
+
+@dataclass
+class BenchResult:
+    report: EvalReport
+    logs: dict
+    locality: LocalityComparison | None  # the specialized_direct ensemble's, when the menu holds it
 
 
 def _config_seed(name: str, base: int) -> int:
@@ -104,9 +106,11 @@ def _train(row: tuple[Arch, PeVariant], splits, train_cfg: TrainConfig, seed: in
 def menu_rows(menu) -> list[str]:
     """The row names of a bench menu, ``["all"]`` standing for every ``MENU`` row.
 
-    An unknown name, or a name given twice, is a ConfigError.
+    An empty menu, an unknown name, or a name given twice is a ConfigError.
     """
     names = list(MENU) if list(menu) == ["all"] else list(menu)
+    if not names:
+        raise ConfigError("the benchmark menu names no configuration")
     unknown = [n for n in names if n not in MENU]
     if unknown:
         raise ConfigError(f"unknown benchmark configurations: {unknown}")
@@ -127,12 +131,15 @@ def run_benchmark(
 ) -> BenchResult:
     """Train and evaluate every configuration named in ``menu``.
 
-    Every specialist's plan is checked before the first row trains. Every
-    configuration sees the same shuffled test instances, fixed by
-    ``eval_seed``. Returns the report plus per-configuration training
-    logs keyed by row name (specialists get one log per bucket).
+    Every specialist's plan and the locality test documents are checked
+    before the first row trains. Every configuration sees the same shuffled
+    test instances, fixed by ``eval_seed``. Returns the report, training logs
+    keyed by row name (specialists get one per bucket) and the locality
+    comparison of the ``specialized_direct`` specialists, if any.
     """
     names = menu_rows(menu)
+    if "specialized_direct" in names:
+        locality_test_docs(splits[2])
     plans = {
         name: [replace(train_cfg, strategy=Strategy(name), target_bucket=b) for b in LengthBucket]
         for name in names
@@ -143,10 +150,11 @@ def run_benchmark(
             cfg.stage_docs(splits[0])
     test_instances = [shuffle_instance(d, eval_seed) for d in splits[2]]
 
-    rows: list[ReportRow] = []
     logs: dict = {}
-    models: dict = {}
-    for name in names:
+    locality = None
+
+    def run_row(name: str) -> ReportRow:  # a row's model lives only as long as this call
+        nonlocal locality
         if progress:
             progress(f"configuration {name}")
         if name in HEURISTIC_ROWS:
@@ -163,23 +171,25 @@ def run_benchmark(
                         ARCH_ROWS["pairwise"], splits, cfg, _config_seed(key, model_seed)
                     )
                 model = SpecialistEnsemble(models=specialists)
+                if name == "specialized_direct":
+                    locality = locality_experiment(
+                        specialists[LengthBucket.B2_5], specialists[LengthBucket.B21_25], splits[2], eval_seed=eval_seed
+                    )
             result = evaluate(model, test_instances)
-        models[name] = model
-        rows.append(
-            ReportRow(
-                name=name,
-                tau_by_bucket=dict(result.per_bucket),
-                tau_overall=result.overall,
-                param_count=0 if model is None else model.param_count(),
-                docs_by_bucket=dict(result.counts),
-            )
+        return ReportRow(
+            name=name,
+            tau_by_bucket=dict(result.per_bucket),
+            tau_overall=result.overall,
+            param_count=0 if model is None else model.param_count(),
+            docs_by_bucket=dict(result.counts),
         )
+
     report = EvalReport(
-        rows=rows,
+        rows=[run_row(name) for name in names],
         corpus_digest=corpus_digest(splits[0] + splits[1] + splits[2]),
         seeds={"eval": eval_seed, "model": model_seed, "train": train_cfg.seed},
     )
-    return BenchResult(report=report, logs=logs, models=models)
+    return BenchResult(report=report, logs=logs, locality=locality)
 
 
 def transfer_experiment(
@@ -200,8 +210,7 @@ def transfer_experiment(
     test_long = [shuffle_instance(d, eval_seed) for d in splits[2] if bucket_of(d.n_pages) is long_b]
     if not test_short or not test_long:
         raise ConfigError("corpus is missing 2-5 or 21-25 page test documents")
-    model = build_model(desk_config(Arch.PAIRWISE_RANK, short_train[0].dim, seed=_config_seed("transfer", model_seed)))
-    fit(model, short_train, short_val, train_cfg)
+    model, _ = _train(ARCH_ROWS["pairwise"], (short_train, short_val), train_cfg, _config_seed("transfer", model_seed))
     tau_in = evaluate(model, test_short).overall
     tau_out = evaluate(model, test_long).overall
     return TransferResult(tau_in_domain=tau_in, tau_transfer=tau_out, n_train_docs=len(short_train))

@@ -3,7 +3,7 @@
 Every command is driven by a JSON config file (unknown keys are errors)
 plus a few overriding flags, and echoes its effective configuration into
 the output directory so a run can be reproduced from its artifacts.
-Exit codes: 0 success, 1 runtime failure, 2 usage or config error.
+Exit codes: 0 success, 1 runtime failure, 2 usage, config or missing-input-file error.
 """
 
 from __future__ import annotations
@@ -16,7 +16,6 @@ from pathlib import Path
 
 from .bench import (
     emit_figures,
-    locality_experiment,
     read_report_csv,
     render_report_text,
     run_benchmark,
@@ -30,7 +29,6 @@ from .bench.run import (
     REFERENCE_LOCALITY_RATIO,
     REFERENCE_TRANSFER,
     REFERENCE_TRANSFER_IN_DOMAIN,
-    locality_test_docs,
     menu_rows,
 )
 from .corpus import (
@@ -110,8 +108,6 @@ def load_config(path: str | None) -> dict:
         return defaults
     try:
         raw = json.loads(Path(path).read_text(encoding="utf-8"), parse_constant=_reject_constant)
-    except FileNotFoundError as exc:
-        raise ConfigError(f"config file not found: {path}") from exc
     except (json.JSONDecodeError, UnicodeDecodeError) as exc:
         raise ConfigError(f"config file is not valid UTF-8 JSON: {exc}") from exc
     if not isinstance(raw, dict):
@@ -233,9 +229,7 @@ def cmd_bench(args: argparse.Namespace) -> int:
     if args.models:
         config["bench"]["models"] = args.models.split(",")
     menu = tuple(config["bench"]["models"])
-    if "specialized_direct" in menu_rows(menu):
-        locality_test_docs(splits[2])  # the locality comparison below must be able to run
-    else:
+    if "specialized_direct" not in menu_rows(menu):
         _reject_ignored_weight_factor(config, "a bench menu without it")
 
     result = run_benchmark(
@@ -256,14 +250,8 @@ def cmd_bench(args: argparse.Namespace) -> int:
         write_training_log(history, logs_dir / f"{name}.csv")
     emit_figures(result.report, result.logs, out / "figures")
 
-    ensemble = result.models.get("specialized_direct")
-    if ensemble is not None:
-        comparison = locality_experiment(
-            ensemble.models[LengthBucket.B2_5],
-            ensemble.models[LengthBucket.B21_25],
-            splits[2],
-            eval_seed=config["bench"]["eval_seed"],
-        )
+    comparison = result.locality
+    if comparison is not None:
         lines = [
             "metric,short,long,ratio,reference_short,reference_long,reference_ratio",
             f"local_fraction,{comparison.short.local_fraction!r},{comparison.long.local_fraction!r},"
@@ -384,7 +372,7 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.fn(args)
-    except (ConfigError, DomainError) as exc:
+    except (ConfigError, DomainError, FileNotFoundError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
     except Exception as exc:  # noqa: BLE001 - CLI boundary

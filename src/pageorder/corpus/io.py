@@ -125,15 +125,15 @@ def split_corpus(docs: list[Document], seed: int = 0) -> tuple[list[Document], l
 
     Seeded shuffle then contiguous slicing; val and test get floor(n*f)
     documents each, f their ``SPLIT_FRACTIONS`` share, and the remainder
-    goes to train.
+    goes to train. Under 7 documents, val or test would be empty: a SplitError.
     """
-    if len(docs) < 3:
-        raise SplitError(f"cannot split {len(docs)} documents three ways")
     n = len(docs)
-    order = RngStream(seed).split("split").permutation(n)
-    shuffled = [docs[i] for i in order]
     n_val = int(np.floor(n * SPLIT_FRACTIONS[1]))
     n_test = int(np.floor(n * SPLIT_FRACTIONS[2]))
+    if n_val == 0 or n_test == 0:
+        raise SplitError(f"cannot split {n} documents three ways")
+    order = RngStream(seed).split("split").permutation(n)
+    shuffled = [docs[i] for i in order]
     n_train = n - n_val - n_test
     return (
         shuffled[:n_train],

@@ -1,8 +1,11 @@
 import csv
+import gc
+import weakref
 
 import numpy as np
 import pytest
 
+import pageorder.bench.run as bench_run
 from pageorder.bench import (
     MENU,
     REFERENCE_TABLE,
@@ -25,7 +28,7 @@ from pageorder.bench.run import (
 )
 from pageorder.corpus import CorpusConfig, LengthBucket, generate_corpus, split_corpus
 from pageorder.errors import ConfigError
-from pageorder.models import Arch, ModelConfig, build_model
+from pageorder.models import Arch, ModelConfig, build_model, desk_config
 from pageorder.training import TrainConfig
 
 DIM = 16
@@ -65,7 +68,7 @@ class TestRunBenchmark:
     def test_param_counts_are_computed(self, small_bench):
         assert report_row(small_bench, "random").param_count == 0
         pairwise = report_row(small_bench, "pairwise")
-        assert pairwise.param_count == small_bench.models["pairwise"].param_count()
+        assert pairwise.param_count == build_model(desk_config(Arch.PAIRWISE_RANK, DIM)).param_count()
 
     def test_docs_per_bucket_match_test_split(self, small_bench, tiny_splits):
         splits = tiny_splits
@@ -97,6 +100,38 @@ class TestRunBenchmark:
         for a, b in zip(small_bench.report.rows, again.report.rows):
             assert a.tau_by_bucket == b.tau_by_bucket
             assert a.tau_overall == b.tau_overall
+
+    @staticmethod
+    def record_built_models(monkeypatch, keep):
+        """Make ``build_model`` in the bench module append each model it builds, through ``keep``, to a list."""
+        built = []
+
+        def recording_build_model(config):
+            model = build_model(config)
+            built.append(keep(model))
+            return model
+
+        monkeypatch.setattr(bench_run, "build_model", recording_build_model)
+        return built
+
+    def test_result_keeps_no_model_alive(self, tiny_splits, monkeypatch):
+        built = self.record_built_models(monkeypatch, weakref.ref)
+        result = run_benchmark(
+            tiny_splits, ("pointer_mlp", "pairwise"), TrainConfig(epochs=1, batch_size=8, seed=5), eval_seed=42
+        )
+        gc.collect()
+        assert len(built) == 2
+        assert [ref() for ref in built] == [None, None]
+        assert result.locality is None
+
+    def test_locality_compares_the_direct_specialists_of_both_extremes(self, tiny_splits, monkeypatch):
+        built = self.record_built_models(monkeypatch, lambda model: model)
+        result = run_benchmark(
+            tiny_splits, ("specialized_direct",), TrainConfig(epochs=1, batch_size=8, seed=5), eval_seed=42
+        )
+        # one specialist per bucket, built in LengthBucket order: 2-5 first, 21-25 last
+        assert len(built) == len(LengthBucket)
+        assert result.locality == locality_experiment(built[0], built[-1], tiny_splits[2], eval_seed=42)
 
 
 class TestReportSerialization:

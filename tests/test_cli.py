@@ -161,9 +161,6 @@ class TestGen:
             run_cli("gen", "--config", str(workdir / "cfg.json"))
         assert exc.value.code == 2
 
-    def test_missing_config_file_exits_2(self, tmp_path):
-        assert run_cli("gen", "--config", str(tmp_path / "nope.json"), "--out", str(tmp_path / "o")) == 2
-
 
 class TestNegativeSeeds:
     COMMANDS = ["gen", "train", "bench", "transfer"]
@@ -499,6 +496,14 @@ class TestBench:
         assert error in err and "configuration" not in err
         assert not out.exists()
 
+    def test_empty_menu_exits_2(self, corpus_path, tmp_path, capsys):
+        cfg = tmp_path / "empty_menu.json"
+        cfg.write_text(json.dumps({**TINY_CONFIG, "bench": {"models": []}}))
+        out = tmp_path / "b"
+        assert run_cli("bench", "--config", str(cfg), "--corpus", str(corpus_path), "--out", str(out)) == 2
+        assert "the benchmark menu names no configuration" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_unknown_model_name_exits_2(self, workdir, corpus_path, tmp_path):
         code = run_cli(
             "bench", "--config", str(workdir / "cfg.json"), "--corpus", str(corpus_path),
@@ -522,15 +527,42 @@ class TestBench:
         assert not out.exists()
 
 
-@pytest.mark.parametrize("command", [["bench"], ["train", "--arch", "pointer_mlp"], ["transfer"]], ids=lambda c: c[0])
-def test_corpus_too_small_to_split_exits_2(workdir, corpus_path, tmp_path, capsys, command):
-    # like an empty validation split, two documents are data too small for the command
-    small = tmp_path / "two.jsonl"
-    small.write_text("".join(corpus_path.read_text().splitlines(keepends=True)[:2]))
+@pytest.mark.parametrize(
+    "command, n_docs",
+    [
+        (["bench"], 2),
+        (["train", "--arch", "pointer_mlp"], 2),
+        (["transfer"], 2),
+        (["bench", "--models", "random,tsp_nn"], 6),
+    ],
+    ids=["bench", "train", "transfer", "bench-6"],
+)
+def test_corpus_too_small_to_split_exits_2(workdir, corpus_path, tmp_path, capsys, command, n_docs):
+    # 6 documents leave the validation and test splits empty, 2 cannot even be split
+    small = tmp_path / "small.jsonl"
+    small.write_text("".join(corpus_path.read_text().splitlines(keepends=True)[:n_docs]))
     out = tmp_path / "out"
     code = run_cli(*command, "--config", str(workdir / "cfg.json"), "--corpus", str(small), "--out", str(out))
     assert code == 2
-    assert "config error: cannot split 2 documents three ways" in capsys.readouterr().err
+    assert f"config error: cannot split {n_docs} documents three ways" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["gen", "--config", "{tmp}/nope.json"],
+        ["bench", "--corpus", "{tmp}/nope.jsonl"],
+        ["train", "--corpus", "{corpus}", "--arch", "pointer_mlp", "--resume", "{tmp}/nope.ckpt"],
+        ["figures", "--report", "{tmp}/nowhere"],
+    ],
+    ids=["gen-config", "bench-corpus", "train-resume", "figures-report"],
+)
+def test_missing_input_file_exits_2(corpus_path, tmp_path, capsys, argv):
+    out = tmp_path / "out"
+    code = run_cli(*[a.format(tmp=tmp_path, corpus=corpus_path) for a in argv], "--out", str(out))
+    assert code == 2
+    assert "config error: [Errno 2] No such file or directory" in capsys.readouterr().err
     assert not out.exists()
 
 

@@ -234,6 +234,12 @@ class TestSplit:
         with pytest.raises(SplitError):
             split_corpus(self._docs(2))
 
+    def test_six_docs_would_leave_val_and_test_empty(self):
+        with pytest.raises(SplitError, match="cannot split 6 documents three ways"):
+            split_corpus(self._docs(6))
+        train, val, test = split_corpus(self._docs(7))
+        assert (len(train), len(val), len(test)) == (5, 1, 1)
+
     def test_seed_changes_assignment(self):
         docs = self._docs(40)
         a, _, _ = split_corpus(docs, seed=1)
