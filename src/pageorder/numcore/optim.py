@@ -44,8 +44,7 @@ def init_adam(params: list[Tensor], learning_rate: float = 1e-3) -> AdamState:
 def global_norm(grads: list[np.ndarray]) -> float:
     total = 0.0
     for g in grads:
-        sq = g.astype(np.float64)  # always a copy, so squaring it in place leaves ``g`` alone
-        total += float(np.sum(np.square(sq, out=sq)))
+        total += float(np.sum(np.square(g, dtype=np.float64)))
     return float(np.sqrt(total))
 
 
@@ -62,7 +61,10 @@ def clip_global_norm(grads: list[np.ndarray], max_norm: float) -> float:
     if norm > max_norm:
         scale = max_norm / norm
         for g in grads:
-            g *= scale
+            if scale < np.finfo(g.dtype).tiny:  # subnormal in g's dtype, so it lost digits: round once from float64
+                np.multiply(g, scale, out=g, dtype=np.float64)
+            else:
+                g *= scale
     return norm
 
 

@@ -68,9 +68,18 @@ def _unbroadcast(grad: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
 
 
 def sigmoid_array(x: np.ndarray) -> np.ndarray:
-    """Logistic function computed without overflow, in ``x``'s dtype."""
+    """Logistic function computed without overflow, in ``x``'s floating dtype.
+
+    With ``e = exp(-|x|)`` it divides ``max(e, x >= 0)`` by ``1 + e``: the
+    numerator is 1 where ``x >= 0`` (there ``e <= 1``) and ``e`` elsewhere,
+    NaN included. That is the division ``where(x >= 0, 1/(1+e), e/(1+e))``
+    makes, bit for bit, without a data-dependent select.
+    """
     e = np.exp(-np.abs(x))
-    return np.where(x >= 0, 1.0 / (1.0 + e), e / (1.0 + e)).astype(x.dtype, copy=False)
+    num = np.maximum(e, x >= 0)
+    e += 1.0
+    num /= e
+    return num
 
 
 def _swept(g: np.ndarray) -> None:
@@ -371,11 +380,12 @@ class Tensor:
         """log(1 + exp(x)), computed without overflow."""
         a = self
         x = a.data
-        e = np.exp(-np.abs(x))
-        out_data = np.maximum(x, 0.0) + np.log1p(e)
+        out_data = np.maximum(x, 0.0) + np.log1p(np.exp(-np.abs(x)))
 
         def _bwd(g: np.ndarray) -> None:
-            a._accumulate(g * np.where(x >= 0, 1.0 / (1.0 + e), e / (1.0 + e)))
+            d = sigmoid_array(x)
+            np.multiply(g, d, out=d)
+            a._adopt(d)
 
         return Tensor._result(out_data, (a,), _bwd)
 

@@ -142,6 +142,22 @@ class TestClipping:
         assert np.isfinite(clip_global_norm(grads, 1.0))
         assert all(np.isfinite(g).all() for g in grads)
 
+    def test_subnormal_scale_keeps_its_digits(self):
+        # max_norm / norm is about 9.3e-41, subnormal in float32: a float32 multiply would leave a norm of 1.0000072
+        largest = np.finfo(np.float32).max
+        grads = [np.full(1000, largest, dtype=np.float32), np.full(3, -largest, dtype=np.float32)]
+        clip_global_norm(grads, 1.0)
+        assert all(g.dtype == np.float32 for g in grads)
+        assert abs(global_norm(grads) - 1.0) < 1e-6
+
+    def test_normal_scale_is_the_float32_multiply(self):
+        rng = np.random.default_rng(4)
+        grads = [rng.normal(size=(7, 5)).astype(np.float32) * 50, rng.normal(size=3).astype(np.float32)]
+        scale = 0.5 / global_norm(grads)
+        expected = [g * np.float32(scale) for g in grads]
+        clip_global_norm(grads, 0.5)
+        assert all(np.array_equal(g, e) for g, e in zip(grads, expected))
+
     def test_norm_below_threshold_untouched(self):
         g = [np.array([0.6, 0.0]), np.array([0.8])]
         assert global_norm(g) == pytest.approx(1.0)

@@ -13,6 +13,7 @@ from pageorder.numcore import (
     log_softmax,
     no_grad,
 )
+from pageorder.numcore.tensor import sigmoid_array
 
 
 def t64(arr, requires_grad=True):
@@ -240,6 +241,74 @@ class TestElementwiseGradients:
         for i in idx:
             expected[i] += 1.0
         assert np.allclose(table.grad, expected)
+
+
+def _where_logistic(x):
+    """The logistic function as a select between two quotients: the form ``sigmoid_array`` must match bit for bit."""
+    e = np.exp(-np.abs(x))
+    return np.where(x >= 0, 1.0 / (1.0 + e), e / (1.0 + e))
+
+
+def _bits(a):
+    return a.view(np.uint32 if a.dtype == np.float32 else np.uint64)
+
+
+# signed zeros, infinities and NaNs, and the edges of exp: float32 exp(-88.7) is near the smallest normal,
+# exp(-103.9) the smallest subnormal, and exp(-104) underflows to 0
+LOGISTIC_SPECIALS = [0.0, -0.0, np.inf, -np.inf, np.nan, -np.nan, 88.7, -88.7, -103.9, -104.0]
+
+
+def _float32_patterns():
+    """Every 4099th of the 2**32 float32 bit patterns, the smallest subnormals of both signs and the specials."""
+    bits = np.arange(0, 2**32, 4099, dtype=np.uint64).astype(np.uint32)
+    smallest = np.array([1, 2, 0x80000001, 0x80000002], dtype=np.uint32)
+    return np.concatenate([np.concatenate([bits, smallest]).view(np.float32), np.float32(LOGISTIC_SPECIALS)])
+
+
+def _signalling(x):
+    # a float32 NaN whose quiet bit is clear
+    return np.isnan(x) & ((x.view(np.uint32) & 0x00400000) == 0)
+
+
+class TestLogistic:
+    """``sigmoid_array`` and the ``softplus`` gradient against the ``np.where`` form, bit for bit, no tolerance."""
+
+    def test_float32_bit_patterns(self):
+        x = _float32_patterns()
+        x = x[~_signalling(x)]
+        got = sigmoid_array(x)
+        assert got.dtype == np.float32
+        assert np.array_equal(_bits(got), _bits(_where_logistic(x)))
+
+    def test_float32_signalling_nans(self):
+        # exp raises the invalid flag on a signalling NaN, in either form; the results still agree bit for bit
+        x = _float32_patterns()
+        x = x[_signalling(x)]
+        assert x.size > 1000
+        with pytest.warns(RuntimeWarning, match="invalid value encountered in exp"):
+            got = sigmoid_array(x)
+        with pytest.warns(RuntimeWarning, match="invalid value encountered in exp"):
+            want = _where_logistic(x)
+        assert np.array_equal(_bits(got), _bits(want))
+
+    def test_float64_values(self):
+        rng = np.random.default_rng(11)
+        scaled = [rng.normal(size=20_000) * scale for scale in (0.01, 0.1, 1.0, 10.0, 200.0)]
+        smallest = np.array([1, 2, 0x8000000000000001], dtype=np.uint64).view(np.float64)
+        x = np.concatenate(scaled + [smallest, np.float64(LOGISTIC_SPECIALS)])
+        got = sigmoid_array(x)
+        assert got.dtype == np.float64
+        assert np.array_equal(_bits(got), _bits(_where_logistic(x)))
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_softplus_gradient(self, dtype):
+        rng = np.random.default_rng(12)
+        data = np.concatenate([rng.normal(size=5_000) * 30.0, LOGISTIC_SPECIALS])
+        x = Tensor(data.astype(dtype), requires_grad=True)
+        x.softplus().sum().backward()
+        g = np.ones_like(x.data)
+        assert x.grad.dtype == dtype
+        assert np.array_equal(_bits(x.grad), _bits(g * _where_logistic(x.data)))
 
 
 class TestIndexGradients:
