@@ -14,7 +14,7 @@ import numpy as np
 
 from ..errors import ConfigError
 from .rng import RngStream
-from .tensor import Tensor, _unbroadcast, _valid_mask, concat, sigmoid_array
+from .tensor import Tensor, _unbroadcast, _valid_mask, grad_enabled, sigmoid_array
 
 __all__ = [
     "glorot_uniform",
@@ -175,109 +175,148 @@ class LstmParams:
 
 
 def _gate_blocks(act: np.ndarray, hidden: int) -> tuple[np.ndarray, ...]:
-    """The i, f, g, o blocks of ``act (B, 4H)`` as views (basic slices cost less than ``np.split``)."""
-    return act[:, :hidden], act[:, hidden : 2 * hidden], act[:, 2 * hidden : 3 * hidden], act[:, 3 * hidden :]
+    """The i, f, g, o blocks of ``act (..., 4H)`` as views (basic slices cost less than ``np.split``)."""
+    return act[..., :hidden], act[..., hidden : 2 * hidden], act[..., 2 * hidden : 3 * hidden], act[..., 3 * hidden :]
 
 
-def lstm_sequence(
+def _by_position(steps: np.ndarray, k: int) -> np.ndarray:
+    """Direction ``k``'s ``(B, n, ·)`` array kept in step order, as a view in position order.
+
+    Direction 0 runs first to last, direction 1 last to first, so its step ``s`` is position ``n - 1 - s``.
+    """
+    return steps if k == 0 else steps[:, ::-1]
+
+
+def _scan(
     seq: Tensor,
-    params: LstmParams,
-    reverse: bool = False,
+    cells: list[LstmParams],
     state: tuple[np.ndarray, np.ndarray] | None = None,
     lengths: np.ndarray | None = None,
 ) -> tuple[Tensor, tuple[np.ndarray, np.ndarray]]:
-    """Run one recurrent direction over ``seq (B, n, d)`` from ``state = (h0, c0)``, zeros if None.
+    """Run one or two recurrent directions over ``seq (B, n, d)`` in one step loop; the second runs in reverse.
 
-    Returns every state ``(B, n, H)`` and the final ``(h, c)``, from which
-    a later call continues the recurrence. Gate order is i, f, g, o; the
-    positions run last to first when ``reverse``. ``lengths``, ``(B,)``,
-    gives each row's real positions, with the padding after them: running
-    in reverse, a row keeps its initial state through its padding, so it
-    enters position ``n_i - 1`` in that state and its padded positions hold
-    it. Running forward, padding comes after every real position, so
-    ``lengths`` changes nothing. Recorded as two graph
-    nodes: the input projection ``seq @ wx`` for all positions in one
-    GEMM, and the recurrence, whose backward runs backpropagation through
-    time in numpy and yields the weight gradient of ``wh`` as one GEMM.
-    No gradient flows into ``state``.
+    Returns the states ``(B, n, dirs * H)``, direction ``k`` in channels ``k * H`` to ``(k + 1) * H``, and the
+    final ``(h, c)``, each ``(dirs, B, H)``. ``state`` is the initial ``(h0, c0)`` of one direction, zeros if None;
+    ``lengths`` holds the reverse direction of each row at that zero state through its padding.
+
+    Step ``s`` advances direction 0 at position ``s`` and direction 1 at ``n - 1 - s``, its elementwise work
+    running once on stacked ``(dirs, B, ·)`` views; ``h @ wh`` runs per direction (stacking ``wh`` would copy it
+    on every call). Recorded as one ``linear`` node per direction for the input projection and one node for the
+    recurrence, whose backward walks both directions back together, writes each step's pre-activation gradients
+    over its gates and forms each direction's ``wh``, ``b`` and projection gradients in position order. Every
+    product sees the operands and strides of a direction run alone, so values and gradients are bitwise those.
+    With no gradient to record, only the states are kept.
     """
-    batch, n = seq.shape[0], seq.shape[1]
-    hidden = params.hidden
-    wh, bias = params.wh.data, params.b.data
-    xz = seq @ params.wx  # (B, n, 4H)
-    dtype = xz.data.dtype
-    gates = np.empty((batch, n, 4 * hidden), dtype=dtype)  # i, f, g, o after activation
-    cells = np.empty((batch, n, hidden), dtype=dtype)
-    tanh_cells = np.empty_like(cells)
-    states = np.empty_like(cells)
-    order = range(n - 1, -1, -1) if reverse else range(n)
-    if state is None:
-        state = (np.zeros((batch, hidden), dtype=dtype),) * 2
-    h0, c0 = h, c = state
-    # the rows whose position t is padding, at each t past the shortest row
+    dirs = len(cells)
+    xzs = [seq @ p.wx for p in cells]
+    weights = [t for p in cells for t in (p.wh, p.b)]
+    batch, n, width = xzs[0].shape
+    hidden = width // 4
+    dtype = xzs[0].dtype
+    keep = grad_enabled() and any(t.requires_grad for t in xzs + weights)
+    whs = [p.wh.data for p in cells]
+    bias = np.stack([p.b.data for p in cells])[:, None]
+    zeros = np.zeros((dirs, batch, hidden), dtype=dtype)
+    h0, c0 = (zeros, zeros) if state is None else (state[0][None], state[1][None])
+    # the reverse direction's rows whose position is padding, by step, at each position past the shortest row
     held = {}
-    if reverse and lengths is not None:
-        held = {t: np.flatnonzero(lengths <= t) for t in range(lengths.min(), n)}
-    for t in order:
-        z = xz.data[:, t] + h @ wh + bias
-        act = gates[:, t]
-        act[:] = sigmoid_array(z)
-        act[:, 2 * hidden : 3 * hidden] = np.tanh(z[:, 2 * hidden : 3 * hidden])
-        i, f, g, o = _gate_blocks(act, hidden)
-        c = cells[:, t] = f * c + i * g
-        tanh_cells[:, t] = np.tanh(c)
-        h = states[:, t] = o * tanh_cells[:, t]
-        if t in held:
-            rows = held[t]
-            h[rows], c[rows] = h0[rows], c0[rows]
-            states[rows, t], cells[rows, t] = h0[rows], c0[rows]
+    if lengths is not None:
+        held = {n - 1 - t: np.flatnonzero(lengths <= t) for t in range(lengths.min(), n)}
+
+    def positions(s: int) -> tuple[int, ...]:
+        """The position each direction is at in step ``s``."""
+        return (s, n - 1 - s)[:dirs]
+
+    states = np.empty((dirs, batch, n, hidden), dtype=dtype)
+    if keep:
+        gates = np.empty((dirs, batch, n, width), dtype=dtype)  # i, f, g, o after activation
+        cell_steps = np.empty_like(states)
+        tanh_cells = np.empty_like(states)
+    else:
+        act, c_buf, tc_buf = np.empty((dirs, batch, width), dtype=dtype), np.empty_like(zeros), np.empty_like(zeros)
+    z = np.empty((dirs, batch, width), dtype=dtype)
+    h, c = h0, c0
+    for s in range(n):
+        for k, t in enumerate(positions(s)):
+            np.matmul(h[k], whs[k], out=z[k])
+            z[k] += xzs[k].data[:, t]
+        z += bias
+        a = gates[:, :, s] if keep else act
+        sigmoid_array(z, out=a)
+        np.tanh(z[..., 2 * hidden : 3 * hidden], out=a[..., 2 * hidden : 3 * hidden])
+        i, f, g, o = _gate_blocks(a, hidden)
+        c = np.multiply(f, c, out=cell_steps[:, :, s] if keep else c_buf)
+        c += i * g
+        tc = np.tanh(c, out=tanh_cells[:, :, s] if keep else tc_buf)
+        h = np.multiply(o, tc, out=states[:, :, s])
+        if s in held:
+            h[1, held[s]] = c[1, held[s]] = 0.0
+    if not keep:
+        xzs = []  # no backward will read the projections: free them before the output is assembled
+    out = np.concatenate([_by_position(states[k], k) for k in range(dirs)], axis=-1)
 
     def _bwd(grad: np.ndarray) -> None:
-        # state and cell entering each position: those of the position run before it, the initial state first
-        prev_states, prev_cells = np.empty_like(states), np.empty_like(cells)
-        prev_states[:, order[0]], prev_cells[:, order[0]] = state
-        into, outof = (slice(None, -1), slice(1, None)) if reverse else (slice(1, None), slice(None, -1))
-        prev_states[:, into] = states[:, outof]
-        prev_cells[:, into] = cells[:, outof]
-        dz = np.empty_like(gates)
-        dh = dc = np.zeros((batch, hidden), dtype=dtype)
-        for t in reversed(order):
-            i, f, g, o = _gate_blocks(gates[:, t], hidden)
-            tc = tanh_cells[:, t]
-            dh = dh + grad[:, t]
+        d = np.empty((dirs, batch, width), dtype=dtype)
+        di, df, dg, do = _gate_blocks(d, hidden)
+        dh, dc = np.zeros_like(zeros), zeros
+        for s in range(n - 1, -1, -1):
+            i, f, g, o = _gate_blocks(gates[:, :, s], hidden)
+            tc = tanh_cells[:, :, s]
+            for k, t in enumerate(positions(s)):
+                dh[k] += grad[:, t, k * hidden : (k + 1) * hidden]
             dc = dc + dh * o * (1.0 - tc * tc)
-            d = dz[:, t]
-            d[:, :hidden] = dc * g * i * (1.0 - i)
-            d[:, hidden : 2 * hidden] = dc * prev_cells[:, t] * f * (1.0 - f)
-            d[:, 2 * hidden : 3 * hidden] = dc * i * (1.0 - g * g)
-            d[:, 3 * hidden :] = dh * tc * o * (1.0 - o)
-            if t in held:  # a held state depends on nothing
-                d[held[t]] = 0.0
+            np.multiply(dc * g * i, 1.0 - i, out=di)
+            np.multiply(dc * (cell_steps[:, :, s - 1] if s else c0) * f, 1.0 - f, out=df)
+            np.multiply(dc * i, 1.0 - g * g, out=dg)
+            np.multiply(dh * tc * o, 1.0 - o, out=do)
+            if s in held:  # a held state depends on nothing
+                d[1, held[s]] = 0.0
             dc = dc * f
-            dh = d @ wh.T
-        dz_flat = dz.reshape(batch * n, 4 * hidden)
-        # dz and both weight gradients are fresh arrays that nothing else keeps
-        if xz.requires_grad:
-            xz._adopt(dz)
-        if params.wh.requires_grad:
-            params.wh._adopt(prev_states.reshape(batch * n, hidden).T @ dz_flat)
-        if params.b.requires_grad:
-            params.b._adopt(dz_flat.sum(axis=0))
+            # no later step reads this step's gates: their buffer takes the pre-activation gradients
+            gates[:, :, s] = d
+            for k in range(dirs):
+                np.matmul(gates[k, :, s], whs[k].T, out=dh[k])
+        for k, (xz, p) in enumerate(zip(xzs, cells)):
+            # in position order and C-contiguous, as a direction run alone forms them
+            dz = np.ascontiguousarray(_by_position(gates[k], k))
+            dz_flat = dz.reshape(batch * n, width)
+            if xz.requires_grad:
+                xz._adopt(dz)
+            if p.wh.requires_grad:
+                # the state entering each position: that of the position run before it, the initial state first
+                own = out[..., k * hidden : (k + 1) * hidden]
+                entering = [h0[k][:, None], own[:, :-1]] if k == 0 else [own[:, 1:], h0[k][:, None]]
+                p.wh._adopt(np.concatenate(entering, axis=1).reshape(batch * n, hidden).T @ dz_flat)
+            if p.b.requires_grad:
+                p.b._adopt(dz_flat.sum(axis=0))
 
-    return Tensor._result(states, (xz, params.wh, params.b), _bwd), (h, c)
+    return Tensor._result(out, xzs + weights, _bwd), (h, c)
+
+
+def lstm_sequence(
+    seq: Tensor, params: LstmParams, state: tuple[np.ndarray, np.ndarray] | None = None
+) -> tuple[Tensor, tuple[np.ndarray, np.ndarray]]:
+    """Run one recurrent direction over ``seq (B, n, d)`` from ``state = (h0, c0)``, zeros if None.
+
+    Returns every state ``(B, n, H)`` and the final ``(h, c)``, from which a later call continues the
+    recurrence. Gate order is i, f, g, o. Recorded as two graph nodes: the input projection ``seq @ wx`` for all
+    positions in one GEMM, and the recurrence, whose backward runs backpropagation through time in numpy and
+    yields the weight gradient of ``wh`` as one GEMM. No gradient flows into ``state``.
+    """
+    states, (h, c) = _scan(seq, [params], state)
+    return states, (h[0], c[0])
 
 
 def bidirectional_encode(
     seq: Tensor, forward: LstmParams, backward: LstmParams, lengths: np.ndarray | None = None
 ) -> Tensor:
-    """Concatenate forward and backward recurrent states per position: ``(B, n, d)`` -> ``(B, n, 2H)``.
+    """Forward and backward recurrent states per position, side by side: ``(B, n, d)`` -> ``(B, n, 2H)``.
 
-    With ``lengths``, the real positions of each row of a padded batch come
-    out as those of the row encoded alone; the padded positions carry no meaning.
+    Both directions run in one step loop and one recurrence node (see ``_scan``). With ``lengths``, the real
+    positions of each row of a padded batch come out as those of the row encoded alone; the padded positions
+    carry no meaning.
     """
-    fwd, _ = lstm_sequence(seq, forward)
-    bwd, _ = lstm_sequence(seq, backward, reverse=True, lengths=lengths)
-    return concat([fwd, bwd], axis=-1)
+    return _scan(seq, [forward, backward], lengths=lengths)[0]
 
 
 def sinusoidal_positions(n_positions: int, dim: int, dtype=np.float32) -> np.ndarray:

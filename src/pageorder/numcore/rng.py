@@ -8,6 +8,7 @@ path) always yields the same values regardless of call order elsewhere.
 from __future__ import annotations
 
 import zlib
+from functools import cached_property
 
 import numpy as np
 
@@ -18,9 +19,11 @@ class RngStream:
     def __init__(self, seed: int, _path: tuple[int, ...] = ()):
         self.seed = int(seed)
         self.path = _path
-        self._gen = np.random.Generator(
-            np.random.PCG64(np.random.SeedSequence(self.seed, spawn_key=self.path))
-        )
+
+    @cached_property
+    def _gen(self) -> np.random.Generator:
+        """Built on the first draw, so a stream that is only split builds no generator."""
+        return np.random.Generator(np.random.PCG64(np.random.SeedSequence(self.seed, spawn_key=self.path)))
 
     def split(self, name: str | int) -> "RngStream":
         """Derive an independent child stream identified by ``name``."""

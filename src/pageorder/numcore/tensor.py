@@ -67,8 +67,8 @@ def _unbroadcast(grad: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
     return grad
 
 
-def sigmoid_array(x: np.ndarray) -> np.ndarray:
-    """Logistic function computed without overflow, in ``x``'s floating dtype.
+def sigmoid_array(x: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+    """Logistic function computed without overflow, in ``x``'s floating dtype, into ``out`` if given.
 
     With ``e = exp(-|x|)`` it divides ``max(e, x >= 0)`` by ``1 + e``: the
     numerator is 1 where ``x >= 0`` (there ``e <= 1``) and ``e`` elsewhere,
@@ -76,7 +76,7 @@ def sigmoid_array(x: np.ndarray) -> np.ndarray:
     makes, bit for bit, without a data-dependent select.
     """
     e = np.exp(-np.abs(x))
-    num = np.maximum(e, x >= 0)
+    num = np.maximum(e, x >= 0, out=out)
     e += 1.0
     num /= e
     return num

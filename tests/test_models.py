@@ -602,6 +602,18 @@ class TestGraphNodeCounts:
         model.loss(Tensor(stack), truth)
         assert calls[0] == 40
 
+    @pytest.mark.parametrize("arch,nodes", [(Arch.BILSTM_POS, 13), (Arch.POINTER_LSTM, 22)], ids=["bilstm_pos", "pointer_lstm"])
+    def test_recurrent_loss(self, arch, nodes, monkeypatch):
+        # a bidirectional layer is three nodes: the input projection of each direction and one recurrence for both
+        # (two per-direction recurrences and their concat before: 17 and 24 nodes); bilstm_pos has two such layers,
+        # pointer_lstm one, and its decoder a projection and a recurrence
+        model = build_model(tiny_config(arch, layers=2))
+        stack = np.random.default_rng(20).normal(size=(2, 5, DIM)).astype(np.float32)
+        truth = np.stack([np.arange(5), np.arange(5)[::-1]])
+        calls = self._count_nodes(monkeypatch)
+        model.loss(Tensor(stack), truth)
+        assert calls[0] == nodes
+
     def test_cached_greedy_decoder_step(self, monkeypatch):
         import pageorder.models.seq2seq as seq2seq_mod
 

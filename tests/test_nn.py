@@ -16,10 +16,11 @@ from pageorder.numcore import (
     layer_norm,
     lstm_sequence,
     multi_head_attention,
+    no_grad,
     pair_differences,
     sinusoidal_positions,
 )
-from pageorder.numcore.tensor import _unbroadcast, _valid_mask
+from pageorder.numcore.tensor import _unbroadcast, _valid_mask, sigmoid_array
 
 
 def t64(arr):
@@ -459,6 +460,16 @@ def _stepped_lstm(seq: Tensor, params: LstmParams, reverse: bool, state) -> tupl
     return concat([o.reshape(batch, 1, params.hidden) for o in outputs], axis=1), (h.data, c.data)
 
 
+def _fused(seq: Tensor, params: LstmParams, reverse: bool, state) -> tuple[Tensor, tuple | None]:
+    """``lstm_sequence``, or for ``reverse`` the backward half of ``bidirectional_encode``, which returns no final state.
+
+    Both halves share ``params``; the forward half gets no gradient, so it adds exact zeros to the weight gradients.
+    """
+    if not reverse:
+        return lstm_sequence(seq, params, state)
+    return bidirectional_encode(seq, params, params)[..., params.hidden :], None
+
+
 class TestLstmSequence:
     def _compare_with_stepped_cell(self, n, reverse, state):
         rng = RngStream(31)
@@ -474,10 +485,10 @@ class TestLstmSequence:
             (out * Tensor(weights) + out * out).sum().backward()
             return out.data, final, [tensor.grad.copy() for _, tensor in named]
 
-        fused, fused_final, fused_grads = run(lstm_sequence)
+        fused, fused_final, fused_grads = run(_fused)
         stepped, stepped_final, stepped_grads = run(_stepped_lstm)
         np.testing.assert_allclose(fused, stepped, rtol=0, atol=1e-12)
-        for name, got, want in zip(("h", "c"), fused_final, stepped_final):
+        for name, got, want in zip(("h", "c"), fused_final or (), stepped_final):
             np.testing.assert_allclose(got, want, rtol=0, atol=1e-12, err_msg=f"final {name}")
         for (name, _), got, want in zip(named, fused_grads, stepped_grads):
             np.testing.assert_allclose(got, want, rtol=0, atol=1e-12, err_msg=name)
@@ -487,13 +498,157 @@ class TestLstmSequence:
     def test_matches_stepped_cell_outputs_and_gradients(self, n, reverse):
         self._compare_with_stepped_cell(n, reverse, state=None)
 
-    @pytest.mark.parametrize("reverse", [False, True])
     @pytest.mark.parametrize("n", [1, 2, 7])
-    def test_continues_from_given_state(self, n, reverse):
+    def test_continues_from_given_state(self, n):
         # the recurrence and its backward both start from (h0, c0), not zeros
         rng = RngStream(32)
         state = (rng.split("h0").normal((3, 4), dtype=np.float64), rng.split("c0").normal((3, 4), dtype=np.float64))
-        self._compare_with_stepped_cell(n, reverse, state)
+        self._compare_with_stepped_cell(n, False, state)
+
+
+def _per_direction_lstm(seq: Tensor, params: LstmParams, reverse: bool = False, lengths=None) -> Tensor:
+    """One direction as its own step loop and graph node, after the input projection: the form ``_scan`` must match.
+
+    A row of ``lengths`` holds its zero initial state through its padding when running in reverse.
+    """
+    batch, n = seq.shape[0], seq.shape[1]
+    hidden = params.hidden
+    wh, bias = params.wh.data, params.b.data
+    xz = seq @ params.wx
+    dtype = xz.data.dtype
+    gates = np.empty((batch, n, 4 * hidden), dtype=dtype)
+    cells = np.empty((batch, n, hidden), dtype=dtype)
+    tanh_cells = np.empty_like(cells)
+    states = np.empty_like(cells)
+    order = range(n - 1, -1, -1) if reverse else range(n)
+    h0 = c0 = h = c = np.zeros((batch, hidden), dtype=dtype)
+    held = {}
+    if reverse and lengths is not None:
+        held = {t: np.flatnonzero(lengths <= t) for t in range(lengths.min(), n)}
+
+    def blocks(act):
+        return act[:, :hidden], act[:, hidden : 2 * hidden], act[:, 2 * hidden : 3 * hidden], act[:, 3 * hidden :]
+
+    for t in order:
+        z = xz.data[:, t] + h @ wh + bias
+        act = gates[:, t]
+        act[:] = sigmoid_array(z)
+        act[:, 2 * hidden : 3 * hidden] = np.tanh(z[:, 2 * hidden : 3 * hidden])
+        i, f, g, o = blocks(act)
+        c = cells[:, t] = f * c + i * g
+        tanh_cells[:, t] = np.tanh(c)
+        h = states[:, t] = o * tanh_cells[:, t]
+        if t in held:
+            rows = held[t]
+            h[rows], c[rows] = h0[rows], c0[rows]
+            states[rows, t], cells[rows, t] = h0[rows], c0[rows]
+
+    def _bwd(grad: np.ndarray) -> None:
+        prev_states, prev_cells = np.empty_like(states), np.empty_like(cells)
+        prev_states[:, order[0]], prev_cells[:, order[0]] = h0, c0
+        into, outof = (slice(None, -1), slice(1, None)) if reverse else (slice(1, None), slice(None, -1))
+        prev_states[:, into] = states[:, outof]
+        prev_cells[:, into] = cells[:, outof]
+        dz = np.empty_like(gates)
+        dh = dc = np.zeros((batch, hidden), dtype=dtype)
+        for t in reversed(order):
+            i, f, g, o = blocks(gates[:, t])
+            tc = tanh_cells[:, t]
+            dh = dh + grad[:, t]
+            dc = dc + dh * o * (1.0 - tc * tc)
+            d = dz[:, t]
+            d[:, :hidden] = dc * g * i * (1.0 - i)
+            d[:, hidden : 2 * hidden] = dc * prev_cells[:, t] * f * (1.0 - f)
+            d[:, 2 * hidden : 3 * hidden] = dc * i * (1.0 - g * g)
+            d[:, 3 * hidden :] = dh * tc * o * (1.0 - o)
+            if t in held:
+                d[held[t]] = 0.0
+            dc = dc * f
+            dh = d @ wh.T
+        dz_flat = dz.reshape(batch * n, 4 * hidden)
+        if xz.requires_grad:
+            xz._adopt(dz)
+        if params.wh.requires_grad:
+            params.wh._adopt(prev_states.reshape(batch * n, hidden).T @ dz_flat)
+        if params.b.requires_grad:
+            params.b._adopt(dz_flat.sum(axis=0))
+
+    return Tensor._result(states, (xz, params.wh, params.b), _bwd)
+
+
+def _per_direction_encode(seq: Tensor, forward: LstmParams, backward: LstmParams, lengths=None) -> Tensor:
+    """Each direction in its own loop, then ``concat``: five graph nodes where ``bidirectional_encode`` records three."""
+    return concat([_per_direction_lstm(seq, forward), _per_direction_lstm(seq, backward, True, lengths)], axis=-1)
+
+
+class TestBidirectionalMatchesPerDirection:
+    """``bidirectional_encode`` against two per-direction loops and ``concat``, bit for bit, no tolerance."""
+
+    @staticmethod
+    def _inputs(batch, n, hidden, seed, padded, shared):
+        rng = RngStream(seed)
+        d = 3 + seed % 6
+        x = Tensor(rng.split("x").normal((batch, n, d)), requires_grad=True)
+        directions = [LstmParams.create(rng.split("fwd"), d, hidden)]
+        directions.append(directions[0] if shared else LstmParams.create(rng.split("bwd"), d, hidden))
+        for p in directions:  # a nonzero bias everywhere, so every gate block sees it
+            p.b.data += rng.split("b").normal(4 * hidden, std=0.5)
+        lengths = None
+        if padded:
+            lengths = np.sort(rng.split("lengths").integers(1, n + 1, size=batch))[::-1].copy()
+            lengths[0] = n
+        weights = rng.split("w").normal((batch, n, 2 * hidden))
+        return x, directions, lengths, weights
+
+    @staticmethod
+    def _run(encode, x, directions, lengths, weights):
+        tensors = [x] + [t for p in directions for t in p.tensors().values()]
+        for t in tensors:
+            t.zero_grad()
+        out = encode(x, *directions, lengths)
+        (out * Tensor(weights) + out * out).sum().backward()
+        return [out.data] + [t.grad.copy() for t in tensors]
+
+    @given(
+        st.integers(1, 20), st.integers(1, 25), st.sampled_from([1, 2, 5, 16]), st.integers(0, 2**16),
+        st.booleans(), st.booleans(),
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_float32_outputs_and_gradients_are_bitwise(self, batch, n, hidden, seed, padded, shared):
+        inputs = self._inputs(batch, n, hidden, seed, padded, shared)
+        got = self._run(bidirectional_encode, *inputs)
+        want = self._run(_per_direction_encode, *inputs)
+        names = ["out", "x"] + [f"{d}.{k}" for d in ("fwd", "bwd") for k in ("wx", "wh", "b")]
+        for name, g, w in zip(names, got, want):
+            assert g.dtype == np.float32
+            assert np.array_equal(g, w), name
+
+    def test_hidden_size_one_is_bitwise(self):
+        # with H = 1 the recurrent gradient product ``d @ wh.T`` is a matrix-vector product, whose BLAS kernel can
+        # round differently for another row stride of ``d``: the fused backward must hand it the same strides
+        for seed in range(40):
+            inputs = self._inputs((3, 8, 16)[seed % 3], 1 + seed % 25, 1, seed, seed % 2 == 0, seed % 3 == 0)
+            got = self._run(bidirectional_encode, *inputs)
+            want = self._run(_per_direction_encode, *inputs)
+            assert all(np.array_equal(g, w) for g, w in zip(got, want)), seed
+
+    @pytest.mark.parametrize("padded", [False, True], ids=["full", "padded"])
+    def test_no_grad_output_is_the_grad_mode_output_and_records_nothing(self, padded):
+        x, directions, lengths, _ = self._inputs(6, 9, 16, 3, padded, shared=False)
+        recorded = bidirectional_encode(x, *directions, lengths)
+        with no_grad():
+            bare = bidirectional_encode(x, *directions, lengths)
+        assert recorded._parents and not bare._parents and not bare.requires_grad
+        assert np.array_equal(bare.data, recorded.data)
+
+    def test_one_recurrence_node_after_the_two_projections(self, monkeypatch):
+        x, directions, _, _ = self._inputs(2, 4, 3, 5, padded=False, shared=False)
+        calls = []
+        record = Tensor._result
+        monkeypatch.setattr(Tensor, "_result", staticmethod(lambda *a: calls.append(a[1]) or record(*a)))
+        bidirectional_encode(x, *directions)
+        assert len(calls) == 3  # seq @ wx for each direction, then the recurrence
+        assert len(calls[-1]) == 6  # both projections, both wh and both b
 
 
 class TestPaddedEncoders:

@@ -1,3 +1,5 @@
+import zlib
+
 import numpy as np
 
 from pageorder.numcore import RngStream
@@ -39,3 +41,20 @@ def test_draws_have_requested_shape_and_dtype():
     assert rng.normal((2, 3)).dtype == np.float32
     assert rng.uniform(5, dtype=np.float64).dtype == np.float64
     assert rng.normal((2, 3), std=0.0).tolist() == [[0.0] * 3] * 2
+
+
+def test_split_chain_draws_from_the_seed_sequence_of_its_path():
+    want = np.random.Generator(
+        np.random.PCG64(np.random.SeedSequence(9, spawn_key=(zlib.crc32(b"shuffle"), zlib.crc32(b"doc-3"))))
+    )
+    rng = RngStream(9).split("shuffle").split("doc-3")
+    assert np.array_equal(rng.permutation(25), want.permutation(25))
+    assert np.array_equal(rng.integers(0, 1000, size=8), want.integers(0, 1000, size=8))
+
+
+def test_split_builds_no_generator_until_a_draw():
+    root = RngStream(9)
+    child = root.split("a").split("b")
+    assert "_gen" not in vars(root) and "_gen" not in vars(child)
+    child.normal(3)
+    assert "_gen" in vars(child) and "_gen" not in vars(root)
