@@ -39,8 +39,10 @@ class CorpusConfig:
         weights = np.asarray(self.length_weights, dtype=np.float64)
         if len(weights) != len(LengthBucket):
             raise ConfigError(f"need {len(LengthBucket)} length weights, got {len(weights)}")
-        if (weights < 0).any() or weights.sum() <= 0:
-            raise ConfigError("length weights must be non-negative with positive sum")
+        with np.errstate(over="ignore"):  # a sum past the float64 range reads inf and is refused below
+            total = weights.sum()
+        if (weights < 0).any() or not 0 < total < np.inf:
+            raise ConfigError("length_weights must be non-negative with a positive, finite sum")
         if self.n_docs < 0:
             raise ConfigError("n_docs must be non-negative")
         if not 0 < self.chrono_dim < self.dim:

@@ -96,7 +96,7 @@ def run_gradient_gate(tolerance: float = 1e-3, epsilon: float = 1e-5) -> GateRes
         out = bidirectional_encode(xs, directions["fwd"], directions["bwd"])
         return (out * position_weights).sum() + (out * out).sum()
 
-    named = [("x", xs)] + [(f"{d}.{k}", t) for d, cell in directions.items() for k, t in cell.tensors().items()]
+    named = [("x", xs)] + [(f"{d}.{k}", t) for d, cell in directions.items() for k, t in vars(cell).items()]
     result.add("recurrent_sequence", grad_check(bilstm_fn, named, epsilon, tolerance))
 
     # the same on a padded batch: the second document has 2 real pages, so the reverse direction holds its state

@@ -12,7 +12,7 @@ from .seq2seq import Seq2SeqModel
 
 
 def build_model(config: ModelConfig, dtype=np.float32) -> Model:
-    """Instantiate the architecture named by the config."""
+    """Instantiate the architecture named by the config, its parameters already in one flat array."""
     cls = {
         Arch.BILSTM_POS: BilstmPositionModel,
         Arch.POINTER_MLP: PointerMlpModel,
@@ -20,7 +20,9 @@ def build_model(config: ModelConfig, dtype=np.float32) -> Model:
         Arch.SEQ2SEQ: Seq2SeqModel,
         Arch.PAIRWISE_RANK: PairwiseRankModel,
     }[config.arch]
-    return cls(config, dtype=dtype)
+    model = cls(config, dtype=dtype)
+    model.flat_parameters()
+    return model
 
 
 from .checkpoint import (  # noqa: E402  (needs build_model defined)

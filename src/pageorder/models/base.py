@@ -90,6 +90,7 @@ class Model:
         self.config = config
         self.dtype = dtype
         self.params: dict[str, Tensor] = {}
+        self.flat: np.ndarray | None = None  # every parameter, in registry order, once flat_parameters builds it
         self._rng = RngStream(config.seed).split(config.arch.value)
 
     # -- parameter management -------------------------------------------
@@ -114,10 +115,11 @@ class Model:
         return self._add(name, self._rng.split(name).normal(shape, std=std, dtype=self.dtype))
 
     def _lstm(self, prefix: str, in_dim: int, hidden: int) -> LstmParams:
-        params = LstmParams.create(self._rng.split(prefix), in_dim, hidden, dtype=self.dtype)
-        for name, tensor in params.tensors().items():
-            self.params[f"{prefix}.{name}"] = tensor
-        return params
+        rng = self._rng.split(prefix)
+        wx = self._add(f"{prefix}.wx", glorot_uniform(rng.split("wx"), (in_dim, 4 * hidden), dtype=self.dtype))
+        wh = self._add(f"{prefix}.wh", glorot_uniform(rng.split("wh"), (hidden, 4 * hidden), dtype=self.dtype))
+        bias = self._add(f"{prefix}.b", np.repeat([0.0, 1.0, 0.0, 0.0], hidden))  # gates i, f, g, o: forget gate open
+        return LstmParams(wx, wh, bias)
 
     def _dense_stack(self, prefix: str, dims: list[int]) -> None:
         """Register ``{prefix}.w{i}`` of shape ``(dims[i], dims[i + 1])`` and a zero ``{prefix}.b{i}`` per layer."""
@@ -140,6 +142,20 @@ class Model:
     def param_count(self) -> int:
         return sum(p.data.size for p in self.params.values())
 
+    def param_views(self, flat: np.ndarray) -> list[np.ndarray]:
+        """``flat`` cut into one view per parameter, in registry order and in each parameter's shape."""
+        ends = np.cumsum([p.data.size for p in self.params.values()], dtype=np.intp)
+        return [part.reshape(p.data.shape) for part, p in zip(np.split(flat, ends[:-1]), self.params.values())]
+
+    def flat_parameters(self) -> np.ndarray:
+        """``self.flat``, built once: every ``.data`` becomes its view, so setting weights copies into ``.data``."""
+        if self.flat is None:
+            parts = [p.data.reshape(-1) for p in self.params.values()]
+            self.flat = np.concatenate(parts) if parts else np.empty(0, self.dtype)
+            for p, view in zip(self.params.values(), self.param_views(self.flat)):
+                p.data = view
+        return self.flat
+
     def zero_grad(self) -> None:
         for p in self.params.values():
             p.zero_grad()
@@ -149,12 +165,11 @@ class Model:
 
     def load_state_arrays(self, state: dict[str, np.ndarray]) -> None:
         if set(state) != set(self.params):
-            missing = set(self.params) ^ set(state)
-            raise ConfigError(f"parameter names do not match: {sorted(missing)}")
+            raise ConfigError(f"parameter names do not match: {sorted(set(self.params) ^ set(state))}")
         for name, arr in state.items():
             if self.params[name].data.shape != arr.shape:
                 raise ConfigError(f"shape mismatch for {name}")
-            self.params[name].data = arr.astype(self.dtype, copy=True)
+            self.params[name].data[...] = arr  # into the view, cast to the model's dtype
 
     # -- the protocol: a training loss and batched inference ---------------
 

@@ -161,18 +161,6 @@ class LstmParams:
     def hidden(self) -> int:
         return self.wh.shape[0]
 
-    @staticmethod
-    def create(rng: RngStream, input_dim: int, hidden: int, dtype=np.float32) -> "LstmParams":
-        wx = Tensor(glorot_uniform(rng.split("wx"), (input_dim, 4 * hidden), dtype), requires_grad=True)
-        wh = Tensor(glorot_uniform(rng.split("wh"), (hidden, 4 * hidden), dtype), requires_grad=True)
-        bias = np.zeros(4 * hidden, dtype=dtype)
-        bias[hidden : 2 * hidden] = 1.0  # forget gate open at init
-        b = Tensor(bias, requires_grad=True)
-        return LstmParams(wx, wh, b)
-
-    def tensors(self) -> dict[str, Tensor]:
-        return {"wx": self.wx, "wh": self.wh, "b": self.b}
-
 
 def _gate_blocks(act: np.ndarray, hidden: int) -> tuple[np.ndarray, ...]:
     """The i, f, g, o blocks of ``act (..., 4H)`` as views (basic slices cost less than ``np.split``)."""

@@ -7,7 +7,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .tensor import ShapeError, Tensor
+from .tensor import ShapeError
 
 __all__ = ["AdamState", "TrainingDivergedError", "init_adam", "global_norm", "clip_global_norm", "adam_step"]
 
@@ -22,23 +22,22 @@ BETA2 = 0.999
 EPSILON = 1e-8
 
 
+# elements per pass of ``adam_step``'s sweep: its two scratch buffers stay this size however large the model
+BLOCK = 65_536
+
+
 @dataclass
 class AdamState:
-    """Per-parameter moment estimates plus the step size."""
+    """Flat moment estimates, aligned with the flat parameter array, plus the step size."""
 
     step_count: int
-    first_moment: list[np.ndarray]
-    second_moment: list[np.ndarray]
+    first_moment: np.ndarray
+    second_moment: np.ndarray
     learning_rate: float
 
 
-def init_adam(params: list[Tensor], learning_rate: float = 1e-3) -> AdamState:
-    return AdamState(
-        step_count=0,
-        first_moment=[np.zeros_like(p.data) for p in params],
-        second_moment=[np.zeros_like(p.data) for p in params],
-        learning_rate=learning_rate,
-    )
+def init_adam(params: np.ndarray, learning_rate: float = 1e-3) -> AdamState:
+    return AdamState(0, np.zeros_like(params), np.zeros_like(params), learning_rate)
 
 
 def global_norm(grads: list[np.ndarray]) -> float:
@@ -68,36 +67,27 @@ def clip_global_norm(grads: list[np.ndarray], max_norm: float) -> float:
     return norm
 
 
-def adam_step(params: list[Tensor], grads: list[np.ndarray], state: AdamState) -> list[Tensor]:
-    """Bias-corrected adaptive-moment update, applied in place.
+def adam_step(params: np.ndarray, grads: np.ndarray, state: AdamState) -> np.ndarray:
+    """Bias-corrected adaptive-moment update of flat arrays, in place, swept in blocks of ``BLOCK`` elements.
 
-    Each parameter's update runs the expression form ``m_hat = m / c1``,
-    ``v_hat = v / c2``, ``p -= lr * m_hat / (sqrt(v_hat) + eps)`` operation by
-    operation in that order, so every bit is that form's, but writes into
-    two scratch buffers sized to the largest gradient instead of allocating
-    a temporary per operation. The gradients are not checked for
-    finiteness: ``fit`` learns that from ``clip_global_norm``, which raises
-    on a non-finite norm before the step.
+    Each block runs the expression form ``m_hat = m / c1``, ``v_hat = v / c2``,
+    ``p -= lr * m_hat / (sqrt(v_hat) + eps)`` operation by operation in that order, so every bit is that form's,
+    through two scratch buffers instead of a temporary per operation. The gradients are not checked for
+    finiteness: ``fit`` learns that from ``clip_global_norm``, which raises on a non-finite norm before the step.
     """
-    if len(params) != len(grads) or len(params) != len(state.first_moment):
-        raise ShapeError("params, grads and state must be aligned")
-    for p, g in zip(params, grads):
-        if p.data.shape != g.shape:
-            raise ShapeError(f"gradient shape {g.shape} does not match parameter {p.data.shape}")
-        if p.data.dtype != g.dtype:
-            raise ShapeError(f"gradient dtype {g.dtype} does not match parameter {p.data.dtype}")
+    if params.ndim != 1 or not params.shape == grads.shape == state.first_moment.shape == state.second_moment.shape:
+        raise ShapeError("params, grads and moments must be flat arrays of one length")
+    if params.dtype != grads.dtype:
+        raise ShapeError(f"gradient dtype {grads.dtype} does not match parameter {params.dtype}")
     state.step_count += 1
     t = state.step_count
     correction1 = 1.0 - BETA1**t
     correction2 = 1.0 - BETA2**t
     lr = state.learning_rate
-    # one buffer pair per dtype, sized to that dtype's largest gradient
-    sizes: dict[np.dtype, int] = {}
-    for g in grads:
-        sizes[g.dtype] = max(sizes.get(g.dtype, 0), g.size)
-    scratch = {dtype: (np.empty(size, dtype), np.empty(size, dtype)) for dtype, size in sizes.items()}
-    for p, g, m, v in zip(params, grads, state.first_moment, state.second_moment):
-        denom, step = (buf[: g.size].reshape(g.shape) for buf in scratch[g.dtype])
+    scratch = np.empty((2, min(BLOCK, params.size)), params.dtype)
+    for start in range(0, params.size, BLOCK):
+        p, g, m, v = (a[start : start + BLOCK] for a in (params, grads, state.first_moment, state.second_moment))
+        denom, step = scratch[:, : g.size]
         np.multiply(g, 1.0 - BETA1, out=denom)
         m *= BETA1
         m += denom
@@ -111,5 +101,5 @@ def adam_step(params: list[Tensor], grads: list[np.ndarray], state: AdamState) -
         np.divide(m, correction1, out=step)
         step *= lr
         step /= denom
-        p.data -= step
+        p -= step
     return params

@@ -115,9 +115,13 @@ def fit(model: Model, train_docs: list[Document], val_docs: list[Document], cfg:
     run_rng = RngStream(cfg.seed).split("fit")
     val_instances = [shuffle_instance(d, cfg.seed) for d in val_docs]
 
-    params = model.parameters()
-    state = init_adam(params, learning_rate=cfg.lr)
-    best_state: dict | None = None
+    flat = model.flat_parameters()
+    flat_grad = np.zeros_like(flat)
+    grads = model.param_views(flat_grad)
+    for p, grad in zip(model.parameters(), grads):
+        p.grad = grad  # backward accumulates into the view
+    state = init_adam(flat, learning_rate=cfg.lr)
+    best_flat: np.ndarray | None = None
     best_tau = -np.inf
     best_epoch = -1
     history: list[dict] = []
@@ -142,17 +146,17 @@ def fit(model: Model, train_docs: list[Document], val_docs: list[Document], cfg:
                 pages = Tensor(np.stack([inst.pages for inst in insts]).astype(model.dtype))
                 truth = np.stack([inst.truth_rank for inst in insts])
                 weight = cfg.batch_weight(n)
-                model.zero_grad()
+                flat_grad.fill(0)
                 batch_loss = model.loss(pages, truth).mean() * weight
                 loss_value = batch_loss.item()
                 if not np.isfinite(loss_value):
                     raise TrainingDivergedError(f"non-finite loss at epoch {epoch}")
-                batch_loss.backward()
-                if all(p.grad is None for p in params):
+                # a loss recorded from a parameter reaches it, and every tensor that trains is a parameter
+                if not batch_loss.requires_grad:
                     raise TrainingDivergedError(f"no parameter received a gradient at epoch {epoch}")
-                grads = [p.grad if p.grad is not None else np.zeros_like(p.data) for p in params]
+                batch_loss.backward()
                 clip_global_norm(grads, cfg.clip_norm)
-                adam_step(params, grads, state)
+                adam_step(flat, flat_grad, state)
                 total_weighted_loss += loss_value * len(batch)
                 total_weight += weight * len(batch)
 
@@ -172,12 +176,12 @@ def fit(model: Model, train_docs: list[Document], val_docs: list[Document], cfg:
             if val.overall > best_tau:
                 best_tau = val.overall
                 best_epoch = epoch
-                best_state = model.state_arrays()
+                best_flat = flat.copy()
             epoch += 1
 
-    assert best_state is not None
+    assert best_flat is not None
     model.zero_grad()
-    model.load_state_arrays(best_state)
+    flat[...] = best_flat
     series = np.array([r["val_tau_overall"] for r in history], dtype=np.float64)
     return FitResult(history=history, val_tau_series=series, best_epoch=best_epoch)
 

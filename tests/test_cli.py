@@ -129,6 +129,15 @@ class TestGen:
         assert "config file " in capsys.readouterr().err
         assert not out.exists()
 
+    def test_length_weights_whose_sum_overflows_are_usage_error(self, tmp_path, capsys):
+        # every weight is finite, but their float64 sum is not: refused before a document is drawn
+        cfg = tmp_path / "huge.json"
+        cfg.write_text(json.dumps({"corpus": {"length_weights": [1e308] * 5}}))
+        out = tmp_path / "o"
+        assert run_cli("gen", "--config", str(cfg), "--out", str(out)) == 2
+        assert "length_weights" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_effective_config_feeds_back_byte_identical(self, workdir, tmp_path):
         echoed = json.loads((workdir / "gen" / "effective_config.json").read_text())
         del echoed["run"]

@@ -121,6 +121,12 @@ class TestParameterRegistry:
         expected = [entry for entry in REGISTRY[arch] if pe is PeVariant.LEARNED or entry[0] != "pe.table"]
         assert [(name, p.data.shape) for name, p in model.params.items()] == expected
 
+    def test_a_duplicate_lstm_prefix_is_refused(self):
+        # a second cell under one prefix would push the first cell's tensors out of the registry
+        model = build_model(tiny_config(Arch.POINTER_LSTM))
+        with pytest.raises(ConfigError, match="duplicate parameter name enc.fwd.wx"):
+            model._lstm("enc.fwd", DIM, 16)
+
 
 class TestOrderingContracts:
     @pytest.mark.parametrize("arch", list(Arch))

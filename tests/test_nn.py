@@ -12,6 +12,7 @@ from pageorder.numcore import (
     Tensor,
     bidirectional_encode,
     concat,
+    glorot_uniform,
     grad_check,
     layer_norm,
     lstm_sequence,
@@ -352,8 +353,8 @@ class TestLstm:
     @pytest.mark.parametrize("n", [1, 3, 6])
     def test_bidirectional_output_dim(self, n):
         rng = RngStream(0)
-        fwd = LstmParams.create(rng.split("f"), 5, 7)
-        bwd = LstmParams.create(rng.split("b"), 5, 7)
+        fwd = _lstm_params(rng.split("f"), 5, 7)
+        bwd = _lstm_params(rng.split("b"), 5, 7)
         seq = Tensor(rng.split("x").normal((n, 5))[None])
         out = bidirectional_encode(seq, fwd, bwd)
         assert out.shape == (1, n, 14)
@@ -363,7 +364,7 @@ class TestLstm:
         # reversed sequence swaps forward/backward channels at mirrored
         # positions; verified against explicit per-step recurrence
         rng = RngStream(7)
-        shared = LstmParams.create(rng.split("cell"), 4, 3)
+        shared = _lstm_params(rng.split("cell"), 4, 3)
         x = rng.split("seq").normal((3, 4), dtype=np.float32)
         enc = bidirectional_encode(Tensor(x[None]), shared, shared).data[0]
         enc_rev = bidirectional_encode(Tensor(x[::-1].copy()[None]), shared, shared).data[0]
@@ -420,6 +421,17 @@ class TestSinusoidalPositions:
         gaps = np.linalg.norm(table[:, None, :] - table[None, :, :], axis=-1)
         gaps[np.diag_indices(25)] = np.inf
         assert gaps.min() > 0.0
+
+
+def _lstm_params(rng: RngStream, d: int, hidden: int) -> LstmParams:
+    """A float32 cell initialised as ``Model._lstm`` does: Glorot weights and an open forget gate."""
+    bias = np.zeros(4 * hidden, dtype=np.float32)
+    bias[hidden : 2 * hidden] = 1.0
+    return LstmParams(
+        wx=Tensor(glorot_uniform(rng.split("wx"), (d, 4 * hidden)), requires_grad=True),
+        wh=Tensor(glorot_uniform(rng.split("wh"), (hidden, 4 * hidden)), requires_grad=True),
+        b=Tensor(bias, requires_grad=True),
+    )
 
 
 def _lstm_params64(rng: RngStream, d: int, hidden: int) -> LstmParams:
@@ -589,8 +601,8 @@ class TestBidirectionalMatchesPerDirection:
         rng = RngStream(seed)
         d = 3 + seed % 6
         x = Tensor(rng.split("x").normal((batch, n, d)), requires_grad=True)
-        directions = [LstmParams.create(rng.split("fwd"), d, hidden)]
-        directions.append(directions[0] if shared else LstmParams.create(rng.split("bwd"), d, hidden))
+        directions = [_lstm_params(rng.split("fwd"), d, hidden)]
+        directions.append(directions[0] if shared else _lstm_params(rng.split("bwd"), d, hidden))
         for p in directions:  # a nonzero bias everywhere, so every gate block sees it
             p.b.data += rng.split("b").normal(4 * hidden, std=0.5)
         lengths = None
@@ -602,7 +614,7 @@ class TestBidirectionalMatchesPerDirection:
 
     @staticmethod
     def _run(encode, x, directions, lengths, weights):
-        tensors = [x] + [t for p in directions for t in p.tensors().values()]
+        tensors = [x] + [t for p in directions for t in (p.wx, p.wh, p.b)]
         for t in tensors:
             t.zero_grad()
         out = encode(x, *directions, lengths)
@@ -656,7 +668,7 @@ class TestPaddedEncoders:
         # both directions, outputs and gradients, at every real position of a zero-padded batch
         rng = RngStream(40)
         fwd, bwd = _lstm_params64(rng.split("fwd"), 5, 4), _lstm_params64(rng.split("bwd"), 5, 4)
-        params = [t for cell in (fwd, bwd) for t in cell.tensors().values()]
+        params = [t for cell in (fwd, bwd) for t in (cell.wx, cell.wh, cell.b)]
         lengths = np.array([6, 2, 4])
         docs = [rng.split(f"doc{i}").normal((n, 5), dtype=np.float64) for i, n in enumerate(lengths)]
         weights = [rng.split(f"w{i}").normal((n, 8), dtype=np.float64) for i, n in enumerate(lengths)]

@@ -15,49 +15,70 @@ from pageorder.numcore import (
     grad_check,
     init_adam,
 )
-from pageorder.numcore.optim import BETA1, BETA2, EPSILON
+from pageorder.numcore.optim import BETA1, BETA2, BLOCK, EPSILON
 
 
 class TestAdam:
     def test_zero_gradient_leaves_parameters_unchanged(self):
-        p = Tensor(np.array([1.0, -2.0], dtype=np.float32), requires_grad=True)
-        state = init_adam([p], learning_rate=0.1)
-        before = p.data.copy()
-        adam_step([p], [np.zeros(2, dtype=np.float32)], state)
-        assert np.array_equal(p.data, before)
+        p = np.array([1.0, -2.0], dtype=np.float32)
+        state = init_adam(p, learning_rate=0.1)
+        before = p.copy()
+        adam_step(p, np.zeros(2, dtype=np.float32), state)
+        assert np.array_equal(p, before)
         assert state.step_count == 1
 
     def test_constant_positive_gradient_decreases_parameter(self):
-        p = Tensor(np.array([0.5], dtype=np.float32), requires_grad=True)
-        state = init_adam([p], learning_rate=0.01)
-        values = [p.data.copy()]
+        p = np.array([0.5], dtype=np.float32)
+        state = init_adam(p, learning_rate=0.01)
+        values = [p.copy()]
         for _ in range(5):
-            adam_step([p], [np.ones(1, dtype=np.float32)], state)
-            values.append(p.data.copy())
+            adam_step(p, np.ones(1, dtype=np.float32), state)
+            values.append(p.copy())
         diffs = np.diff(np.concatenate(values))
         assert (diffs < 0).all()
 
     def test_first_step_is_bias_corrected(self):
         # one step with g=1, lr=0.1: m_hat = v_hat = 1, delta = -0.1 / (1 + eps)
-        p = Tensor(np.array([0.0], dtype=np.float64), requires_grad=True)
-        state = init_adam([p], learning_rate=0.1)
-        adam_step([p], [np.ones(1, dtype=np.float64)], state)
-        assert p.data[0] == pytest.approx(-0.1, rel=1e-6)
+        p = np.array([0.0], dtype=np.float64)
+        state = init_adam(p, learning_rate=0.1)
+        adam_step(p, np.ones(1, dtype=np.float64), state)
+        assert p[0] == pytest.approx(-0.1, rel=1e-6)
 
     def test_gradient_of_another_dtype_is_rejected(self):
         # a float64 gradient for a float32 parameter: the step would round in two dtypes
-        p = Tensor(np.zeros(2, dtype=np.float32), requires_grad=True)
-        state = init_adam([p])
+        p = np.zeros(2, dtype=np.float32)
+        state = init_adam(p)
         with pytest.raises(ShapeError, match="dtype"):
-            adam_step([p], [np.ones(2, dtype=np.float64)], state)
-        assert state.step_count == 0 and not p.data.any()
+            adam_step(p, np.ones(2, dtype=np.float64), state)
+        assert state.step_count == 0 and not p.any()
+
+    @pytest.mark.parametrize("shapes", [((2,), (3,)), ((2, 1), (2, 1))], ids=["longer_gradient", "not_flat"])
+    def test_arrays_that_are_not_one_flat_length_are_rejected(self, shapes):
+        p = np.zeros(shapes[0], dtype=np.float32)
+        state = init_adam(p)
+        with pytest.raises(ShapeError, match="flat arrays"):
+            adam_step(p, np.ones(shapes[1], dtype=np.float32), state)
+        assert state.step_count == 0 and not p.any()
 
     def test_step_count_increments_per_update(self):
-        p = Tensor(np.zeros(3, dtype=np.float32), requires_grad=True)
-        state = init_adam([p])
+        p = np.zeros(3, dtype=np.float32)
+        state = init_adam(p)
         for expected in range(1, 4):
-            adam_step([p], [np.ones(3, dtype=np.float32)], state)
+            adam_step(p, np.ones(3, dtype=np.float32), state)
             assert state.step_count == expected
+
+    def test_a_sweep_across_blocks_is_elementwise(self):
+        # a partial last block: the same values stepped alone, one element each, give the same bits
+        rng = np.random.default_rng(2)
+        p = rng.normal(size=BLOCK + 5).astype(np.float32)
+        g = rng.normal(size=p.size).astype(np.float32)
+        alone = p.copy()
+        state = init_adam(p, learning_rate=0.01)
+        adam_step(p, g, state)
+        for i in (0, BLOCK - 1, BLOCK, p.size - 1):
+            one = alone[i : i + 1]
+            adam_step(one, g[i : i + 1], init_adam(one, learning_rate=0.01))
+            assert one[0] == p[i]
 
 
 def reference_adam_step(data, grads, first, second, step_count, learning_rate) -> int:
@@ -87,42 +108,46 @@ class TestAdamMatchesReference:
             assert clip_global_norm(grads, 0.5) > 0.5  # clipped in place, as fit does
         return grads
 
+    @staticmethod
+    def _flat(arrays: list[np.ndarray]) -> np.ndarray:
+        return np.concatenate([a.reshape(-1) for a in arrays])
+
     @pytest.mark.parametrize("dtype", [np.float32, np.float64], ids=["float32", "float64"])
     def test_five_steps_are_bitwise_the_expression_form(self, dtype):
+        # the six shapes concatenated into one flat array, against the reference applied tensor by tensor
         rng = np.random.default_rng(12)
-        params = [Tensor(rng.normal(size=shape).astype(dtype), requires_grad=True) for shape in self.SHAPES]
+        data = [rng.normal(size=shape).astype(dtype) for shape in self.SHAPES]
+        params = self._flat(data)
         state = init_adam(params, learning_rate=3e-3)
-        data = [p.data.copy() for p in params]
         first = [np.zeros_like(d) for d in data]
         second = [np.zeros_like(d) for d in data]
         step_count = 0
         for step in range(5):
             grads = self._gradients(rng, step, dtype)
-            kept = [g.copy() for g in grads]
-            adam_step(params, grads, state)
-            step_count = reference_adam_step(data, kept, first, second, step_count, 3e-3)
-            assert all(np.array_equal(g, k) for g, k in zip(grads, kept)), "adam_step wrote into a gradient"
+            flat_grads = self._flat(grads)
+            kept = flat_grads.copy()
+            adam_step(params, flat_grads, state)
+            step_count = reference_adam_step(data, grads, first, second, step_count, 3e-3)
+            assert np.array_equal(flat_grads, kept), "adam_step wrote into a gradient"
         assert state.step_count == step_count == 5
-        for p, want, m, v, got_m, got_v in zip(params, data, first, second, state.first_moment, state.second_moment):
-            assert p.data.dtype == dtype and got_m.dtype == dtype and got_v.dtype == dtype
-            assert np.array_equal(p.data, want)
-            assert np.array_equal(got_m, m)
-            assert np.array_equal(got_v, v)
+        for got, want in [(params, data), (state.first_moment, first), (state.second_moment, second)]:
+            assert got.dtype == dtype
+            assert np.array_equal(got, self._flat(want))
 
-    def test_one_step_peaks_below_three_largest_parameters(self):
-        # two scratch buffers of the largest gradient's size, not one temporary per expression
-        params = build_model(desk_config(Arch.POINTER_LSTM, 64, seed=0)).parameters()
-        rng = np.random.default_rng(0)
-        grads = [rng.normal(size=p.shape).astype(p.data.dtype) for p in params]
+    def test_one_step_peaks_below_three_blocks(self):
+        # two scratch buffers of one block each, not one temporary per expression nor per parameter
+        params = build_model(desk_config(Arch.POINTER_LSTM, 64, seed=0)).flat_parameters()
+        assert params.size > 3 * BLOCK
+        grads = np.random.default_rng(0).normal(size=params.size).astype(params.dtype)
         state = init_adam(params)
-        largest = max(p.data.nbytes for p in params)
+        block_bytes = BLOCK * params.itemsize
         tracemalloc.start()
         try:
             adam_step(params, grads, state)
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        assert peak < 3 * largest, f"peak {peak / largest:.2f}x the largest parameter"
+        assert peak < 3 * block_bytes, f"peak {peak / block_bytes:.2f}x one block"
 
 
 class TestClipping:

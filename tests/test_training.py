@@ -17,7 +17,7 @@ from pageorder.corpus import (
 )
 from pageorder.metrics import mean_tau
 from pageorder.errors import ConfigError, DomainError
-from pageorder.models import Arch, Model, ModelConfig, build_model
+from pageorder.models import Arch, Model, ModelConfig, build_model, load_checkpoint, save_checkpoint
 from pageorder.numcore import Tensor, TrainingDivergedError, grad_check, no_grad
 from pageorder.training import (
     ConsistencyError,
@@ -548,7 +548,9 @@ class TestModelProtocol:
         train, val, test = small_corpus
         model = LinearScorer(DIM)
         start = model.params["w"].data.copy()
+        assert model.flat is None  # built directly, not by build_model: the first fit builds the flat array
         result = fit(model, train, val, TrainConfig(epochs=3, batch_size=8, seed=7))
+        assert_views_of_flat(model)
         assert len(result.history) == 3
         assert np.isfinite([r["train_loss"] for r in result.history]).all()
         assert not np.array_equal(model.params["w"].data, start)
@@ -565,6 +567,67 @@ class TestModelProtocol:
         alone = [model.loss(Tensor(pages[b : b + 1]), truth[b : b + 1]).item() for b in range(3)]
         assert batched.shape == (3,)
         assert np.allclose(batched, alone, rtol=1e-12, atol=0.0)
+
+
+def assert_views_of_flat(model: Model) -> None:
+    """Every parameter's ``.data`` is its stretch of ``model.flat``, in registry order, and they fill it."""
+    offset = 0
+    for name, p in model.params.items():
+        assert p.data.base is model.flat and p.data.ctypes.data == model.flat[offset:].ctypes.data, name
+        offset += p.data.size
+    assert offset == model.flat.size
+
+
+class TestFlatParameters:
+    @pytest.mark.parametrize("arch", list(Arch), ids=lambda a: a.value)
+    def test_parameters_stay_views_of_the_flat_array(self, small_corpus, tmp_path, arch):
+        train, val, _ = small_corpus
+        model = tiny(arch, seed=8)
+        assert_views_of_flat(model)
+        other = tiny(arch, seed=9)
+        model.load_state_arrays(other.state_arrays())
+        assert_views_of_flat(model)
+        assert np.array_equal(model.flat, other.flat)
+        save_checkpoint(model, tmp_path / "m.ckpt")
+        restored = load_checkpoint(tmp_path / "m.ckpt")
+        assert_views_of_flat(restored)
+        assert np.array_equal(restored.flat, other.flat)
+        fit(restored, train[:16], val[:8], TrainConfig(epochs=1, batch_size=8, seed=5))
+        assert_views_of_flat(restored)
+        assert not np.array_equal(restored.flat, other.flat)
+
+    @pytest.mark.parametrize("arch", list(Arch), ids=lambda a: a.value)
+    def test_a_fit_after_reloading_the_initial_weights_repeats_a_fresh_fit(self, small_corpus, arch):
+        # the benchmark's reset between passes: fit, load_state_arrays(initial), fit again
+        train, val, _ = small_corpus
+        cfg = TrainConfig(epochs=2, batch_size=8, seed=5)
+
+        def fitted(model):
+            series = fit(model, train[:24], val[:8], cfg).val_tau_series
+            return series, model.flat.copy()
+
+        model = tiny(arch, seed=8)
+        initial = model.state_arrays()
+        reloaded = []
+        for _ in range(2):
+            model.load_state_arrays(initial)
+            reloaded.append(fitted(model))
+        fresh = [fitted(tiny(arch, seed=8)) for _ in range(2)]
+        for (series, weights), (fresh_series, fresh_weights) in zip(reloaded, fresh):
+            assert np.array_equal(series, fresh_series)
+            assert np.array_equal(weights, fresh_weights)
+
+    def test_a_model_without_parameters_is_an_error(self, small_corpus):
+        # an empty flat array, and a loss that needs no gradient: the fit refuses it before any step
+        class Constant(Model):
+            def loss(self, pages: Tensor, truth_rank: np.ndarray) -> Tensor:
+                return Tensor(np.zeros(len(truth_rank), dtype=np.float32))
+
+        train, val, _ = small_corpus
+        model = Constant(ModelConfig(arch=Arch.BILSTM_POS, input_dim=DIM))
+        with pytest.raises(TrainingDivergedError, match="no parameter received a gradient at epoch 0"):
+            fit(model, train, val, TrainConfig(epochs=1, batch_size=8, seed=7))
+        assert model.flat.size == 0
 
 
 @pytest.mark.parametrize("first", ["pageorder.models", "pageorder.training"])
