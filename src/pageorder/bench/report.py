@@ -8,14 +8,11 @@ configuration (no timestamps inside the files).
 
 from __future__ import annotations
 
-import csv
-import io
 from dataclasses import dataclass
 from pathlib import Path
 
 from ..corpus import LengthBucket
-from ..errors import DomainError
-from ..fileio import atomic_write
+from ..fileio import read_csv, write_csv
 
 __all__ = ["ReportRow", "EvalReport", "REFERENCE_TABLE", "write_report_csv", "read_report_csv", "render_report_text"]
 
@@ -65,65 +62,38 @@ CSV_COLUMNS = (
 
 
 def write_report_csv(report: EvalReport, path: str | Path) -> None:
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(["# corpus_digest", report.corpus_digest])
-    for key in sorted(report.seeds):
-        writer.writerow([f"# seed_{key}", report.seeds[key]])
-    writer.writerow(CSV_COLUMNS)
+    records = [["# corpus_digest", report.corpus_digest]]
+    records += [[f"# seed_{key}", report.seeds[key]] for key in sorted(report.seeds)]
+    records.append(CSV_COLUMNS)
     for row in report.rows:
-        reference = REFERENCE_TABLE.get(row.name)
-        record = [row.name]
-        for b in BUCKETS:
-            value = row.tau_by_bucket.get(b)
-            record.append("" if value is None else repr(value))
-        record.append(repr(row.tau_overall))
-        record.append(str(row.param_count))
-        for b in BUCKETS:
-            record.append(str(row.docs_by_bucket.get(b, 0)))
-        for i, b in enumerate(BUCKETS):
-            record.append(repr(reference[0][i]) if reference else "")
-        record.append(reference[1] if reference else "")
-        writer.writerow(record)
-    atomic_write(path, buf.getvalue())
+        reference = REFERENCE_TABLE.get(row.name, ((None,) * len(BUCKETS), None))
+        records.append(
+            [row.name, *(row.tau_by_bucket.get(b) for b in BUCKETS), row.tau_overall, row.param_count]
+            + [row.docs_by_bucket.get(b, 0) for b in BUCKETS]
+            + [*reference[0], reference[1]]
+        )
+    write_csv(path, records)
 
 
 def read_report_csv(path: str | Path) -> EvalReport:
-    text = Path(path).read_text(encoding="utf-8")
-    lines = text.splitlines()
+    preamble, records = read_csv(path, CSV_COLUMNS)
     digest = ""
     seeds: dict = {}
-    data_start = 0
-    for i, line in enumerate(lines):
-        if line.startswith("# corpus_digest"):
-            digest = line.split(",", 1)[1]
-        elif line.startswith("# seed_"):
-            key, value = line.split(",", 1)
+    for key, value in preamble:
+        if key == "# corpus_digest":
+            digest = value
+        elif key.startswith("# seed_"):
             seeds[key[len("# seed_") :]] = int(value)
-        else:
-            data_start = i
-            break
-    reader = csv.DictReader(io.StringIO("\n".join(lines[data_start:])))
-    if reader.fieldnames != CSV_COLUMNS:
-        raise DomainError(f"unexpected report columns: {reader.fieldnames}")
-    rows = []
-    for raw in reader:
-        tau_by_bucket = {}
-        docs_by_bucket = {}
-        for b in BUCKETS:
-            cell = raw[f"tau_{b.label}"]
-            if cell:
-                tau_by_bucket[b] = float(cell)
-            docs_by_bucket[b] = int(raw[f"docs_{b.label}"])
-        rows.append(
-            ReportRow(
-                name=raw["model"],
-                tau_by_bucket=tau_by_bucket,
-                tau_overall=float(raw["tau_overall"]),
-                param_count=int(raw["param_count"]),
-                docs_by_bucket=docs_by_bucket,
-            )
+    rows = [
+        ReportRow(
+            name=raw["model"],
+            tau_by_bucket={b: float(raw[f"tau_{b.label}"]) for b in BUCKETS if raw[f"tau_{b.label}"]},
+            tau_overall=float(raw["tau_overall"]),
+            param_count=int(raw["param_count"]),
+            docs_by_bucket={b: int(raw[f"docs_{b.label}"]) for b in BUCKETS},
         )
+        for raw in records
+    ]
     return EvalReport(rows=rows, corpus_digest=digest, seeds=seeds)
 
 

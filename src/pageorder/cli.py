@@ -42,7 +42,7 @@ from .corpus import (
     split_corpus,
 )
 from .errors import ConfigError, DomainError
-from .fileio import atomic_write
+from .fileio import atomic_write, write_csv
 from .gradgate import run_gradient_gate
 from .models import ArchMismatchError, build_model, desk_config, load_checkpoint, save_checkpoint
 from .training import (
@@ -252,15 +252,15 @@ def cmd_bench(args: argparse.Namespace) -> int:
 
     comparison = result.locality
     if comparison is not None:
-        lines = [
-            "metric,short,long,ratio,reference_short,reference_long,reference_ratio",
-            f"local_fraction,{comparison.short.local_fraction!r},{comparison.long.local_fraction!r},"
-            f",{REFERENCE_LOCAL_SHORT.local_fraction!r},{REFERENCE_LOCAL_LONG.local_fraction!r},",
-            f"avg_distance,{comparison.short.avg_distance!r},{comparison.long.avg_distance!r},"
-            f"{comparison.ratio!r},{REFERENCE_LOCAL_SHORT.avg_distance!r},{REFERENCE_LOCAL_LONG.avg_distance!r},"
-            f"{REFERENCE_LOCALITY_RATIO!r}",
-        ]
-        atomic_write(out / "locality.csv", "\n".join(lines) + "\n")
+        short, long_ = comparison.short, comparison.long
+        ref_short, ref_long = REFERENCE_LOCAL_SHORT, REFERENCE_LOCAL_LONG
+        write_csv(out / "locality.csv", [
+            ["metric", "short", "long", "ratio", "reference_short", "reference_long", "reference_ratio"],
+            ["local_fraction", short.local_fraction, long_.local_fraction, None,
+             ref_short.local_fraction, ref_long.local_fraction, None],
+            ["avg_distance", short.avg_distance, long_.avg_distance, comparison.ratio,
+             ref_short.avg_distance, ref_long.avg_distance, REFERENCE_LOCALITY_RATIO],
+        ])
     _echo_config(config, out, {"command": "bench", "models": list(menu)})
     print(render_report_text(result.report))
     return 0
@@ -305,12 +305,10 @@ def cmd_transfer(args: argparse.Namespace) -> int:
     )
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
-    lines = [
-        "tau_in_domain,tau_transfer,n_train_docs,reference_in_domain,reference_transfer",
-        f"{result.tau_in_domain!r},{result.tau_transfer!r},{result.n_train_docs},"
-        f"{REFERENCE_TRANSFER_IN_DOMAIN!r},{REFERENCE_TRANSFER!r}",
-    ]
-    atomic_write(out / "transfer.csv", "\n".join(lines) + "\n")
+    write_csv(out / "transfer.csv", [
+        ["tau_in_domain", "tau_transfer", "n_train_docs", "reference_in_domain", "reference_transfer"],
+        [result.tau_in_domain, result.tau_transfer, result.n_train_docs, REFERENCE_TRANSFER_IN_DOMAIN, REFERENCE_TRANSFER],
+    ])
     _echo_config(config, out, {"command": "transfer"})
     print(
         f"in-domain tau {result.tau_in_domain:.4f}, transfer tau {result.tau_transfer:.4f} "

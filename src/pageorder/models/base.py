@@ -50,12 +50,12 @@ class ModelConfig:
     seed: int = 0
 
     def __post_init__(self):
+        if min(self.layers, self.input_dim, self.hidden_dim, self.heads) < 1:
+            raise ConfigError("layers, input_dim, hidden_dim and heads must be positive")
         if self.hidden_dim % self.heads != 0:
             raise ConfigError(f"hidden_dim {self.hidden_dim} not divisible by heads {self.heads}")
         if self.max_len < 25:
             raise ConfigError(f"max_len must support at least 25 positions, got {self.max_len}")
-        if self.layers < 1 or self.input_dim < 1:
-            raise ConfigError("layers and input_dim must be positive")
 
     def to_dict(self) -> dict:
         return {**asdict(self), "arch": self.arch.value, "pe_variant": self.pe_variant.value}
@@ -164,11 +164,13 @@ class Model:
         return {name: p.data.copy() for name, p in self.params.items()}
 
     def load_state_arrays(self, state: dict[str, np.ndarray]) -> None:
+        """Copy ``state`` into the weights; every name and shape is checked first, so a refused state changes none."""
         if set(state) != set(self.params):
             raise ConfigError(f"parameter names do not match: {sorted(set(self.params) ^ set(state))}")
         for name, arr in state.items():
             if self.params[name].data.shape != arr.shape:
                 raise ConfigError(f"shape mismatch for {name}")
+        for name, arr in state.items():
             self.params[name].data[...] = arr  # into the view, cast to the model's dtype
 
     # -- the protocol: a training loss and batched inference ---------------

@@ -2,16 +2,14 @@
 
 from __future__ import annotations
 
-import csv
-import io
 from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
 
 from ..corpus import Document, LengthBucket, ShuffledInstance, bucket_of, shuffle_instance
-from ..errors import ConfigError, DomainError
-from ..fileio import atomic_write
+from ..errors import ConfigError
+from ..fileio import read_csv, write_csv
 from ..metrics import BucketMeans, mean_tau
 from ..models import Model
 from ..numcore import RngStream, Tensor, TrainingDivergedError, adam_step, clip_global_norm, init_adam
@@ -189,18 +187,9 @@ def fit(model: Model, train_docs: list[Document], val_docs: list[Document], cfg:
 def write_training_log(history: list[dict], path: str | Path) -> None:
     """One CSV record per epoch (CRLF line ends) of the ``LOG_COLUMNS``; other keys are
     not logged and a ``None`` bucket stays empty. Written atomically."""
-    buf = io.StringIO()
-    writer = csv.writer(buf)
-    writer.writerow(LOG_COLUMNS)
-    for row in history:
-        writer.writerow(["" if row[c] is None else repr(row[c]) for c in LOG_COLUMNS])
-    atomic_write(path, buf.getvalue())
+    write_csv(path, [LOG_COLUMNS] + [[row[c] for c in LOG_COLUMNS] for row in history], line_end="\r\n")
 
 
 def read_training_log(path: str | Path) -> list[dict]:
     """Parse a training log back into its per-epoch rows (without ``lengths_seen``)."""
-    with Path(path).open("r", newline="", encoding="utf-8") as fh:
-        reader = csv.DictReader(fh)
-        if reader.fieldnames != LOG_COLUMNS:
-            raise DomainError(f"unexpected training log columns: {reader.fieldnames}")
-        return [{c: parse(raw[c]) for c, parse in _LOG_PARSERS.items()} for raw in reader]
+    return [{c: parse(raw[c]) for c, parse in _LOG_PARSERS.items()} for raw in read_csv(path, LOG_COLUMNS)[1]]

@@ -27,7 +27,7 @@ from pageorder.bench.run import (
     REFERENCE_TRANSFER_IN_DOMAIN,
 )
 from pageorder.corpus import CorpusConfig, LengthBucket, generate_corpus, split_corpus
-from pageorder.errors import ConfigError
+from pageorder.errors import ConfigError, DomainError
 from pageorder.models import Arch, ModelConfig, build_model, desk_config
 from pageorder.training import TrainConfig
 
@@ -147,6 +147,12 @@ class TestReportSerialization:
             assert a.tau_overall == b.tau_overall
             assert a.param_count == b.param_count
             assert a.docs_by_bucket == b.docs_by_bucket
+
+    def test_a_report_of_other_columns_is_domain_error(self, tmp_path):
+        path = tmp_path / "report.csv"
+        path.write_text("# corpus_digest,ab12\nmodel,tau_overall\nrandom,0.1\n")
+        with pytest.raises(DomainError, match="columns"):
+            read_report_csv(path)
 
     def test_text_rendering_contains_reference_rows(self, small_bench):
         text = render_report_text(small_bench.report)

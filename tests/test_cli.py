@@ -413,6 +413,17 @@ class TestBench:
         for p in out.iterdir():
             assert (bench_out / "figures" / p.name).read_bytes() == p.read_bytes()
 
+    def test_training_logs_end_lines_in_crlf_and_every_other_csv_in_lf(self, bench_out):
+        logs = sorted((bench_out / "logs").glob("*.csv"))
+        others = [bench_out / "report.csv", *sorted((bench_out / "figures").glob("*.csv"))]
+        assert [p.name for p in logs] == ["pairwise.csv"] and len(others) == 5
+        for path in logs:
+            lines = path.read_bytes().split(b"\n")
+            assert lines[-1] == b"" and all(line.endswith(b"\r") for line in lines[:-1]), path.name
+        for path in others:
+            data = path.read_bytes()
+            assert data.endswith(b"\n") and b"\r" not in data, path.name
+
     def test_models_flag_is_echoed_and_reproduces_the_report(self, bench_out, corpus_path, tmp_path):
         echoed = json.loads((bench_out / "effective_config.json").read_text())
         assert echoed["bench"]["models"] == ["random", "tsp_nn", "pairwise"]

@@ -54,6 +54,15 @@ class TestModelConfig:
         cfg = desk_config(Arch.POINTER_LSTM, 64, seed=9)
         assert ModelConfig.from_dict(cfg.to_dict()) == cfg
 
+    @pytest.mark.parametrize("field, value", [("heads", 0), ("heads", -2), ("hidden_dim", 0), ("hidden_dim", -4)])
+    def test_non_positive_width_or_heads_is_config_error(self, field, value):
+        # a checkpoint's config JSON reaches the check through from_dict
+        kw = {**desk_config(Arch.SEQ2SEQ, 8).to_dict(), field: value}
+        with pytest.raises(ConfigError, match="hidden_dim and heads must be positive"):
+            ModelConfig.from_dict(kw)
+        with pytest.raises(ConfigError, match="hidden_dim and heads must be positive"):
+            ModelConfig(**{**kw, "arch": Arch.SEQ2SEQ, "pe_variant": PeVariant.LEARNED})
+
 
 # Every parameter's name and shape in registration order, at input_dim 12,
 # hidden_dim 8 and two layers. Checkpoint layout and the order of Adam and
@@ -566,6 +575,15 @@ class TestCheckpoints:
         path.write_bytes(body + hashlib.sha256(body).digest())
         with pytest.raises(CheckpointVersionError):
             load_checkpoint(path)
+
+    def test_a_refused_state_leaves_every_weight_unchanged(self):
+        model = build_model(desk_config(Arch.POINTER_MLP, DIM))
+        before = model.flat.copy()
+        state = {name: np.zeros_like(arr) for name, arr in model.state_arrays().items()}
+        state["update.b1"] = np.zeros(3, np.float32)  # the last parameter, in the wrong shape
+        with pytest.raises(ConfigError, match="shape mismatch for update.b1"):
+            model.load_state_arrays(state)
+        assert model.flat.tobytes() == before.tobytes()
 
     def test_param_count_matches_checkpoint_contents(self, tmp_path):
         model = build_model(tiny_config(Arch.SEQ2SEQ))

@@ -432,6 +432,12 @@ class TestFit:
         write_training_log(rows, tmp_path / "rows.csv")
         assert (tmp_path / "rows.csv").read_bytes() == path.read_bytes()
 
+    def test_a_log_of_other_columns_is_domain_error(self, tmp_path):
+        path = tmp_path / "log.csv"
+        path.write_bytes(b"epoch,stage,train_loss\r\n0,0,0.5\r\n")
+        with pytest.raises(DomainError, match="columns"):
+            read_training_log(path)
+
     def test_failed_log_write_keeps_the_earlier_log(self, small_corpus, tmp_path):
         train, val, _ = small_corpus
         model = tiny(Arch.BILSTM_POS, seed=11)
