@@ -12,6 +12,7 @@ from dataclasses import dataclass
 from pathlib import Path
 
 from ..corpus import LengthBucket
+from ..errors import DomainError
 from ..fileio import read_csv, write_csv
 
 __all__ = ["ReportRow", "EvalReport", "REFERENCE_TABLE", "write_report_csv", "read_report_csv", "render_report_text"]
@@ -79,11 +80,14 @@ def read_report_csv(path: str | Path) -> EvalReport:
     preamble, records = read_csv(path, CSV_COLUMNS)
     digest = ""
     seeds: dict = {}
-    for key, value in preamble:
-        if key == "# corpus_digest":
-            digest = value
-        elif key.startswith("# seed_"):
-            seeds[key[len("# seed_") :]] = int(value)
+    try:
+        for key, value in preamble:
+            if key == "# corpus_digest":
+                digest = value
+            elif key.startswith("# seed_"):
+                seeds[key[len("# seed_") :]] = int(value)
+    except ValueError as exc:  # a record without its one value, or a seed that is not an integer
+        raise DomainError(f"{path}: malformed preamble record: {exc}") from None
     rows = [
         ReportRow(
             name=raw["model"],

@@ -3,7 +3,7 @@
 Every command is driven by a JSON config file (unknown keys are errors)
 plus a few overriding flags, and echoes its effective configuration into
 the output directory so a run can be reproduced from its artifacts.
-Exit codes: 0 success, 1 runtime failure, 2 usage, config or missing-input-file error.
+Exit codes: 0 success, 1 runtime failure, 2 usage or config error or a missing or unusable path.
 """
 
 from __future__ import annotations
@@ -152,6 +152,14 @@ def _bucket_from_label(label: str) -> LengthBucket:
     raise ConfigError(f"unknown length bucket {label!r} (use e.g. 6-10)")
 
 
+def _out_dir(path: str) -> str:
+    """``--out`` as given, once its nearest existing path is found to be a directory, before any work starts."""
+    existing = next(p for p in (Path(path), *Path(path).parents) if p.exists())
+    if not existing.is_dir():
+        raise argparse.ArgumentTypeError(f"{existing} is not a directory")
+    return path
+
+
 def _print_histogram(docs) -> None:
     counts = {b: 0 for b in LengthBucket}
     for d in docs:
@@ -181,11 +189,11 @@ def cmd_train(args: argparse.Namespace) -> int:
     docs = load_corpus(args.corpus)
     splits = split_corpus(docs, seed=config["seed"])
     strategy = Strategy(args.strategy)
-    if args.target_bucket and strategy is Strategy.UNIVERSAL:
+    if args.target_bucket is not None and strategy is Strategy.UNIVERSAL:
         raise ConfigError("--target-bucket applies only to the specialized strategies, not universal")
     if strategy is not Strategy.SPECIALIZED_DIRECT:
         _reject_ignored_weight_factor(config, strategy.value)
-    target = _bucket_from_label(args.target_bucket) if args.target_bucket else None
+    target = _bucket_from_label(args.target_bucket) if args.target_bucket is not None else None
     train_cfg = TrainConfig(strategy=strategy, target_bucket=target, **config["train"])
     arch, pe = ARCH_ROWS[args.arch]
 
@@ -226,7 +234,7 @@ def cmd_bench(args: argparse.Namespace) -> int:
     docs = load_corpus(args.corpus)
     splits = split_corpus(docs, seed=config["seed"])
     train_cfg = TrainConfig(**config["train"])
-    if args.models:
+    if args.models is not None:
         config["bench"]["models"] = args.models.split(",")
     menu = tuple(config["bench"]["models"])
     if "specialized_direct" not in menu_rows(menu):
@@ -283,9 +291,10 @@ def cmd_figures(args: argparse.Namespace) -> int:
 
 
 def cmd_gradcheck(args: argparse.Namespace) -> int:
-    gate = run_gradient_gate(tolerance=args.tolerance)
-    print(gate.summary())
-    if not gate.passed:
+    reports = run_gradient_gate(tolerance=args.tolerance)
+    for name, report in reports.items():
+        print(f"{name:<25} max rel err {report.max_rel_error:.3e}  {'pass' if report.passed else 'FAIL'}")
+    if not all(report.passed for report in reports.values()):
         print("gradient gate FAILED", file=sys.stderr)
         return 1
     print("gradient gate passed")
@@ -327,7 +336,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_gen = sub.add_parser("gen", help="generate and save a synthetic corpus")
     common(p_gen)
-    p_gen.add_argument("--out", required=True)
+    p_gen.add_argument("--out", required=True, type=_out_dir)
     p_gen.set_defaults(fn=cmd_gen)
 
     p_train = sub.add_parser("train", help="train one configuration")
@@ -337,7 +346,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_train.add_argument("--strategy", default="universal", choices=[s.value for s in Strategy])
     p_train.add_argument("--target-bucket", default=None, help="bucket label, e.g. 6-10; specialized strategies only")
     p_train.add_argument("--resume", default=None, help="checkpoint to continue from")
-    p_train.add_argument("--out", required=True)
+    p_train.add_argument("--out", required=True, type=_out_dir)
     p_train.set_defaults(fn=cmd_train)
 
     p_bench = sub.add_parser("bench", help="train and evaluate the configured menu")
@@ -345,12 +354,12 @@ def build_parser() -> argparse.ArgumentParser:
     p_bench.add_argument("--corpus", required=True)
     p_bench.add_argument("--models", default=None, help="comma-separated row names or 'all'")
     p_bench.add_argument("--jobs", type=int, default=1, help="accepted for compatibility; ignored")
-    p_bench.add_argument("--out", required=True)
+    p_bench.add_argument("--out", required=True, type=_out_dir)
     p_bench.set_defaults(fn=cmd_bench)
 
     p_fig = sub.add_parser("figures", help="emit figure data from a bench output directory")
     p_fig.add_argument("--report", required=True, help="bench output dir or report.csv path")
-    p_fig.add_argument("--out", required=True)
+    p_fig.add_argument("--out", required=True, type=_out_dir)
     p_fig.set_defaults(fn=cmd_figures)
 
     p_grad = sub.add_parser("gradcheck", help="verify every layer and loss against finite differences")
@@ -360,7 +369,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_transfer = sub.add_parser("transfer", help="short-to-long transfer experiment")
     common(p_transfer)
     p_transfer.add_argument("--corpus", required=True)
-    p_transfer.add_argument("--out", required=True)
+    p_transfer.add_argument("--out", required=True, type=_out_dir)
     p_transfer.set_defaults(fn=cmd_transfer)
     return parser
 
@@ -370,7 +379,7 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.fn(args)
-    except (ConfigError, DomainError, FileNotFoundError) as exc:
+    except (ConfigError, DomainError, FileNotFoundError, IsADirectoryError, NotADirectoryError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
     except Exception as exc:  # noqa: BLE001 - CLI boundary

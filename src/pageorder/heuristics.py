@@ -7,6 +7,7 @@ import warnings
 import numpy as np
 
 from .errors import DomainError
+from .models.pointer import greedy_decode
 from .numcore import RngStream
 
 __all__ = ["order_random", "order_greedy_nn", "order_tsp_nn", "cosine_similarity_matrix"]
@@ -40,21 +41,15 @@ def cosine_similarity_matrix(pages: np.ndarray) -> np.ndarray:
 
 
 def _nearest_neighbour_walks(sim: np.ndarray, starts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Nearest-neighbour chains from every page in ``starts`` at once; ties go to the lowest slot.
+    """Nearest-neighbour chains from each page in ``starts`` at once, picked by ``greedy_decode`` (lowest slot on ties).
 
     Returns the chains ``(len(starts), n)`` and each one's total distance, the sum of ``1 - sim`` along it.
     """
-    walks = np.arange(len(starts))
-    orders = np.empty((len(starts), sim.shape[0]), dtype=np.int64)
-    orders[:, 0] = starts
-    visited = np.zeros(orders.shape, dtype=bool)
-    visited[walks, starts] = True
+    n = sim.shape[0]
+    orders = np.stack(greedy_decode([n] * len(starts), lambda prev: np.eye(n)[starts] if prev is None else sim[prev]))
     total_distance = np.zeros(len(starts))
-    for step in range(1, orders.shape[1]):
-        current = orders[:, step - 1]
-        nxt = orders[:, step] = np.argmax(np.where(visited, -np.inf, sim[current]), axis=1)  # lowest index on ties
+    for current, nxt in zip(orders.T[:-1], orders.T[1:]):  # one step at a time, so equal tours stay equal
         total_distance += 1.0 - sim[current, nxt]
-        visited[walks, nxt] = True
     return orders, total_distance
 
 

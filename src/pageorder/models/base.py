@@ -133,12 +133,6 @@ class Model:
             x = x.linear(self.params[f"{prefix}.w{i}"], self.params[f"{prefix}.b{i}"], relu=i < layers - 1)
         return x
 
-    def named_parameters(self) -> list[tuple[str, Tensor]]:
-        return list(self.params.items())
-
-    def parameters(self) -> list[Tensor]:
-        return list(self.params.values())
-
     def param_count(self) -> int:
         return sum(p.data.size for p in self.params.values())
 

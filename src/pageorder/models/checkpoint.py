@@ -62,9 +62,8 @@ def save_checkpoint(model: Model, path: str | Path) -> None:
     out += hashlib.sha256(cfg).digest()
     out += struct.pack("<I", len(cfg))
     out += cfg
-    named = model.named_parameters()
-    out += struct.pack("<I", len(named))
-    for name, tensor in named:
+    out += struct.pack("<I", len(model.params))
+    for name, tensor in model.params.items():
         encoded = name.encode("utf-8")
         out += struct.pack("<H", len(encoded))
         out += encoded

@@ -5,7 +5,7 @@ and pick the argmax (ties to the lowest slot), so the output is a valid
 permutation by construction. The feedforward variant conditions only on
 the most recent selection; the recurrent variant carries a hidden state
 across all previous selections. ``greedy_decode`` is that selection loop,
-shared with the seq2seq pointer head.
+shared with the seq2seq pointer head and the nearest-neighbour baselines.
 """
 
 from __future__ import annotations

@@ -116,7 +116,7 @@ def fit(model: Model, train_docs: list[Document], val_docs: list[Document], cfg:
     flat = model.flat_parameters()
     flat_grad = np.zeros_like(flat)
     grads = model.param_views(flat_grad)
-    for p, grad in zip(model.parameters(), grads):
+    for p, grad in zip(model.params.values(), grads):
         p.grad = grad  # backward accumulates into the view
     state = init_adam(flat, learning_rate=cfg.lr)
     best_flat: np.ndarray | None = None

@@ -1,6 +1,7 @@
 import hashlib
 import json
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -324,6 +325,16 @@ class TestTrain:
         assert "--target-bucket" in capsys.readouterr().err
         assert not out.exists()
 
+    def test_empty_target_bucket_under_universal_is_usage_error(self, workdir, corpus_path, tmp_path, capsys):
+        out = tmp_path / "t"
+        code = run_cli(
+            "train", "--config", str(workdir / "cfg.json"), "--corpus", str(corpus_path), "--arch", "pointer_mlp",
+            "--target-bucket", "", "--out", str(out),
+        )
+        assert code == 2
+        assert "--target-bucket" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_specialist_run_echoes_its_target_bucket(self, workdir, corpus_path, tmp_path):
         out = tmp_path / "t"
         code = run_cli(
@@ -412,6 +423,18 @@ class TestBench:
         assert run_cli("figures", "--report", str(bench_out), "--out", str(out)) == 0
         for p in out.iterdir():
             assert (bench_out / "figures" / p.name).read_bytes() == p.read_bytes()
+
+    @pytest.mark.parametrize(
+        "preamble, error",
+        [("# corpus_digest", "not enough values to unpack"), ("# seed_eval,x", "invalid literal for int()")],
+        ids=["digest_without_value", "seed_not_an_integer"],
+    )
+    def test_figures_on_a_malformed_preamble_is_usage_error(self, bench_out, tmp_path, capsys, preamble, error):
+        text = (bench_out / "report.csv").read_text()
+        report = tmp_path / "report.csv"
+        report.write_text(preamble + text[text.index("\nmodel,") :])  # a valid header and rows after it
+        assert run_cli("figures", "--report", str(report), "--out", str(tmp_path / "figs")) == 2
+        assert f"report.csv: malformed preamble record: {error}" in capsys.readouterr().err
 
     def test_training_logs_end_lines_in_crlf_and_every_other_csv_in_lf(self, bench_out):
         logs = sorted((bench_out / "logs").glob("*.csv"))
@@ -524,6 +547,15 @@ class TestBench:
         assert "the benchmark menu names no configuration" in capsys.readouterr().err
         assert not out.exists()
 
+    def test_empty_models_flag_is_refused_not_read_as_absent(self, corpus_path, tmp_path, capsys):
+        cfg = tmp_path / "random_menu.json"
+        cfg.write_text(json.dumps({**TINY_CONFIG, "bench": {"models": ["random"]}}))
+        out = tmp_path / "b"
+        code = run_cli("bench", "--config", str(cfg), "--corpus", str(corpus_path), "--models", "", "--out", str(out))
+        assert code == 2
+        assert "unknown benchmark configurations: ['']" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_unknown_model_name_exits_2(self, workdir, corpus_path, tmp_path):
         code = run_cli(
             "bench", "--config", str(workdir / "cfg.json"), "--corpus", str(corpus_path),
@@ -586,14 +618,68 @@ def test_missing_input_file_exits_2(corpus_path, tmp_path, capsys, argv):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("under_a_file", [False, True], ids=["directory", "under_a_file"])
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["gen", "--config", "{path}"],
+        ["bench", "--corpus", "{path}"],
+        ["train", "--corpus", "{corpus}", "--arch", "pointer_mlp", "--resume", "{path}"],
+    ],
+    ids=["gen-config", "bench-corpus", "train-resume"],
+)
+def test_unusable_input_path_exits_2(corpus_path, tmp_path, capsys, argv, under_a_file):
+    path = tmp_path / "a_file" / "x" if under_a_file else tmp_path
+    (tmp_path / "a_file").write_text("")
+    out = tmp_path / "out"
+    code = run_cli(*[a.format(path=path, corpus=corpus_path) for a in argv], "--out", str(out))
+    assert code == 2
+    expected = "[Errno 20] Not a directory" if under_a_file else "[Errno 21] Is a directory"
+    assert f"config error: {expected}" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("under_a_file", [False, True], ids=["file", "under_a_file"])
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["gen", "--config", "{cfg}"],
+        ["train", "--config", "{cfg}", "--corpus", "{corpus}", "--arch", "pointer_lstm"],
+        ["bench", "--config", "{cfg}", "--corpus", "{corpus}", "--models", "random,pointer_mlp"],
+        ["figures", "--report", "{corpus}"],
+        ["transfer", "--config", "{cfg}", "--corpus", "{corpus}"],
+    ],
+    ids=["gen", "train", "bench", "figures", "transfer"],
+)
+def test_out_that_is_no_directory_is_refused_before_any_work(
+    workdir, corpus_path, tmp_path, capsys, argv, under_a_file
+):
+    a_file = tmp_path / "a_file"
+    a_file.write_text("")
+    out = a_file / "sub" if under_a_file else a_file
+    with pytest.raises(SystemExit) as exc:
+        run_cli(*[a.format(cfg=workdir / "cfg.json", corpus=corpus_path) for a in argv], "--out", str(out))
+    assert exc.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""  # nothing trained or written
+    err = captured.err.splitlines()
+    assert err[-1].endswith(f"error: argument --out: {a_file} is not a directory")
+    assert all(line.startswith(("usage: ", " ")) for line in err[:-1]), err  # no progress line before the error
+    assert a_file.read_text() == ""
+
+
 class TestGradcheckCommand:
     def test_gate_passes(self, capsys):
         assert run_cli("gradcheck") == 0
-        out = capsys.readouterr().out
-        assert "gradient gate passed" in out
-        checked = [line.split()[0] for line in out.splitlines()[:-1]]
-        assert {"attention", "attention_masked", "layer_norm"} <= set(checked), checked
-        assert [name for name in checked if name.startswith("loss_")] == [f"loss_{arch.value}" for arch in Arch]
+        *lines, last = capsys.readouterr().out.splitlines()
+        assert last == "gradient gate passed"
+        entries = [
+            "dense", "dense_flat", "recurrent_sequence", "recurrent_sequence_padded", "attention", "attention_masked",
+            "layer_norm", "pair_differences", "embedding_lookup", *(f"loss_{arch.value}" for arch in Arch),
+        ]  # fmt: skip
+        assert [line.split()[0] for line in lines] == entries
+        for name, line in zip(entries, lines):
+            assert re.fullmatch(rf"{name:<25} max rel err \d\.\d{{3}}e[+-]\d\d  pass", line), line
 
     def test_impossible_tolerance_fails(self, capsys):
         assert run_cli("gradcheck", "--tolerance", "0") == 1

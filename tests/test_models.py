@@ -549,7 +549,7 @@ class TestCheckpoints:
         path = tmp_path / "m.ckpt"
         save_checkpoint(model, path)
         restored = load_checkpoint(path)
-        for (na, a), (nb, b) in zip(model.named_parameters(), restored.named_parameters()):
+        for (na, a), (nb, b) in zip(model.params.items(), restored.params.items()):
             assert na == nb
             assert np.array_equal(a.data, b.data)
 

@@ -739,10 +739,10 @@ def test_parameter_grads_own_their_memory_and_match_copied_grads(arch, monkeypat
     def grads() -> list[np.ndarray]:
         model.zero_grad()
         model.loss(Tensor(pages), truth).mean().backward()
-        return [p.grad for p in model.parameters()]
+        return [p.grad for p in model.params.values()]
 
     adopted = grads()
-    arrays = [p.data for p in model.parameters()]
+    arrays = [p.data for p in model.params.values()]
     assert all(g is not None for g in adopted)
     for i, g in enumerate(adopted):
         assert not any(np.shares_memory(g, other) for other in adopted[i + 1 :] + arrays), i

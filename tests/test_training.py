@@ -97,7 +97,7 @@ class TestLossPairwise:
             s, _ = model.score_matrix(Tensor(pages))
             return loss_pairwise(s, y).sum()
 
-        report = grad_check(f, model.named_parameters(), epsilon=1e-5, tolerance=1e-3)
+        report = grad_check(f, model.params.items(), epsilon=1e-5, tolerance=1e-3)
         assert report.passed, report.summary()
 
 
@@ -140,7 +140,7 @@ class TestLossPointer:
             logits, sel, valid = model.teacher_logits(Tensor(pages), truth)
             return loss_pointer(logits, sel, valid).sum()
 
-        report = grad_check(f, model.named_parameters(), epsilon=1e-5, tolerance=1e-3)
+        report = grad_check(f, model.params.items(), epsilon=1e-5, tolerance=1e-3)
         assert report.passed, report.summary()
 
 
@@ -167,7 +167,7 @@ class TestLossPosition:
         def f():
             return loss_position(model.position_scores(Tensor(pages)), truth).sum()
 
-        report = grad_check(f, model.named_parameters(), epsilon=1e-5, tolerance=1e-3)
+        report = grad_check(f, model.params.items(), epsilon=1e-5, tolerance=1e-3)
         assert report.passed, report.summary()
 
 
@@ -390,7 +390,7 @@ class TestFit:
         train, val, _ = small_corpus
         model = tiny(arch, seed=8)
         fit(model, train[:16], val[:8], TrainConfig(epochs=1, batch_size=8, seed=5))
-        assert all(p.grad is None for p in model.parameters())
+        assert all(p.grad is None for p in model.params.values())
 
     def test_no_gradient_is_an_error(self, small_corpus):
         train, val, _ = small_corpus
@@ -407,7 +407,7 @@ class TestFit:
 
         def poisoned_backward(self):
             backward(self)
-            next(p for p in model.parameters() if p.grad is not None).grad.flat[0] = np.nan
+            next(p for p in model.params.values() if p.grad is not None).grad.flat[0] = np.nan
 
         monkeypatch.setattr(Tensor, "backward", poisoned_backward)
         with pytest.raises(TrainingDivergedError, match="non-finite gradient"):
